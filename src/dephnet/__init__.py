@@ -20,7 +20,7 @@ from .graphs import (Circuit, Graph, build_graph, laplacian_hamiltonian,
                      reverse_circuit)
 from .generator import (EXPLICIT_BATH, REDUCED, Generator, RateSet,
                         assemble_generator, apply_generator, clamp_bath,
-                        dephase, empty_state, vectorize_generator)
+                        dephase, empty_state, real_linear_system)
 from .steady_state import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                            SteadyStateResult, Trajectory, detect_divergence,
                            evolve, solve_ness_by_evolution, solve_ness_direct)
@@ -64,9 +64,9 @@ __all__ = [
     "make_triangle_funnel", "make_wire", "parse_circuit_file",
     "parse_circuit_text", "parse_config", "parse_delta_grid",
     "pentagon_family", "pentagon_sweep",
-    "physicality_report", "rectification_sweep", "relative_entropy_coherence",
-    "render_chart", "resistance", "resolve_circuit", "reverse_circuit",
-    "solve_ness_by_evolution", "solve_ness_direct", "sweep_branch_count",
-    "transport_reading", "vectorize_generator", "voltage",
+    "physicality_report", "real_linear_system", "rectification_sweep",
+    "relative_entropy_coherence", "render_chart", "resistance",
+    "resolve_circuit", "reverse_circuit", "solve_ness_by_evolution",
+    "solve_ness_direct", "sweep_branch_count", "transport_reading", "voltage",
     "write_circuit_file", "write_records",
 ]

@@ -4,13 +4,11 @@ reproduce published transport numbers.
 The shipped devices (additivity pair, pentagon sink, triangle funnel)
 were frozen from searches over bounded families (n <= 8, at most 14
 edges); this module keeps those searches reproducible. Candidates are
-evaluated independently (optionally by a worker pool) and matches are
-returned in a canonical sorted order, so results never depend on
-completion order.
+evaluated one after another and matches are returned in a canonical
+sorted order, so results never depend on the order of the family.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Iterable, Sequence
@@ -137,8 +135,8 @@ def _as_target(t) -> CalibrationTarget:
     return target
 
 
-def calibrate_topology(family: Iterable[Circuit], targets: Sequence,
-                       max_workers: int = 4) -> list[Circuit]:
+def calibrate_topology(family: Iterable[Circuit],
+                       targets: Sequence) -> list[Circuit]:
     """Return every candidate meeting all targets, in canonical order.
 
     Raises CalibrationError for an empty family, a malformed target, or
@@ -161,11 +159,7 @@ def calibrate_topology(family: Iterable[Circuit], targets: Sequence,
                 return False, solvable_any
         return True, True
 
-    if max_workers > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(evaluate, candidates))
-    else:
-        outcomes = [evaluate(c) for c in candidates]
+    outcomes = [evaluate(c) for c in candidates]
     if not any(solvable for _, solvable in outcomes):
         raise CalibrationError(
             "unsolvable target: every candidate in the family is insulating "

@@ -58,7 +58,6 @@ class RunConfig:
     delta: float | None = None
     delta_grid: tuple[float, ...] | None = None
     solver: str = "direct"
-    residual_tol: float | None = None
     tol: float | None = None
     t_max: float | None = None
     t_end: float | None = None
@@ -142,8 +141,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--solver", choices=("direct", "evolution"),
                    default=None, help="linear solve of the stationarity "
                    "condition, or long-time integration (default direct)")
-    p.add_argument("--residual-tol", type=float, dest="residual_tol",
-                   help="stationarity residual accepted by the direct solver")
     p.add_argument("--tol", type=float,
                    help="residual at which the evolution solver declares "
                         "convergence")
@@ -347,9 +344,7 @@ def _cmd_ness(cfg: RunConfig) -> int:
                      if v is not None}
         res = solve_ness_by_evolution(g, **overrides)
     else:
-        overrides = {} if cfg.residual_tol is None else \
-            {"residual_tol": cfg.residual_tol}
-        res = solve_ness_direct(g, **overrides)
+        res = solve_ness_direct(g)
     print(f"circuit   {c.label or cfg.circuit}")
     print(f"delta     {cfg.delta:g}")
     print(f"solver    {cfg.solver}")

@@ -1,14 +1,13 @@
 """Scripted parameter sweeps: branch counts, dephasing grids, the
 one-extra-edge pair, and the rectification crossing.
 
-Sweep points are independent; they run on a small worker pool and the
-emitted records are always sorted by (circuit label, delta, direction,
-branches), never by completion order.
+Sweep points are solved one after another; the emitted records are
+sorted by (circuit label, delta, direction, branches), whatever order
+the points were given in.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,8 +32,6 @@ BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 #: sharp small-delta features and the classical tail.
 LOG_GRID = tuple(np.logspace(-3.0, math.log10(50.0), 40))
 DEFAULT_M_MAX = 10
-
-_POOL_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -79,12 +76,7 @@ def _measure(c: Circuit, delta: float, direction: str = "forward",
 
 
 def _run_points(points: Sequence[tuple]) -> list[SweepRecord]:
-    if len(points) > 1:
-        with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as pool:
-            records = list(pool.map(lambda p: _measure(*p), points))
-    else:
-        records = [_measure(*p) for p in points]
-    return sorted(records, key=_sort_key)
+    return sorted((_measure(*p) for p in points), key=_sort_key)
 
 
 def sweep_branch_count(m_max: int, deltas: Sequence[float] = BRANCH_DELTAS,

@@ -19,7 +19,9 @@ position-basis dephasing. Two equivalent forms are provided:
   sqrt(g)|R><k|. The bath populations are pinned (rho_LL = 0.5,
   rho_RR = 0, bath coherences 0) at every derivative evaluation, which
   makes the two forms agree exactly on the system block. The pinning is
-  not linear, so only the reduced form has a matrix representation.
+  not linear, so only the reduced form has a matrix representation:
+  real_linear_system writes it as dy/dt = a y + b over the n^2 real
+  coordinates y of a Hermitian state, the form both solvers use.
 """
 from __future__ import annotations
 
@@ -176,34 +178,76 @@ def _apply_explicit(g: Generator, rho: np.ndarray) -> np.ndarray:
     return d
 
 
-def vectorize_generator(g: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix form (M, c) with vec(apply_generator(g, rho)) = M vec(rho) + c.
+def _coordinate_pairs(dim: int):
+    """Site pair (i, j) of each of the dim**2 real coordinates of a
+    Hermitian matrix, and the count `split` of leading coordinates that
+    are real parts: rho_ii, then Re rho_ij and then Im rho_ij for i < j."""
+    sites = np.arange(dim)
+    iu, ju = np.triu_indices(dim, 1)
+    return (np.concatenate([sites, iu, iu]), np.concatenate([sites, ju, ju]),
+            dim + len(iu))
 
-    vec is column stacking (numpy order='F'): vec(A rho B) =
-    (B^T kron A) vec(rho). Only the reduced form is linear; the
-    explicit-bath clamping is not, so it is rejected.
+
+def _hermitian_coords(dim: int):
+    """pack/unpack between a Hermitian matrix and its real coordinates."""
+    ci, cj, split = _coordinate_pairs(dim)
+    re, im = slice(0, split), slice(split, None)
+
+    def pack(rho: np.ndarray) -> np.ndarray:
+        v = rho[ci, cj]
+        return np.concatenate([v[re].real, v[im].imag])
+
+    def unpack(y: np.ndarray) -> np.ndarray:
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[ci[re], cj[re]] = y[re]
+        rho[ci[im], cj[im]] += 1j * y[im]
+        rho[cj[im], ci[im]] = rho[ci[im], cj[im]].conj()
+        return rho
+
+    return pack, unpack
+
+
+def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Real matrix a and offset b with pack(apply_generator(g, unpack(y)))
+    = a y + b in the coordinates of _hermitian_coords.
+
+    Written entry by entry from rho = X + iY (X symmetric, Y
+    antisymmetric, H the real Laplacian, P_k the sink projector):
+
+        dX = [H, Y] - (g/2){P_k, X} - 2 gamma_D offdiag(X) + S e_s e_s^T
+        dY = -[H, X] - (g/2){P_k, Y} - 2 gamma_D Y
+
+    A commutator entry has at most 2n terms, so the build is O(n^3)
+    beyond allocating a.
     """
     if g.form != REDUCED:
         raise UnsupportedFormError(
             "only the reduced form has a matrix representation; "
             "bath clamping in the explicit form is not linear")
-    n = g.circuit.graph.n
-    s, k = g.circuit.source, g.circuit.sink
-    eye = np.eye(n, dtype=complex)
-    h = g.H
-    proj_k = np.zeros((n, n), dtype=complex)
-    proj_k[k, k] = 1.0
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    m -= 0.5 * g.rates.gamma_bath * (np.kron(eye, proj_k) + np.kron(proj_k.T, eye))
-    gamma_d = g.rates.gamma_D
-    if gamma_d > 0:
-        diag_proj = np.zeros((n * n, n * n), dtype=complex)
-        for j in range(n):
-            diag_proj[j * n + j, j * n + j] = 1.0
-        m += 2.0 * gamma_d * (diag_proj - np.eye(n * n, dtype=complex))
-    c = np.zeros((n * n,), dtype=complex)
-    c[s * n + s] = g.rates.source_flux
-    return m, c
+    n, h, sink = g.dim, g.H.real, g.circuit.sink
+    ci, cj, split = _coordinate_pairs(n)
+    coord, sites = np.arange(n * n), np.arange(n)
+    # X_lm = y[col[0, l, m]] and Y_lm = sign[1, l, m] * y[col[1, l, m]];
+    # sign[1] is 0 on the diagonal, where Y vanishes
+    col, part = np.zeros((2, n, n), dtype=int), (coord >= split).astype(int)
+    col[part, ci, cj] = col[part, cj, ci] = coord
+    sign = np.stack([np.ones((n, n)), np.sign(sites - sites[:, None])])
+    half = 0.5 * g.rates.gamma_bath
+    a = np.diag(-(half * (ci == sink) + half * (cj == sink)
+                  + 2.0 * g.rates.gamma_D * (ci != cj)))
+
+    def add_commutator(rows, z, scale):
+        # a[rows] += scale * [H, Z]_ij for the pair (i, j) of each row,
+        # [H, Z]_ij = sum_l H_il Z_lj - Z_il H_lj, Z = X (z = 0) or Y (1)
+        i, j, c, s = ci[rows], cj[rows], col[z], sign[z]
+        rows = rows[:, None]
+        np.add.at(a, (rows, c[:, j].T), scale * h[i, :] * s[:, j].T)
+        np.add.at(a, (rows, c[i, :]), -scale * h[:, j].T * s[i, :])
+
+    add_commutator(coord[:split], 1, 1.0)
+    add_commutator(coord[split:], 0, -1.0)
+    b = g.rates.source_flux * (coord == g.circuit.source)  # X_ss is y[s]
+    return a, b
 
 
 def dephase(rho: np.ndarray) -> np.ndarray:

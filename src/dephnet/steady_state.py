@@ -23,9 +23,10 @@ from .errors import (
 from .generator import (
     REDUCED,
     Generator,
+    _hermitian_coords,
     apply_generator,
     empty_state,
-    vectorize_generator,
+    real_linear_system,
 )
 
 log = logging.getLogger("dephnet.steady_state")
@@ -41,7 +42,11 @@ SLOPE_MIN = 0.01
 HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 POPULATION_TOL = -1e-10
+#: Relative to max(1, largest coordinate of the direct solution).
 FLUX_TOL = 1e-8
+#: Normwise relative backward error above which the direct solution is
+#: inconsistent, i.e. the device diverges.
+BACKWARD_ERROR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,51 +87,6 @@ def _check_state_physical(rho: np.ndarray, where: str) -> None:
         raise PhysicalityError(f"negative eigenvalue {min_eig:.3e} {where}")
 
 
-def _hermitian_coords(dim: int):
-    """pack/unpack between a Hermitian matrix and its dim**2 real
-    coordinates (diagonal, then upper-triangle real and imaginary parts).
-    """
-    iu = np.triu_indices(dim, 1)
-    k = len(iu[0])
-    diag = np.arange(dim)
-
-    def pack(rho: np.ndarray) -> np.ndarray:
-        y = np.empty(dim * dim)
-        y[:dim] = rho[diag, diag].real
-        y[dim:dim + k] = rho[iu].real
-        y[dim + k:] = rho[iu].imag
-        return y
-
-    def unpack(y: np.ndarray) -> np.ndarray:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[diag, diag] = y[:dim]
-        upper = y[dim:dim + k] + 1j * y[dim + k:]
-        rho[iu] = upper
-        rho[iu[1], iu[0]] = upper.conj()
-        return rho
-
-    return pack, unpack
-
-
-def _real_linear_system(g: Generator):
-    """The vectorized generator restricted to the Hermitian subspace:
-    real matrix a and offset b with dy/dt = a y + b in the coordinates
-    of _hermitian_coords. The generator maps Hermitian matrices to
-    Hermitian matrices, so the restriction loses nothing, and solutions
-    computed in these coordinates are exactly Hermitian.
-    """
-    m, c = vectorize_generator(g)
-    dim = g.dim
-    pack, unpack = _hermitian_coords(dim)
-    basis = np.eye(dim * dim)
-    a = np.column_stack([
-        pack((m @ unpack(basis[:, j]).flatten(order="F"))
-             .reshape((dim, dim), order="F"))
-        for j in range(dim * dim)])
-    b = pack(c.reshape((dim, dim), order="F"))
-    return a, b, pack, unpack
-
-
 def evolve(g: Generator, rho0: np.ndarray, t_end: float,
            rtol: float = 1e-9, atol: float = 1e-12,
            samples: int = 201, t_offset: float = 0.0,
@@ -156,13 +116,12 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
             f"initial state is not Hermitian (deviation {herm0:.3e})")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    dim = g.dim
-    pack, unpack = _hermitian_coords(dim)
+    pack, unpack = _hermitian_coords(g.dim)
 
     if g.form == REDUCED:
         # linear in the real coordinates too: precompute the real matrix
         # once, then each evaluation is a single real matrix-vector product
-        a, b, _, _ = _real_linear_system(g)
+        a, b = real_linear_system(g)
 
         def rhs(_t, y):
             return a @ y + b
@@ -183,37 +142,52 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     return Trajectory(times=sol.t + t_offset, states=states, trace_series=trace)
 
 
-def solve_ness_direct(g: Generator, residual_tol: float = 1e-8) -> SteadyStateResult:
+def solve_ness_direct(g: Generator) -> SteadyStateResult:
     """Stationary point of the generator, restricted to Hermitian states.
 
-    Solved by singular-value decomposition rather than a plain linear
-    solve: at delta = 0 some devices have a singular generator, and the
-    least-squares residual is what separates a reachable steady state
-    (residual at rounding level) from an inconsistent system (finite
-    residual, i.e. the injected flux has nowhere to go and the device
-    diverges). A plain solve would return an arbitrary null-space
-    admixture without complaint. Solving in Hermitian coordinates keeps
-    the answer exactly Hermitian even when the system is badly
-    conditioned (very small or very large dephasing).
+    Solved by singular-value decomposition of the real system
+    a y + b = 0 of real_linear_system, in which the answer is exactly
+    Hermitian. A plain solve would return an arbitrary null-space
+    admixture where the generator is singular (some devices at delta = 0).
 
-    When the system is consistent but singular (dark modes decoupled
-    from source and sink, e.g. parallel branches without dephasing),
-    the stationary state is not unique; the solver returns the one the
+    The verdict rests on the normwise relative backward error
+    eta = |a y + b| / (|a| |y| + |b|) in the infinity norm (Rigal &
+    Gaches, 1967) of the minimum-norm solution y. Conducting devices
+    reach rounding level (below 1e-15) however large y grows with delta
+    or 1/delta; eta above BACKWARD_ERROR_TOL means the injected flux has
+    nowhere to go and the device diverges. The condition number grows
+    like max(delta, 1/delta)^2, so the state is accurate to about
+    eps * max(delta, 1/delta)^2 relative. For delta > 0 the steady state
+    of a connected device is unique, so a singular value lost to
+    rounding (once max(delta, 1/delta)^2 approaches 1/eps) raises
+    UnphysicalSolutionError instead of returning a verdict.
+
+    When the system is consistent but singular at delta = 0 (dark modes
+    decoupled from source and sink, e.g. parallel branches), the
+    stationary state is not unique; the solver returns the one the
     dynamics actually reach from the canonical empty device. That state
     is pinned by conservation laws: each left null vector w of the
     generator makes w . y a constant of motion, so the reachable steady
     state keeps those components at their initial (zero) values.
     """
-    a, b, _, unpack = _real_linear_system(g)
+    a, b = real_linear_system(g)
     u, s, vt = np.linalg.svd(a)
-    cutoff = s[0] * max(a.shape) * np.finfo(float).eps
-    kept = s > cutoff
+    kept = s > s[0] * max(a.shape) * np.finfo(float).eps
+    if g.rates.gamma_D > 0 and not kept.all():
+        raise UnphysicalSolutionError(
+            f"stationary system at delta = {g.rates.gamma_D:g} is singular "
+            f"to working precision: its condition number, which grows like "
+            f"max(delta, 1/delta)^2, has reached 1/eps")
+    norm_a = float(np.abs(a).sum(axis=1).max())
+
+    def backward_error(y):
+        residual = float(np.abs(a @ y + b).max())
+        return residual, residual / (norm_a * np.abs(y).max() + np.abs(b).max())
+
     # minimum-norm solution of a y = -b
     y = vt[kept].T @ ((u[:, kept].T @ -b) / s[kept])
-    residual = float(np.abs(a @ y + b).max())
-    if residual > residual_tol:
-        return SteadyStateResult(DIVERGED, None, residual, "direct")
-    if not kept.all():
+    residual, eta = backward_error(y)
+    if eta <= BACKWARD_ERROR_TOL and not kept.all():
         u0, v0 = u[:, ~kept], vt[~kept].T
         try:
             # conserved components are zero from the empty start
@@ -223,10 +197,10 @@ def solve_ness_direct(g: Generator, residual_tol: float = 1e-8) -> SteadyStateRe
                 "stationary system is consistent but its zero mode is "
                 "defective; no steady state is reachable") from exc
         y = y + v0 @ z
-        residual = float(np.abs(a @ y + b).max())
-        if residual > residual_tol:
-            return SteadyStateResult(DIVERGED, None, residual, "direct")
-    rho = unpack(y)
+        residual, eta = backward_error(y)
+    if eta > BACKWARD_ERROR_TOL:
+        return SteadyStateResult(DIVERGED, None, residual, "direct")
+    rho = _hermitian_coords(g.dim)[1](y)
     sink_pop = rho[g.circuit.sink, g.circuit.sink].real
     expected = g.rates.source_flux / g.rates.gamma_bath
     try:
@@ -235,7 +209,7 @@ def solve_ness_direct(g: Generator, residual_tol: float = 1e-8) -> SteadyStateRe
         raise UnphysicalSolutionError(
             f"stationary system solvable (residual {residual:.3e}) but the "
             f"minimum-norm solution is unphysical: {exc}") from exc
-    if abs(sink_pop - expected) > FLUX_TOL:
+    if abs(sink_pop - expected) > FLUX_TOL * max(1.0, float(np.abs(y).max())):
         raise UnphysicalSolutionError(
             f"stationary solution violates flux balance: sink population "
             f"{sink_pop:.12f} vs expected {expected}")

@@ -4,9 +4,9 @@ invariants (flux balance, method equivalence, ergodicity, physicality).
 import numpy as np
 import pytest
 
-from dephnet import (load_builtin, make_additivity_pair, make_parallel_circuit,
-                     make_pentagon, make_triangle_funnel, make_wire,
-                     reverse_circuit)
+from dephnet import (Circuit, build_graph, load_builtin, make_additivity_pair,
+                     make_parallel_circuit, make_pentagon,
+                     make_triangle_funnel, make_wire, reverse_circuit)
 
 
 def build_suite():
@@ -36,3 +36,18 @@ def random_density_matrix(rng: np.random.Generator, n: int,
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = x @ x.conj().T
     return rho * (trace / np.trace(rho).real)
+
+
+def random_connected_circuit(rng: np.random.Generator,
+                             max_n: int = 8) -> Circuit:
+    """Random connected circuit on 2..max_n sites: a random spanning
+    tree plus each other site pair as an edge with probability 1/3, and
+    distinct random source and sink."""
+    n = int(rng.integers(2, max_n + 1))
+    order = rng.permutation(n)
+    edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
+             for i in range(1, n)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 1 / 3}
+    source, sink = rng.choice(n, size=2, replace=False)
+    return Circuit(build_graph(n, sorted(edges)), int(source), int(sink))

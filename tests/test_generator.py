@@ -6,8 +6,9 @@ from dephnet import (EXPLICIT_BATH, REDUCED, DimensionMismatchError,
                      GraphConstructionError, RateSet, UnsupportedFormError,
                      apply_generator, assemble_generator, clamp_bath, dephase,
                      empty_state, make_pentagon, make_wire,
-                     vectorize_generator)
-from conftest import random_density_matrix
+                     real_linear_system)
+from dephnet.generator import _hermitian_coords
+from conftest import random_connected_circuit, random_density_matrix
 
 
 def test_rate_set_defaults_fix_unit_flux():
@@ -37,8 +38,8 @@ def test_wire1_derivative_is_scalar_filling_law():
     for value in (0.0, 0.25, 0.5):
         d = apply_generator(g, np.array([[value]], dtype=complex))
         assert d[0, 0] == pytest.approx(1.0 - 2.0 * value, abs=1e-14)
-    m, c = vectorize_generator(g)
-    assert m[0, 0] == -2.0 and c[0] == 1.0
+    a, b = real_linear_system(g)
+    assert np.array_equal(a, [[-2.0]]) and np.array_equal(b, [1.0])
 
 
 def test_reduced_trace_derivative_is_injection_minus_ejection():
@@ -69,22 +70,20 @@ def test_generator_preserves_hermiticity(delta, seed):
 
 
 @given(st.floats(min_value=0.0, max_value=20.0), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_vectorized_form_matches_apply(delta, seed):
-    c = make_pentagon()
-    g = assemble_generator(c, delta)
+@settings(max_examples=60, deadline=None)
+def test_real_linear_system_matches_apply(delta, seed):
     rng = np.random.default_rng(seed)
-    rho = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    m, vec_c = vectorize_generator(g)
-    direct = apply_generator(g, rho)
-    via_matrix = (m @ rho.flatten(order="F") + vec_c).reshape((5, 5), order="F")
-    assert np.abs(direct - via_matrix).max() < 1e-12
+    g = assemble_generator(random_connected_circuit(rng), delta)
+    pack, unpack = _hermitian_coords(g.dim)
+    a, b = real_linear_system(g)
+    y = rng.normal(size=g.dim ** 2)
+    assert np.abs(pack(apply_generator(g, unpack(y))) - (a @ y + b)).max() < 1e-12
 
 
-def test_vectorize_rejects_explicit_form():
+def test_real_linear_system_rejects_explicit_form():
     g = assemble_generator(make_wire(2), 0.0, form=EXPLICIT_BATH)
     with pytest.raises(UnsupportedFormError):
-        vectorize_generator(g)
+        real_linear_system(g)
 
 
 def test_explicit_bath_clamping():

@@ -4,9 +4,11 @@ import pytest
 from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED, PhysicalityError,
                      Trajectory, TrajectoryTooShortError, assemble_generator,
                      detect_divergence, empty_state, evolve,
-                     make_parallel_circuit, make_pentagon, make_wire,
-                     solve_ness_by_evolution, solve_ness_direct)
-from conftest import random_density_matrix
+                     laplacian_hamiltonian, make_parallel_circuit,
+                     make_pentagon, make_triangle_funnel, make_wire,
+                     resistance, reverse_circuit, solve_ness_by_evolution,
+                     solve_ness_direct)
+from conftest import random_connected_circuit, random_density_matrix
 
 
 def test_wire1_analytic_filling_curve():
@@ -55,12 +57,36 @@ def test_direct_wire2_closed_form(delta):
     assert np.abs(res.rho_ness - expected).max() < 1e-10
 
 
-def test_direct_pentagon_diverges():
-    res = solve_ness_direct(assemble_generator(make_pentagon(), 0.0))
-    assert res.status == DIVERGED
-    assert res.rho_ness is None
-    assert res.residual > 1e-8
-    assert not res.converged
+def test_direct_insulators_diverge():
+    funnel = make_triangle_funnel("forward")
+    for c in (make_pentagon(), funnel, reverse_circuit(funnel)):
+        res = solve_ness_direct(assemble_generator(c, 0.0))
+        assert res.status == DIVERGED
+        assert res.rho_ness is None
+        assert res.residual > 1e-8
+        assert not res.converged
+
+
+def _effective_resistance(c) -> float:
+    """Two-point resistance of the graph with unit edges, from the
+    Laplacian pseudo-inverse."""
+    lp = np.linalg.pinv(laplacian_hamiltonian(c.graph))
+    s, k = c.source, c.sink
+    return float(lp[s, s] + lp[k, k] - 2.0 * lp[s, k])
+
+
+def test_direct_strong_dephasing_reaches_kirchhoff_limit(suite_circuits):
+    # R -> delta * R_eff + O(1) as delta -> infinity; the O(1) excess is
+    # 1/2 for wires and between 0 and 1 on every graph tried
+    rng = np.random.default_rng(2008)
+    cases = [(c, 1e4) for c in suite_circuits]
+    cases += [(random_connected_circuit(rng), 10.0 ** rng.uniform(2.0, 4.0))
+              for _ in range(100)]
+    for c, delta in cases:
+        res = solve_ness_direct(assemble_generator(c, delta))
+        assert res.status == CONVERGED
+        excess = resistance(res, c) - delta * _effective_resistance(c)
+        assert 0.0 <= excess <= 1.0, (c, delta, excess)
 
 
 def test_direct_resolves_dark_sector_to_reachable_state():
