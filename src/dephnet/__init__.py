@@ -31,10 +31,11 @@ from .observables import (PhysicalityReport, TransportReading, conductance,
 from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
-from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
-                          entropy_trace, find_conductance_peak,
-                          find_ratio_crossing, funnel_ratio, pentagon_sweep,
-                          rectification_sweep, sweep_branch_count)
+from .experiments import (ILL_CONDITIONED, SweepRecord, additivity_experiment,
+                          dephasing_sweep, entropy_trace,
+                          find_conductance_peak, find_ratio_crossing,
+                          funnel_ratio, pentagon_sweep, rectification_sweep,
+                          sweep_branch_count)
 from .registry import (builtin_names, load_builtin, load_calibrated,
                        parse_circuit_file, parse_circuit_text,
                        resolve_circuit, write_circuit_file)
@@ -47,7 +48,8 @@ __all__ = [
     "AxesSpec", "CalibrationError", "CalibrationNotRunError",
     "CalibrationTarget", "Circuit", "CircuitFileError", "CONVERGED",
     "DephnetError", "DimensionMismatchError", "DIVERGED", "EXPLICIT_BATH",
-    "Generator", "Graph", "GraphConstructionError", "IndeterminateResultError",
+    "Generator", "Graph", "GraphConstructionError", "ILL_CONDITIONED",
+    "IndeterminateResultError",
     "IntegrationError", "MAX_TIME_EXCEEDED", "NoSignChangeError",
     "PhysicalityError", "PhysicalityReport", "RateSet", "REDUCED",
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",

@@ -350,6 +350,8 @@ def _cmd_ness(cfg: RunConfig) -> int:
     print(f"solver    {cfg.solver}")
     print(f"status    {res.status}")
     print(f"residual  {res.residual:.3e}")
+    if res.backward_error is not None:
+        print(f"backward error  {res.backward_error:.3e}")
     if res.status == CONVERGED:
         reading = transport_reading(res, c)
         n = c.graph.n

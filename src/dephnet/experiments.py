@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError, UsageError
+from .errors import NoSignChangeError, UnphysicalSolutionError, UsageError
 from .generator import assemble_generator, empty_state
 from .graphs import (
     Circuit,
@@ -32,6 +32,9 @@ BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 #: sharp small-delta features and the classical tail.
 LOG_GRID = tuple(np.logspace(-3.0, math.log10(50.0), 40))
 DEFAULT_M_MAX = 10
+#: Status of a sweep point whose stationary system is singular to
+#: working precision: neither R nor G is known.
+ILL_CONDITIONED = "ill-conditioned"
 
 
 @dataclass(frozen=True)
@@ -59,20 +62,19 @@ def _sort_key(rec: SweepRecord):
 
 def _measure(c: Circuit, delta: float, direction: str = "forward",
              branches: int | None = None) -> SweepRecord:
-    res = solve_ness_direct(assemble_generator(c, delta))
+    point = dict(circuit_label=c.label or "circuit", delta=float(delta),
+                 direction=direction, branches=branches)
+    try:
+        res = solve_ness_direct(assemble_generator(c, delta))
+    except UnphysicalSolutionError:
+        # one point past the conditioning limit must not abort the sweep
+        return SweepRecord(**point, R=math.nan, G=math.nan, coherence=None,
+                           status=ILL_CONDITIONED)
     coherence = None
     if res.converged:
         coherence = relative_entropy_coherence(res.rho_ness)
-    return SweepRecord(
-        circuit_label=c.label or "circuit",
-        delta=float(delta),
-        direction=direction,
-        branches=branches,
-        R=resistance(res, c),
-        G=conductance(res, c),
-        coherence=coherence,
-        status=res.status,
-    )
+    return SweepRecord(**point, R=resistance(res, c), G=conductance(res, c),
+                       coherence=coherence, status=res.status)
 
 
 def _run_points(points: Sequence[tuple]) -> list[SweepRecord]:
@@ -100,6 +102,10 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
     """
     recs = sweep_branch_count(m_max, deltas=(delta,),
                               branch_length=branch_length)
+    if any(r.status == ILL_CONDITIONED for r in recs):
+        raise UnphysicalSolutionError(
+            f"branch sweep at delta = {delta:g} is past the conditioning "
+            f"limit of the direct solver; no peak can be located")
     g_values = np.array([r.G for r in sorted(recs, key=lambda r: r.branches)])
     best = int(np.argmax(g_values)) + 1  # argmax takes the first maximum
     if best == 1 or best == m_max:

@@ -189,19 +189,22 @@ def _coordinate_pairs(dim: int):
 
 
 def _hermitian_coords(dim: int):
-    """pack/unpack between a Hermitian matrix and its real coordinates."""
+    """pack/unpack between a Hermitian matrix and its real coordinates.
+
+    Both act on the last axes, so a (k, dim, dim) stack of states packs
+    into a (k, dim**2) array of coordinates and unpacks back."""
     ci, cj, split = _coordinate_pairs(dim)
     re, im = slice(0, split), slice(split, None)
 
     def pack(rho: np.ndarray) -> np.ndarray:
-        v = rho[ci, cj]
-        return np.concatenate([v[re].real, v[im].imag])
+        v = rho[..., ci, cj]
+        return np.concatenate([v[..., re].real, v[..., im].imag], axis=-1)
 
     def unpack(y: np.ndarray) -> np.ndarray:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[ci[re], cj[re]] = y[re]
-        rho[ci[im], cj[im]] += 1j * y[im]
-        rho[cj[im], ci[im]] = rho[ci[im], cj[im]].conj()
+        rho = np.zeros(y.shape[:-1] + (dim, dim), dtype=complex)
+        rho[..., ci[re], cj[re]] = y[..., re]
+        rho[..., ci[im], cj[im]] += 1j * y[..., im]
+        rho[..., cj[im], ci[im]] = rho[..., ci[im], cj[im]].conj()
         return rho
 
     return pack, unpack

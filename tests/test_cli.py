@@ -131,6 +131,14 @@ def test_ness_divergence_exits_two(capsys):
     assert "diverged" in out
 
 
+def test_ness_reports_backward_error(capsys):
+    code = main(["ness", "--circuit", "pentagon", "--delta", "1e4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    eta = float(out.split("backward error")[1].split()[0])
+    assert eta <= 1e-15
+
+
 def test_unknown_circuit_exits_one(capsys):
     code = main(["ness", "--circuit", "nosuch", "--delta", "0"])
     assert code == 1
@@ -169,6 +177,22 @@ def test_sweep_branches_writes_csv_and_chart(tmp_path, monkeypatch, capsys):
     csv_lines = (tmp_path / "branch_sweep.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 3 * 2
     assert (tmp_path / "branch_sweep.svg").exists()
+    capsys.readouterr()
+
+
+def test_sweep_keeps_ill_conditioned_point(tmp_path, monkeypatch, capsys):
+    # wire2 at delta = 1e8 is past the direct solver's conditioning limit;
+    # the row is recorded without numbers instead of aborting the sweep
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep-dephasing", "--circuit", "wire2",
+                 "--delta-grid", "1,1e8", "--out", "wire2.csv"])
+    assert code == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "wire2.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert rows[0][7] == "converged"
+    assert float(rows[0][4]) == pytest.approx(1.5)
+    assert rows[1][4:] == ["", "", "", "ill-conditioned"]
     capsys.readouterr()
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
-                     UsageError, additivity_experiment, dephasing_sweep,
-                     entropy_trace, find_conductance_peak, find_ratio_crossing,
+                     UnphysicalSolutionError, UsageError,
+                     additivity_experiment, dephasing_sweep, entropy_trace,
+                     find_conductance_peak, find_ratio_crossing,
                      make_pentagon, make_wire, pentagon_sweep,
                      rectification_sweep, sweep_branch_count)
 
@@ -38,6 +39,13 @@ def test_find_conductance_peak_interior_and_boundary():
     # strong dephasing: G grows with every added branch, argmax sits on
     # the boundary, reported as a no-peak verdict
     assert find_conductance_peak(20.0, m_max=8) is None
+
+
+def test_find_conductance_peak_refuses_ill_conditioned_sweep():
+    # every parallel circuit is past the conditioning limit at 1e8; the
+    # sweep records them without numbers, which must not read as no peak
+    with pytest.raises(UnphysicalSolutionError):
+        find_conductance_peak(1e8, m_max=4)
 
 
 def test_dephasing_sweep_single_circuit():

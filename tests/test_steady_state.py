@@ -89,6 +89,17 @@ def test_direct_strong_dephasing_reaches_kirchhoff_limit(suite_circuits):
         assert 0.0 <= excess <= 1.0, (c, delta, excess)
 
 
+def test_direct_reports_backward_error_not_residual():
+    # at strong dephasing populations reach ~1e4, so the absolute
+    # residual sits far above rounding while the backward error does not
+    res = solve_ness_direct(assemble_generator(make_pentagon(), 1e4))
+    assert res.status == CONVERGED
+    assert res.backward_error <= 1e-15
+    assert res.residual > 1e-9
+    evo = solve_ness_by_evolution(assemble_generator(make_wire(2), 1.0))
+    assert evo.backward_error is None
+
+
 def test_direct_resolves_dark_sector_to_reachable_state():
     # two parallel branches at delta = 0: the antisymmetric branch mode
     # is decoupled, so the stationary family is degenerate; the solver
@@ -112,6 +123,41 @@ def test_evolution_wire2_matches_direct():
     assert by_evolution.status == CONVERGED
     assert np.abs(by_evolution.rho_ness - by_direct.rho_ness).max() < 1e-6
     assert by_evolution.elapsed_model_time is not None
+
+
+def _relative_gap(rho, reference) -> float:
+    return float(np.abs(rho - reference).max() / np.abs(reference).max())
+
+
+def test_evolution_matches_direct_on_random_graphs():
+    # a quarter at delta = 0 (dark states, insulators), the rest
+    # log-uniform in [1e-2, 10]
+    rng = np.random.default_rng(2016)
+    for i in range(60):
+        c = random_connected_circuit(rng, max_n=6)
+        delta = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-2.0, 1.0)
+        g = assemble_generator(c, delta)
+        direct, evo = solve_ness_direct(g), solve_ness_by_evolution(g)
+        assert direct.status == evo.status, (c, delta)
+        if direct.converged:
+            gap = _relative_gap(evo.rho_ness, direct.rho_ness)
+            assert gap <= 1e-6, (c, delta, gap)
+
+
+@pytest.mark.parametrize("circuit", [make_wire(3), make_pentagon(),
+                                     make_triangle_funnel("forward")],
+                         ids=["wire3", "pentagon", "funnel"])
+def test_evolution_at_strong_dephasing_matches_direct(circuit):
+    g = assemble_generator(circuit, 1e2)
+    evo = solve_ness_by_evolution(g)
+    assert evo.status == CONVERGED
+    assert _relative_gap(evo.rho_ness, solve_ness_direct(g).rho_ness) <= 1e-6
+
+
+def test_evolution_state_owns_its_memory():
+    # a view would keep the solver's last window of samples alive
+    res = solve_ness_by_evolution(assemble_generator(make_wire(3), 1.0))
+    assert res.rho_ness.flags.owndata
 
 
 def test_evolution_initial_state_independent():
