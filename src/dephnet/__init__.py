@@ -18,7 +18,7 @@ from .graphs import (Circuit, Graph, build_graph, laplacian_hamiltonian,
                      make_additivity_pair, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
                      reverse_circuit)
-from .generator import (EXPLICIT_BATH, REDUCED, Generator, RateSet,
+from .generator import (EXPLICIT_BATH, REDUCED, Generator,
                         assemble_generator, apply_generator, clamp_bath,
                         dephase, empty_state, real_linear_system)
 from .steady_state import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
@@ -51,7 +51,7 @@ __all__ = [
     "Generator", "Graph", "GraphConstructionError", "ILL_CONDITIONED",
     "IndeterminateResultError",
     "IntegrationError", "MAX_TIME_EXCEEDED", "NoSignChangeError",
-    "PhysicalityError", "PhysicalityReport", "RateSet", "REDUCED",
+    "PhysicalityError", "PhysicalityReport", "REDUCED",
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",
     "TrajectoryTooShortError", "TransportReading", "UnknownCircuitError",
     "UnphysicalSolutionError", "UnsupportedFormError", "UsageError",

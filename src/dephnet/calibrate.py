@@ -17,6 +17,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import CalibrationError, UnphysicalSolutionError
+from .experiments import find_ratio_crossing
 from .generator import assemble_generator
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire, reverse_circuit
 from .observables import resistance
@@ -25,6 +26,12 @@ from .steady_state import solve_ness_direct
 #: Enumeration bounds: desk scale, every shipped device fits.
 MAX_SITES = 8
 MAX_EDGES = 14
+
+#: The additivity pair's published numbers: R_A = R_B = 1.75 +/- 0.01 at
+#: delta = 0.
+ADDITIVITY_DELTA = 0.0
+ADDITIVITY_R = 1.75
+ADDITIVITY_R_TOL = 0.01
 
 #: Ratio magnitudes this close to 1 across the whole probe grid mean the
 #: two directions are related by a graph symmetry; any sign change is
@@ -91,14 +98,8 @@ def _single_crossing(c: Circuit) -> float | None:
     if len(flips) != 1:
         return None
     lo, hi = _CROSSING_GRID[flips[0]], _CROSSING_GRID[flips[0] + 1]
-    f_lo = _ratio_at(c, lo) - 1.0
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
-        if (_ratio_at(c, mid) - 1.0) * f_lo <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return find_ratio_crossing((lo, hi), tol=1e-5,
+                               ratio_fn=lambda d: _ratio_at(c, d))
 
 
 def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:
@@ -172,9 +173,9 @@ def calibrate_topology(family: Iterable[Circuit],
 # candidate families
 
 
-def _connected_atlas(min_n: int = 2, max_n: int = 7,
-                     max_edges: int = MAX_EDGES):
-    """All connected graphs with min_n <= n <= max_n (atlas order)."""
+def _connected_atlas(min_n: int, max_n: int, max_edges: int):
+    """All connected graphs with min_n <= n <= max_n and at most
+    max_edges edges (atlas order)."""
     if max_n > 7:
         raise CalibrationError("atlas enumeration covers up to 7 sites")
     for g in nx.graph_atlas_g():
@@ -193,10 +194,9 @@ def pentagon_family() -> list[Circuit]:
     return [make_pentagon(sink) for sink in (1, 2, 3, 4)]
 
 
-def additivity_pair_search(max_n: int = 6, max_edges: int = MAX_EDGES,
-                           target_r: float = 1.75, tolerance: float = 0.01,
-                           delta: float = 0.0):
-    """Pairs (A, B = A + one edge) with R_A and R_B both at target_r.
+def additivity_pair_search(max_n: int = 6):
+    """Pairs (A, B = A + one edge) of at most max_n sites with R_A and
+    R_B both at ADDITIVITY_R +/- ADDITIVITY_R_TOL at ADDITIVITY_DELTA.
 
     Returns a list of (A, B, degenerate) triples in canonical order.
     `degenerate` flags pairs whose extra edge joins two sites that a
@@ -205,20 +205,21 @@ def additivity_pair_search(max_n: int = 6, max_edges: int = MAX_EDGES,
     the classical ordering R_B > R_A.
     """
     found = []
-    for graph in _connected_atlas(2, max_n, max_edges - 1):
+    for graph in _connected_atlas(2, max_n, MAX_EDGES - 1):
         n = graph.n
         r_a = {(s, k): None for s in range(n) for k in range(n) if s != k}
         for (s, k) in list(r_a):
-            r_a[(s, k)] = _resistance_at(Circuit(graph, s, k), delta)
+            r_a[(s, k)] = _resistance_at(Circuit(graph, s, k),
+                                         ADDITIVITY_DELTA)
         non_edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if graph.adjacency[i, j] == 0]
         for extra in non_edges:
             graph_b = build_graph(n, list(graph.edges) + [extra])
             for (s, k), ra in r_a.items():
-                if not isfinite(ra) or abs(ra - target_r) > tolerance:
+                if not isfinite(ra) or abs(ra - ADDITIVITY_R) > ADDITIVITY_R_TOL:
                     continue
-                rb = _resistance_at(Circuit(graph_b, s, k), delta)
-                if not isfinite(rb) or abs(rb - target_r) > tolerance:
+                rb = _resistance_at(Circuit(graph_b, s, k), ADDITIVITY_DELTA)
+                if not isfinite(rb) or abs(rb - ADDITIVITY_R) > ADDITIVITY_R_TOL:
                     continue
                 a = Circuit(graph, s, k, label="candidate-a")
                 b = Circuit(graph_b, s, k, label="candidate-b")
@@ -239,15 +240,15 @@ def _extra_edge_degenerate(b: Circuit, extra: tuple[int, int]) -> bool:
     return False
 
 
-def funnel_family(max_n: int = 7, max_edges: int = MAX_EDGES):
+def funnel_family():
     """Two-connected triangle-bearing graphs with every (source, sink)
-    ordering. Exhaustive up to 7 sites; minutes of CPU, used by the full
-    calibration search, not by routine tests."""
-    for graph in _connected_atlas(3, max_n, max_edges):
+    ordering. Exhaustive up to 7 sites, all the atlas holds; minutes of
+    CPU, used by the full calibration search, not by routine tests."""
+    for graph in _connected_atlas(3, 7, MAX_EDGES):
         g = nx.from_numpy_array(np.asarray(graph.adjacency))
         if nx.number_of_selfloops(g) or not _has_triangle(graph):
             continue
-        if graph.n > 2 and not _biconnected(g):
+        if graph.n > 2 and not nx.is_biconnected(g):
             continue
         for s in range(graph.n):
             for k in range(graph.n):
@@ -258,10 +259,6 @@ def funnel_family(max_n: int = 7, max_edges: int = MAX_EDGES):
 def _has_triangle(graph: Graph) -> bool:
     a = np.asarray(graph.adjacency)
     return bool(np.trace(a @ a @ a) > 0)
-
-
-def _biconnected(g: nx.Graph) -> bool:
-    return nx.is_biconnected(g)
 
 
 def funnel_shortlist() -> list[Circuit]:

@@ -26,10 +26,10 @@ from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
 from .errors import DephnetError, NoSignChangeError, UsageError
-from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, LOG_GRID,
-                          dephasing_sweep, entropy_trace, find_ratio_crossing,
-                          funnel_ratio, rectification_sweep,
-                          sweep_branch_count)
+from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
+                          LOG_GRID, dephasing_sweep, entropy_trace,
+                          find_ratio_crossing, funnel_ratio,
+                          rectification_sweep, sweep_branch_count)
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit
 from .observables import relative_entropy_coherence, transport_reading
@@ -207,7 +207,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--delta", type=float,
                    help="pure-dephasing rate on every site")
     p.add_argument("--t-end", type=float, dest="t_end",
-                   help="model time to integrate to (default 25)")
+                   help="model time to integrate to (default %g)"
+                        % ENTROPY_T_END)
     p.add_argument("--samples", type=int, help="trace sample count")
     p.add_argument("--out", metavar="CSV", help="trace output path")
     p.add_argument("--plot", action="store_true", default=None,
@@ -354,8 +355,7 @@ def _cmd_ness(cfg: RunConfig) -> int:
         print(f"backward error  {res.backward_error:.3e}")
     if res.status == CONVERGED:
         reading = transport_reading(res, c)
-        n = c.graph.n
-        rho = res.rho_ness[:n, :n]
+        rho = res.rho_ness
         print(f"current      {reading.current:.12g}")
         print(f"voltage      {reading.voltage:.12g}")
         print(f"resistance   {reading.resistance:.12g}")
@@ -372,16 +372,12 @@ def _cmd_ness(cfg: RunConfig) -> int:
 
 def _initial_state(cfg: RunConfig, g, c: Circuit) -> np.ndarray:
     if cfg.initial == "uniform":
-        rho = np.eye(g.dim, dtype=complex) / c.graph.n
-    elif cfg.initial == "source":
+        return np.eye(g.dim, dtype=complex) / c.graph.n
+    if cfg.initial == "source":
         rho = np.zeros((g.dim, g.dim), dtype=complex)
         rho[c.source, c.source] = 1.0
-    else:
-        return empty_state(g)
-    if g.dim > c.graph.n:
-        rho[c.graph.n:, :] = 0.0
-        rho[:, c.graph.n:] = 0.0
-    return rho
+        return rho
+    return empty_state(g)
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
@@ -389,13 +385,10 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     g = assemble_generator(c, _require(cfg, "delta"))
     traj = evolve(g, _initial_state(cfg, g, c), _require(cfg, "t_end"),
                   samples=cfg.samples)
-    n = c.graph.n
     rows = []
     for t, rho in zip(traj.times, traj.states):
-        system = rho[:n, :n]
-        rows.append((t, np.trace(system).real, system[c.source, c.source].real,
-                     system[c.sink, c.sink].real,
-                     relative_entropy_coherence(system)))
+        rows.append((t, np.trace(rho).real, rho[c.source, c.source].real,
+                     rho[c.sink, c.sink].real, relative_entropy_coherence(rho)))
     if cfg.out:
         path = Path(cfg.out)
         _write_series_csv(path, "t,trace,source_pop,sink_pop,coherence", rows)
@@ -477,7 +470,7 @@ def _cmd_rectify(cfg: RunConfig) -> int:
 def _cmd_entropy_trace(cfg: RunConfig) -> int:
     c = resolve_circuit(_require(cfg, "circuit"))
     delta = cfg.delta if cfg.delta is not None else 0.0
-    t_end = cfg.t_end if cfg.t_end is not None else 25.0
+    t_end = cfg.t_end if cfg.t_end is not None else ENTROPY_T_END
     times, values = entropy_trace(c, delta, t_end, cfg.samples)
     path = _out_path(cfg)
     _write_series_csv(path, "t,coherence", zip(times, values))

@@ -32,6 +32,8 @@ BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 #: sharp small-delta features and the classical tail.
 LOG_GRID = tuple(np.logspace(-3.0, math.log10(50.0), 40))
 DEFAULT_M_MAX = 10
+#: Model time of the coherence traces, long enough to pass the peak.
+ENTROPY_T_END = 25.0
 #: Status of a sweep point whose stationary system is singular to
 #: working precision: neither R nor G is known.
 ILL_CONDITIONED = "ill-conditioned"
@@ -114,17 +116,15 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
 
 
 def additivity_experiment(deltas: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 5.0),
-                          entropy_t_end: float = 25.0,
-                          entropy_samples: int = 201,
                           ) -> tuple[list[SweepRecord], dict]:
     """Records for devices A and B across deltas, plus coherence-vs-time
-    traces at delta = 0 from the empty initial state."""
+    traces at delta = 0 from the empty initial state, up to ENTROPY_T_END."""
     a, b = make_additivity_pair()
     points = [(c, d, "forward", None) for d in deltas for c in (a, b)]
     records = _run_points(points)
     traces = {}
     for c in (a, b):
-        times, values = entropy_trace(c, 0.0, entropy_t_end, entropy_samples)
+        times, values = entropy_trace(c, 0.0, ENTROPY_T_END)
         traces[c.label] = (times, values)
     return records, traces
 
@@ -185,7 +185,8 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
                         tol: float = 1e-4,
                         ratio_fn: Callable[[float], float] | None = None,
                         ) -> float:
-    """Bisect the bracket down to width <= tol and return its midpoint.
+    """Bisect the bracket down to width <= tol, or until no float lies
+    strictly between its ends, and return its midpoint.
 
     The function whose root is sought is ratio(delta) - 1; by default
     the ratio of the calibrated funnel. Raises NoSignChangeError if the
@@ -195,6 +196,8 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise UsageError("bracket must satisfy lo < hi")
+    if not tol > 0:
+        raise UsageError(f"bisection tolerance must be positive, got {tol}")
     f_lo = fn(lo) - 1.0
     f_hi = fn(hi) - 1.0
     if f_lo == 0.0:
@@ -207,6 +210,8 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
             f"{f_lo:.3e} .. {f_hi:.3e}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the ends are adjacent floats
+            return mid
         f_mid = fn(mid) - 1.0
         if f_mid == 0.0:
             return mid
@@ -221,8 +226,6 @@ def entropy_trace(c: Circuit, delta: float, t_end: float,
                   samples: int = 201) -> tuple[np.ndarray, np.ndarray]:
     """Coherence S(rho(t) || dephased rho(t)) along the evolution from
     the empty device."""
-    if t_end <= 0:
-        raise UsageError("t_end must be positive")
     g = assemble_generator(c, delta)
     traj = evolve(g, empty_state(g), t_end, samples=samples)
     values = np.array([relative_entropy_coherence(rho) for rho in traj.states])

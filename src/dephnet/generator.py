@@ -10,9 +10,10 @@ position-basis dephasing. Two equivalent forms are provided:
       drho/dt = -i[H, rho] + S |s><s| - (g/2)(|k><k| rho + rho |k><k|)
                 + L_D(rho),
 
-  with g = 2 and S = g * 0.5 = 1, so the sink population drains at rate
-  2 rho_kk and sink coherences at rate 1. L_D multiplies each
-  off-diagonal by -2 gamma_D and leaves populations untouched.
+  with g = GAMMA_BATH = 2 and S = SOURCE_FLUX = g * RHO_L = 1, so the
+  sink population drains at rate 2 rho_kk and sink coherences at rate 1.
+  These rates are fixed: S is the unit of current. L_D multiplies each
+  off-diagonal by -2 delta and leaves populations untouched.
 
 * ``explicit-bath``: two bath sites |L>, |R> are appended and the
   injection/ejection become jump operators sqrt(g)|s><L| and
@@ -36,43 +37,24 @@ REDUCED = "reduced"
 EXPLICIT_BATH = "explicit-bath"
 
 
-@dataclass(frozen=True)
-class RateSet:
-    """Bath and dephasing rates.
-
-    gamma_bath and rho_L default to the values that fix the current unit
-    (source flux S = gamma_bath * rho_L = 1); gamma_D is the dephasing
-    rate, equal to the dimensionless strength delta because the hopping
-    amplitude is 1.
-    """
-
-    gamma_D: float
-    gamma_bath: float = 2.0
-    rho_L: float = 0.5
-
-    def __post_init__(self):
-        if self.gamma_D < 0:
-            raise GraphConstructionError("dephasing strength must be >= 0")
-        if self.gamma_bath <= 0:
-            raise GraphConstructionError("bath rate must be positive")
-        if self.rho_L < 0:
-            raise GraphConstructionError("bath population must be >= 0")
-
-    @property
-    def source_flux(self) -> float:
-        return self.gamma_bath * self.rho_L
-
-    @property
-    def delta(self) -> float:
-        return self.gamma_D
+#: The paper's units. The drain rate g and the pinned input-bath
+#: population rho_L set the injected flux S = g rho_L, which is the unit
+#: of current, so a resistance is just a population difference.
+GAMMA_BATH = 2.0
+RHO_L = 0.5
+SOURCE_FLUX = GAMMA_BATH * RHO_L
 
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Assembled affine map rho -> drho/dt for one circuit and one delta."""
+    """Assembled affine map rho -> drho/dt for one circuit and one delta.
+
+    delta is the dephasing rate gamma_D, equal to the dimensionless
+    strength because the hopping amplitude is 1.
+    """
 
     circuit: Circuit
-    rates: RateSet
+    delta: float
     H: np.ndarray
     form: str
 
@@ -83,15 +65,14 @@ class Generator:
 
 
 def assemble_generator(circuit: Circuit, delta: float,
-                       form: str = REDUCED,
-                       rates: RateSet | None = None) -> Generator:
+                       form: str = REDUCED) -> Generator:
     """Build the generator for `circuit` at dephasing strength `delta`."""
     if form not in (REDUCED, EXPLICIT_BATH):
         raise UnsupportedFormError(f"unknown generator form {form!r}")
-    if rates is None:
-        rates = RateSet(gamma_D=float(delta))
-    elif rates.gamma_D != delta:
-        raise GraphConstructionError("rates.gamma_D must equal delta")
+    delta = float(delta)
+    if not 0.0 <= delta < np.inf:
+        raise GraphConstructionError(
+            f"dephasing strength must be finite and >= 0, got {delta}")
     h = laplacian_hamiltonian(circuit.graph).astype(complex)
     if form == EXPLICIT_BATH:
         n = circuit.graph.n
@@ -99,7 +80,7 @@ def assemble_generator(circuit: Circuit, delta: float,
         full[:n, :n] = h  # bath sites are uncoupled from the Hamiltonian
         h = full
     h.setflags(write=False)
-    return Generator(circuit, rates, h, form)
+    return Generator(circuit, delta, h, form)
 
 
 def empty_state(g: Generator) -> np.ndarray:
@@ -110,7 +91,7 @@ def empty_state(g: Generator) -> np.ndarray:
     """
     rho = np.zeros((g.dim, g.dim), dtype=complex)
     if g.form == EXPLICIT_BATH:
-        rho[g.dim - 2, g.dim - 2] = g.rates.rho_L
+        rho[g.dim - 2, g.dim - 2] = RHO_L
     return rho
 
 
@@ -127,28 +108,27 @@ def apply_generator(g: Generator, rho: np.ndarray) -> np.ndarray:
 
 def _apply_reduced(g: Generator, rho: np.ndarray) -> np.ndarray:
     s, k = g.circuit.source, g.circuit.sink
-    half = 0.5 * g.rates.gamma_bath
+    half = 0.5 * GAMMA_BATH
     d = -1j * (g.H @ rho - rho @ g.H)
-    d[s, s] += g.rates.source_flux
+    d[s, s] += SOURCE_FLUX
     d[k, :] -= half * rho[k, :]
     d[:, k] -= half * rho[:, k]
-    gamma_d = g.rates.gamma_D
-    if gamma_d > 0:
-        d -= 2.0 * gamma_d * (rho - np.diag(np.diag(rho)))
+    if g.delta > 0:
+        d -= 2.0 * g.delta * (rho - np.diag(np.diag(rho)))
     return d
 
 
 def clamp_bath(g: Generator, rho: np.ndarray) -> np.ndarray:
     """Copy of rho with the bath entries pinned.
 
-    Input bath population 0.5, output bath population 0, every bath-row
+    Input bath population RHO_L, output bath population 0, every bath-row
     and bath-column coherence 0.
     """
     n = g.circuit.graph.n
     out = rho.copy()
     out[n:, :] = 0.0
     out[:, n:] = 0.0
-    out[n, n] = g.rates.rho_L
+    out[n, n] = RHO_L
     return out
 
 
@@ -156,21 +136,19 @@ def _apply_explicit(g: Generator, rho: np.ndarray) -> np.ndarray:
     n = g.circuit.graph.n
     s, k = g.circuit.source, g.circuit.sink
     left, right = n, n + 1
-    gamma = g.rates.gamma_bath
     rho = clamp_bath(g, rho)
     d = -1j * (g.H @ rho - rho @ g.H)
-    # injection jump sqrt(gamma)|s><L|
-    d[s, s] += gamma * rho[left, left].real
-    d[left, :] -= 0.5 * gamma * rho[left, :]
-    d[:, left] -= 0.5 * gamma * rho[:, left]
-    # ejection jump sqrt(gamma)|R><k|
-    d[right, right] += gamma * rho[k, k].real
-    d[k, :] -= 0.5 * gamma * rho[k, :]
-    d[:, k] -= 0.5 * gamma * rho[:, k]
-    gamma_d = g.rates.gamma_D
-    if gamma_d > 0:
+    # injection jump sqrt(GAMMA_BATH)|s><L|
+    d[s, s] += GAMMA_BATH * rho[left, left].real
+    d[left, :] -= 0.5 * GAMMA_BATH * rho[left, :]
+    d[:, left] -= 0.5 * GAMMA_BATH * rho[:, left]
+    # ejection jump sqrt(GAMMA_BATH)|R><k|
+    d[right, right] += GAMMA_BATH * rho[k, k].real
+    d[k, :] -= 0.5 * GAMMA_BATH * rho[k, :]
+    d[:, k] -= 0.5 * GAMMA_BATH * rho[:, k]
+    if g.delta > 0:
         sys = rho[:n, :n]
-        d[:n, :n] -= 2.0 * gamma_d * (sys - np.diag(np.diag(sys)))
+        d[:n, :n] -= 2.0 * g.delta * (sys - np.diag(np.diag(sys)))
     # the bath populations are held constant, so their rows and columns
     # of the derivative are forced to zero after each evaluation
     d[n:, :] = 0.0
@@ -217,8 +195,8 @@ def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     Written entry by entry from rho = X + iY (X symmetric, Y
     antisymmetric, H the real Laplacian, P_k the sink projector):
 
-        dX = [H, Y] - (g/2){P_k, X} - 2 gamma_D offdiag(X) + S e_s e_s^T
-        dY = -[H, X] - (g/2){P_k, Y} - 2 gamma_D Y
+        dX = [H, Y] - (g/2){P_k, X} - 2 delta offdiag(X) + S e_s e_s^T
+        dY = -[H, X] - (g/2){P_k, Y} - 2 delta Y
 
     A commutator entry has at most 2n terms, so the build is O(n^3)
     beyond allocating a.
@@ -235,9 +213,9 @@ def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     col, part = np.zeros((2, n, n), dtype=int), (coord >= split).astype(int)
     col[part, ci, cj] = col[part, cj, ci] = coord
     sign = np.stack([np.ones((n, n)), np.sign(sites - sites[:, None])])
-    half = 0.5 * g.rates.gamma_bath
+    half = 0.5 * GAMMA_BATH
     a = np.diag(-(half * (ci == sink) + half * (cj == sink)
-                  + 2.0 * g.rates.gamma_D * (ci != cj)))
+                  + 2.0 * g.delta * (ci != cj)))
 
     def add_commutator(rows, z, scale):
         # a[rows] += scale * [H, Z]_ij for the pair (i, j) of each row,
@@ -249,7 +227,7 @@ def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
 
     add_commutator(coord[:split], 1, 1.0)
     add_commutator(coord[split:], 0, -1.0)
-    b = g.rates.source_flux * (coord == g.circuit.source)  # X_ss is y[s]
+    b = SOURCE_FLUX * (coord == g.circuit.source)  # X_ss is y[s]
     return a, b
 
 

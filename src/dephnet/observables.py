@@ -1,9 +1,9 @@
 """Measured quantities: current, voltage, resistance, conductance, and
 the relative-entropy gauge for coherence.
 
-The injected current is 1 particle per unit time by construction, so
-resistance is numerically the source-sink population difference and
-conductance its inverse.
+The injected current SOURCE_FLUX is the unit of current (see
+generator), so resistance is numerically the source-sink population
+difference and conductance its inverse.
 """
 from __future__ import annotations
 
@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndeterminateResultError, PhysicalityError
+from .generator import GAMMA_BATH, SOURCE_FLUX
 from .graphs import Circuit
-from .steady_state import CONVERGED, DIVERGED, MAX_TIME_EXCEEDED, SteadyStateResult
+from .steady_state import (CONVERGED, DIVERGED, HERMITICITY_TOL,
+                           MAX_TIME_EXCEEDED, MIN_EIGENVALUE_TOL,
+                           SteadyStateResult)
 
 #: Eigenvalues below this are treated as exact zeros (0 ln 0 = 0).
 EIGENVALUE_FLOOR = 1e-12
@@ -38,9 +41,9 @@ class PhysicalityReport:
     trace: float
 
 
-def current_out(rho: np.ndarray, c: Circuit, gamma_bath: float = 2.0) -> float:
-    """Instantaneous ejection rate gamma * rho_kk (gamma = 2)."""
-    return float(gamma_bath * np.asarray(rho)[c.sink, c.sink].real)
+def current_out(rho: np.ndarray, c: Circuit) -> float:
+    """Instantaneous ejection rate GAMMA_BATH * rho_kk."""
+    return float(GAMMA_BATH * np.asarray(rho)[c.sink, c.sink].real)
 
 
 def voltage(rho: np.ndarray, c: Circuit) -> float:
@@ -50,14 +53,15 @@ def voltage(rho: np.ndarray, c: Circuit) -> float:
 
 
 def resistance(res: SteadyStateResult, c: Circuit) -> float:
-    """R = U / I with I = 1; infinite for a diverged (insulating) device."""
+    """R = U / I with I = SOURCE_FLUX; infinite for a diverged
+    (insulating) device."""
     if res.status == MAX_TIME_EXCEEDED:
         raise IndeterminateResultError(
             "solver hit its time cutoff: neither a steady state nor a "
             "divergence verdict is certified")
     if res.status == DIVERGED:
         return math.inf
-    return voltage(res.rho_ness, c) / 1.0
+    return voltage(res.rho_ness, c) / SOURCE_FLUX
 
 
 def conductance(res: SteadyStateResult, c: Circuit) -> float:
@@ -93,10 +97,10 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > 1e-10:
+    if herm > HERMITICITY_TOL:
         raise PhysicalityError(f"state is not Hermitian (deviation {herm:.3e})")
     lam = np.linalg.eigvalsh(rho)
-    if lam.min() < -1e-8:
+    if lam.min() < MIN_EIGENVALUE_TOL:
         raise PhysicalityError(
             f"negative eigenvalue {lam.min():.3e} beyond tolerance")
     diag = np.diag(rho).real

@@ -19,9 +19,12 @@ from .errors import (
     PhysicalityError,
     TrajectoryTooShortError,
     UnphysicalSolutionError,
+    UsageError,
 )
 from .generator import (
+    GAMMA_BATH,
     REDUCED,
+    SOURCE_FLUX,
     Generator,
     _hermitian_coords,
     apply_generator,
@@ -46,19 +49,32 @@ FLUX_TOL = 1e-8
 #: inconsistent, i.e. the device diverges.
 BACKWARD_ERROR_TOL = 1e-10
 
+#: Time span of one evolution window, and the samples taken in it: the
+#: evolution solver checks stationarity once per window, and
+#: detect_divergence compares the last two windows.
+WINDOW = 20.0
+SAMPLES_PER_WINDOW = 81
+
+#: Local error tolerances of the RK45 integrator of the explicit-bath form.
+RK45_RTOL = 1e-9
+RK45_ATOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution of the master equation.
 
-    times start at 0 and increase strictly; states is a
-    (samples, dim, dim) stack (a list of dim x dim matrices is accepted
-    too); trace_series holds the total particle number at each sample.
+    times increase strictly; states is a (samples, dim, dim) stack (a
+    list of dim x dim matrices is accepted too).
     """
 
     times: np.ndarray
     states: np.ndarray
-    trace_series: np.ndarray
+
+    @property
+    def trace_series(self) -> np.ndarray:
+        """Total particle number at each sample."""
+        return _trace(np.asarray(self.states))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +158,7 @@ def _trace(states: np.ndarray) -> np.ndarray:
 
 
 def evolve(g: Generator, rho0: np.ndarray, t_end: float,
-           rtol: float = 1e-9, atol: float = 1e-12,
-           samples: int = 201, t_offset: float = 0.0,
-           check_physicality: bool = True) -> Trajectory:
+           samples: int = 201) -> Trajectory:
     """Integrate drho/dt = g(rho) from 0 to t_end.
 
     The state lives in Hermitian coordinates (populations plus
@@ -154,22 +168,19 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     coefficients, dy/dt = a y + b, and is advanced by its exact
     propagator over the sample spacing. The explicit-bath form clamps
     the bath at every evaluation, which is not linear; it is integrated
-    by an explicit embedded Runge-Kutta pair (RK45), and rtol/atol are
-    the local error tolerances of that integrator only.
+    by an explicit embedded Runge-Kutta pair (RK45) to the local error
+    tolerances RK45_RTOL and RK45_ATOL.
 
     The returned trajectory is sampled on a uniform grid of `samples`
-    points and each sampled state is checked against the density-matrix
-    invariants (smallest eigenvalue above -1e-8, populations
-    non-negative) unless `check_physicality` is disabled.
-
-    t_offset only shifts the reported times; integration always starts
-    at the supplied state.
+    points from 0 to t_end and each sampled state is checked against the
+    density-matrix invariants (smallest eigenvalue above -1e-8,
+    populations non-negative).
     """
     y0 = _initial_coords(g, rho0)
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < np.inf:
+        raise UsageError(f"t_end must be positive and finite, got {t_end}")
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise UsageError(f"samples must be positive, got {samples}")
     pack, unpack = _hermitian_coords(g.dim)
     t_eval = np.linspace(0.0, t_end, samples)
     if g.form == REDUCED:
@@ -179,16 +190,14 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
         def rhs(_t, y):
             return pack(apply_generator(g, unpack(y)))
 
-        sol = solve_ivp(rhs, (0.0, t_end), y0,
-                        method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
+        sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", t_eval=t_eval,
+                        rtol=RK45_RTOL, atol=RK45_ATOL)
         if not sol.success:
             raise IntegrationError(f"integrator failed: {sol.message}")
         ys = sol.y.T
-    times = t_eval + t_offset
     states = unpack(ys)
-    if check_physicality:
-        _check_physical(states, lambda i: f"at t={times[i]:.6g}")
-    return Trajectory(times=times, states=states, trace_series=_trace(states))
+    _check_physical(states, lambda i: f"at t={t_eval[i]:.6g}")
+    return Trajectory(times=t_eval, states=states)
 
 
 def solve_ness_direct(g: Generator) -> SteadyStateResult:
@@ -222,9 +231,9 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     a, b = real_linear_system(g)
     u, s, vt = np.linalg.svd(a)
     kept = s > s[0] * max(a.shape) * np.finfo(float).eps
-    if g.rates.gamma_D > 0 and not kept.all():
+    if g.delta > 0 and not kept.all():
         raise UnphysicalSolutionError(
-            f"stationary system at delta = {g.rates.gamma_D:g} is singular "
+            f"stationary system at delta = {g.delta:g} is singular "
             f"to working precision: its condition number, which grows like "
             f"max(delta, 1/delta)^2, has reached 1/eps")
     norm_a = float(np.abs(a).sum(axis=1).max())
@@ -252,7 +261,7 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
                                  backward_error=eta)
     rho = _hermitian_coords(g.dim)[1](y)
     sink_pop = rho[g.circuit.sink, g.circuit.sink].real
-    expected = g.rates.source_flux / g.rates.gamma_bath
+    expected = SOURCE_FLUX / GAMMA_BATH
     try:
         _check_physical(rho[None], lambda _i: "in direct NESS")
     except PhysicalityError as exc:
@@ -269,36 +278,38 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
 
 def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
                             t_max: float = 1e4, rho0: np.ndarray | None = None,
-                            window: float = 20.0, samples_per_window: int = 81,
                             ) -> SteadyStateResult:
     """Evolve the reduced form from rho0 (empty device by default) until
     stationary.
 
     The real system of real_linear_system is built once, and every
-    window is sampled by the same exact propagator (a shorter last
-    window gets its own). Each window's samples are checked for
-    physicality as in evolve. Convergence is declared when the max-norm
-    of drho/dt falls to `tol`; divergence when the trailing trace slope
-    keeps growing past SLOPE_MIN with a non-decreasing derivative norm
-    (see detect_divergence); otherwise the t_max cutoff yields
+    window of span WINDOW is sampled at SAMPLES_PER_WINDOW points by the
+    same exact propagator (a shorter last window gets its own). Each
+    window's samples are checked for physicality as in evolve.
+    Convergence is declared when the max-norm of drho/dt falls to `tol`;
+    divergence when the trailing trace slope keeps growing past
+    SLOPE_MIN with a non-decreasing derivative norm (see
+    detect_divergence); otherwise the t_max cutoff yields
     ``max-time-exceeded``. Only the samples detect_divergence reads, the
     trailing two windows, are kept.
     """
-    if tol <= 0:
-        raise ValueError("stationarity tolerance must be positive")
+    if not tol > 0:
+        raise UsageError(f"stationarity tolerance must be positive, got {tol}")
+    if not 0 < t_max < np.inf:
+        raise UsageError(f"t_max must be positive and finite, got {t_max}")
     y = _initial_coords(g, empty_state(g) if rho0 is None else rho0)
     a, b = real_linear_system(g)
     unpack = _hermitian_coords(g.dim)[1]
-    steps = samples_per_window - 1
+    steps = SAMPLES_PER_WINDOW - 1
     propagators = {}
     t = 0.0
     times, states = np.array([0.0]), unpack(y)[None]
     while t < t_max:
-        span = min(window, t_max - t)
+        span = min(WINDOW, t_max - t)
         if span not in propagators:
             propagators[span] = _propagator(a, b, span / steps)
         ys = _advance(*propagators[span], y, steps)
-        window_times = np.linspace(0.0, span, samples_per_window) + t
+        window_times = np.linspace(0.0, span, SAMPLES_PER_WINDOW) + t
         window_states = unpack(ys)
         _check_physical(window_states, lambda i: f"at t={window_times[i]:.6g}")
         y, rho = ys[-1], window_states[-1]
@@ -312,10 +323,9 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
         states = np.concatenate([states, window_states[1:]])
         # detect_divergence reads the samples from t - 2 window on; the
         # one before them only adds an interval it leaves out
-        first = max(int(np.searchsorted(times, t - 2 * window)) - 1, 0)
+        first = max(int(np.searchsorted(times, t - 2 * WINDOW)) - 1, 0)
         times, states = times[first:], states[first:]
-        if t >= 2 * window and detect_divergence(
-                Trajectory(times, states, _trace(states)), window):
+        if t >= 2 * WINDOW and detect_divergence(Trajectory(times, states)):
             return SteadyStateResult(DIVERGED, None, residual, "evolution",
                                      elapsed_model_time=t)
     residual = float(np.abs(apply_generator(g, unpack(y))).max())
@@ -323,10 +333,10 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
                              elapsed_model_time=t)
 
 
-def detect_divergence(traj: Trajectory, window: float) -> bool:
+def detect_divergence(traj: Trajectory) -> bool:
     """True iff the trajectory is growing without saturation.
 
-    Two conditions, both over trailing windows of the given time span:
+    Two conditions, both over trailing windows of time span WINDOW:
     the least-squares slope of the total particle number over the last
     window exceeds SLOPE_MIN, and the max-norm of drho/dt (estimated by
     finite differences) did not decrease from the previous window to the
@@ -334,12 +344,12 @@ def detect_divergence(traj: Trajectory, window: float) -> bool:
     still carry a large trace slope while relaxing.
     """
     times = np.asarray(traj.times)
-    if times[-1] - times[0] < 2 * window:
+    if times[-1] - times[0] < 2 * WINDOW:
         raise TrajectoryTooShortError(
             f"trajectory spans {times[-1] - times[0]:.3g} time units, "
-            f"need at least two windows of {window:.3g}")
+            f"need at least two windows of {WINDOW:.3g}")
     t_end = times[-1]
-    last = times >= t_end - window
+    last = times >= t_end - WINDOW
     slope = np.polyfit(times[last], traj.trace_series[last], 1)[0]
     if slope <= SLOPE_MIN:
         return False
@@ -351,8 +361,8 @@ def detect_divergence(traj: Trajectory, window: float) -> bool:
     steps = np.abs(np.diff(np.asarray(traj.states), axis=0))
     norms = steps.max(axis=(-2, -1))[forward] / dt[forward]
     mids = 0.5 * (times[:-1] + times[1:])[forward]
-    in_last = mids >= t_end - window
-    in_prev = (mids >= t_end - 2 * window) & (mids < t_end - window)
+    in_last = mids >= t_end - WINDOW
+    in_prev = (mids >= t_end - 2 * WINDOW) & (mids < t_end - WINDOW)
     if not in_last.any() or not in_prev.any():
         raise TrajectoryTooShortError("too few samples per analysis window")
     last_norm = norms[in_last].max()

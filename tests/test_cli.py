@@ -158,6 +158,22 @@ def test_missing_required_flag_exits_one(capsys):
     assert "--circuit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--circuit", "wire2", "--delta", "0", "--t-end", "-1"],
+    ["entropy-trace", "--circuit", "wire2", "--samples", "0"],
+    ["ness", "--circuit", "wire2", "--delta", "1", "--solver", "evolution",
+     "--tol", "0"],
+    ["ness", "--circuit", "wire2", "--delta", "nan"],
+    ["ness", "--circuit", "wire2", "--delta", "inf"],
+    ["sweep-dephasing", "--circuit", "wire2", "--delta-grid", "1,nan"],
+], ids=["negative-t-end", "zero-samples", "zero-tol", "nan-delta",
+        "inf-delta", "nan-in-grid"])
+def test_bad_numbers_exit_one(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(("usage error: ", "error: "))
+
+
 def test_evolve_writes_trajectory(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(["evolve", "--circuit", "wire2", "--delta", "0",

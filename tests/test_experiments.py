@@ -9,6 +9,7 @@ from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      find_conductance_peak, find_ratio_crossing,
                      make_pentagon, make_wire, pentagon_sweep,
                      rectification_sweep, sweep_branch_count)
+from dephnet.experiments import ENTROPY_T_END
 
 
 def test_sweep_records_are_canonically_sorted():
@@ -70,15 +71,14 @@ def test_pentagon_sweep_requires_zero_point():
 
 
 def test_additivity_experiment_shapes():
-    records, traces = additivity_experiment(deltas=(0.0, 5.0),
-                                            entropy_t_end=5.0,
-                                            entropy_samples=11)
+    records, traces = additivity_experiment(deltas=(0.0, 5.0))
     assert len(records) == 4
     labels = {r.circuit_label for r in records}
     assert len(labels) == 2
     assert set(traces) == labels
     for times, values in traces.values():
-        assert len(times) == 11 and len(values) == 11
+        assert len(times) == 201 and len(values) == 201
+        assert times[-1] == ENTROPY_T_END
         assert values.min() >= 0.0
 
 
@@ -111,6 +111,32 @@ def test_find_ratio_crossing_validates():
 
 def test_find_ratio_crossing_endpoint_root():
     assert find_ratio_crossing((1.0, 2.0), ratio_fn=lambda d: d) == 1.0
+
+
+def _call_limited(fn, limit=2000):
+    calls = [0]
+
+    def limited(d):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise RuntimeError(f"bisection made more than {limit} calls")
+        return fn(d)
+    return limited
+
+
+def test_find_ratio_crossing_stops_at_float_spacing():
+    # the ratio jumps across 1 at 0.3, so no float is an exact root, and
+    # a width of 1e-300 is below the float spacing there
+    step = _call_limited(lambda d: 0.5 if d < 0.3 else 2.0)
+    crossing = find_ratio_crossing((0.1, 0.9), tol=1e-300, ratio_fn=step)
+    assert crossing == pytest.approx(0.3, abs=1e-15)
+
+
+def test_find_ratio_crossing_rejects_nonpositive_tol():
+    for tol in (0.0, -1e-4):
+        with pytest.raises(UsageError, match="tolerance"):
+            find_ratio_crossing((0.1, 0.9), tol=tol,
+                                ratio_fn=_call_limited(lambda d: 2.0 * d))
 
 
 def test_entropy_trace_starts_at_zero():

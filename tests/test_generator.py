@@ -3,33 +3,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dephnet import (EXPLICIT_BATH, REDUCED, DimensionMismatchError,
-                     GraphConstructionError, RateSet, UnsupportedFormError,
+                     GraphConstructionError, UnsupportedFormError,
                      apply_generator, assemble_generator, clamp_bath, dephase,
                      empty_state, make_pentagon, make_wire,
                      real_linear_system)
-from dephnet.generator import _hermitian_coords
+from dephnet.generator import SOURCE_FLUX, _hermitian_coords
 from conftest import random_connected_circuit, random_density_matrix
-
-
-def test_rate_set_defaults_fix_unit_flux():
-    rates = RateSet(gamma_D=0.3)
-    assert rates.source_flux == 1.0
-    assert rates.delta == 0.3
-    with pytest.raises(GraphConstructionError):
-        RateSet(gamma_D=-0.1)
-    with pytest.raises(GraphConstructionError):
-        RateSet(gamma_D=0.0, gamma_bath=0.0)
 
 
 def test_assemble_generator_validates():
     c = make_wire(2)
     with pytest.raises(UnsupportedFormError):
         assemble_generator(c, 0.0, form="banana")
-    with pytest.raises(GraphConstructionError):
-        assemble_generator(c, 1.0, rates=RateSet(gamma_D=2.0))
     g = assemble_generator(c, 1.0)
-    assert g.dim == 2
+    assert g.dim == 2 and g.delta == 1.0
     assert assemble_generator(c, 1.0, form=EXPLICIT_BATH).dim == 4
+    assert SOURCE_FLUX == 1.0  # the injected flux is the unit of current
+
+
+@pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
+def test_assemble_generator_rejects_bad_delta(delta):
+    with pytest.raises(GraphConstructionError, match="finite and >= 0"):
+        assemble_generator(make_wire(2), delta)
 
 
 def test_wire1_derivative_is_scalar_filling_law():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED, PhysicalityError,
-                     Trajectory, TrajectoryTooShortError, assemble_generator,
-                     detect_divergence, empty_state, evolve,
-                     laplacian_hamiltonian, make_parallel_circuit,
+                     Trajectory, TrajectoryTooShortError, UsageError,
+                     assemble_generator, detect_divergence, empty_state,
+                     evolve, laplacian_hamiltonian, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
                      resistance, reverse_circuit, solve_ness_by_evolution,
                      solve_ness_direct)
@@ -179,6 +179,15 @@ def test_evolution_rejects_bad_tolerance():
         solve_ness_by_evolution(g, tol=0.0)
 
 
+@pytest.mark.parametrize("t_max", [-5.0, 0.0, float("inf"), float("nan")])
+def test_evolution_rejects_bad_time_budget(t_max):
+    # an infinite budget would never end a solve that neither converges
+    # nor diverges; a non-positive one reported max-time-exceeded
+    g = assemble_generator(make_wire(2), 1.0)
+    with pytest.raises(UsageError, match="t_max"):
+        solve_ness_by_evolution(g, t_max=t_max)
+
+
 def test_max_time_exceeded_verdict():
     # a tolerance far below reachable accuracy forces the cutoff verdict
     g = assemble_generator(make_wire(2), 0.0)
@@ -187,41 +196,36 @@ def test_max_time_exceeded_verdict():
     assert res.rho_ness is None
 
 
-def _synthetic(times, trace_fn, state_fn):
+def _synthetic(times, state_fn):
     times = np.asarray(times, dtype=float)
-    states = [state_fn(t) for t in times]
-    return Trajectory(times=times, states=states,
-                      trace_series=np.array([trace_fn(t) for t in times]))
+    return Trajectory(times=times, states=[state_fn(t) for t in times])
 
 
 def test_detect_divergence_on_linear_growth():
     times = np.linspace(0.0, 100.0, 401)
-    traj = _synthetic(times, lambda t: 0.2 * t,
-                      lambda t: np.array([[0.2 * t]], dtype=complex))
-    assert detect_divergence(traj, window=20.0)
+    traj = _synthetic(times, lambda t: np.array([[0.2 * t]], dtype=complex))
+    assert detect_divergence(traj)
 
 
 def test_detect_divergence_false_for_constant():
     times = np.linspace(0.0, 100.0, 401)
-    traj = _synthetic(times, lambda t: 1.0,
-                      lambda t: np.array([[1.0]], dtype=complex))
-    assert not detect_divergence(traj, window=20.0)
+    traj = _synthetic(times, lambda t: np.array([[1.0]], dtype=complex))
+    assert not detect_divergence(traj)
 
 
 def test_detect_divergence_false_for_saturating():
     times = np.linspace(0.0, 100.0, 401)
-    traj = _synthetic(times, lambda t: 3.0 * (1 - np.exp(-t / 30.0)),
+    traj = _synthetic(times,
                       lambda t: np.array([[3.0 * (1 - np.exp(-t / 30.0))]],
                                          dtype=complex))
-    assert not detect_divergence(traj, window=20.0)
+    assert not detect_divergence(traj)
 
 
 def test_detect_divergence_needs_two_windows():
     times = np.linspace(0.0, 10.0, 41)
-    traj = _synthetic(times, lambda t: t,
-                      lambda t: np.array([[t]], dtype=complex))
+    traj = _synthetic(times, lambda t: np.array([[t]], dtype=complex))
     with pytest.raises(TrajectoryTooShortError):
-        detect_divergence(traj, window=20.0)
+        detect_divergence(traj)
 
 
 def test_direct_ness_is_physical_state():
