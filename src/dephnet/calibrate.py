@@ -6,6 +6,9 @@ were frozen from searches over bounded families (n <= 8, at most 14
 edges); this module keeps those searches reproducible. Candidates are
 evaluated one after another and matches are returned in a canonical
 sorted order, so results never depend on the order of the family.
+
+networkx is imported inside the three functions that walk the graph
+atlas, so importing the package does not load it.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import CalibrationError, UnphysicalSolutionError
@@ -176,6 +178,8 @@ def calibrate_topology(family: Iterable[Circuit],
 def _connected_atlas(min_n: int, max_n: int, max_edges: int):
     """All connected graphs with min_n <= n <= max_n and at most
     max_edges edges (atlas order)."""
+    import networkx as nx
+
     if max_n > 7:
         raise CalibrationError("atlas enumeration covers up to 7 sites")
     for g in nx.graph_atlas_g():
@@ -230,6 +234,8 @@ def additivity_pair_search(max_n: int = 6):
 def _extra_edge_degenerate(b: Circuit, extra: tuple[int, int]) -> bool:
     """True if an automorphism of B fixes source and sink and swaps the
     endpoints of the extra edge."""
+    import networkx as nx
+
     g = nx.from_numpy_array(np.asarray(b.graph.adjacency))
     matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
     i, j = extra
@@ -244,6 +250,8 @@ def funnel_family():
     """Two-connected triangle-bearing graphs with every (source, sink)
     ordering. Exhaustive up to 7 sites, all the atlas holds; minutes of
     CPU, used by the full calibration search, not by routine tests."""
+    import networkx as nx
+
     for graph in _connected_atlas(3, 7, MAX_EDGES):
         g = nx.from_numpy_array(np.asarray(graph.adjacency))
         if nx.number_of_selfloops(g) or not _has_triangle(graph):

@@ -433,6 +433,18 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
 def _cmd_rectify(cfg: RunConfig) -> int:
     c = resolve_circuit(cfg.circuit) if cfg.circuit else None
     deltas = _grid(cfg, LOG_GRID)
+    # bisection settings are checked before the sweep, the slow part
+    bracket = None
+    if cfg.find_crossing:
+        if not cfg.crossing_tol > 0:
+            raise UsageError(f"--crossing-tol must be positive, got {cfg.crossing_tol}")
+        if cfg.bracket:
+            try:
+                lo, hi = bracket = tuple(float(t) for t in cfg.bracket.split(","))
+            except ValueError as exc:
+                raise UsageError(f"--bracket expects LO,HI: {exc}") from exc
+            if not lo < hi:
+                raise UsageError(f"--bracket needs LO < HI, got {cfg.bracket}")
     records, series = rectification_sweep(deltas, circuit=c)
     path = _out_path(cfg)
     write_records(records, path)
@@ -450,18 +462,13 @@ def _cmd_rectify(cfg: RunConfig) -> int:
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
     if not cfg.find_crossing:
         return 0
-    if cfg.bracket:
-        try:
-            lo, hi = (float(tok) for tok in cfg.bracket.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--bracket expects LO,HI: {exc}") from exc
-    elif flips:
-        lo, hi = flips[0]
-    else:
-        raise NoSignChangeError("the ratio does not cross 1 on the grid; "
-                                "give an explicit --bracket")
+    if bracket is None:
+        if not flips:
+            raise NoSignChangeError("the ratio does not cross 1 on the grid; "
+                                    "give an explicit --bracket")
+        bracket = flips[0]
     crossing = find_ratio_crossing(
-        (lo, hi), tol=cfg.crossing_tol,
+        bracket, tol=cfg.crossing_tol,
         ratio_fn=None if c is None else (lambda d: funnel_ratio(d, c)))
     print(f"crossing  {crossing:.6f}")
     return 0

@@ -19,9 +19,12 @@ position-basis dephasing. Two equivalent forms are provided:
   injection/ejection become jump operators sqrt(g)|s><L| and
   sqrt(g)|R><k|. The bath populations are pinned (rho_LL = 0.5,
   rho_RR = 0, bath coherences 0) at every derivative evaluation, which
-  makes the two forms agree exactly on the system block. The pinning is
-  not linear, so only the reduced form has a matrix representation:
-  real_linear_system writes it as dy/dt = a y + b over the n^2 real
+  makes the two forms agree exactly on the system block. The pinning
+  sets constants and zeroes entries, so this map is affine too, but it
+  is deliberately left without a matrix: evolve integrates it by RK45,
+  an integrator independent of the reduced form's exact propagator,
+  which is what acceptance criterion 13 compares. real_linear_system
+  writes the reduced form as dy/dt = a y + b over the n^2 real
   coordinates y of a Hermitian state, the form both solvers use.
 """
 from __future__ import annotations
@@ -203,8 +206,8 @@ def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     """
     if g.form != REDUCED:
         raise UnsupportedFormError(
-            "only the reduced form has a matrix representation; "
-            "bath clamping in the explicit form is not linear")
+            "only the reduced form is built as a matrix; the explicit-bath "
+            "form is integrated by RK45 as an independent check of it")
     n, h, sink = g.dim, g.H.real, g.circuit.sink
     ci, cj, split = _coordinate_pairs(n)
     coord, sites = np.arange(n * n), np.arange(n)

@@ -238,6 +238,21 @@ def test_rectify_no_sign_change_exits_one(tmp_path, monkeypatch, capsys):
     assert "--bracket" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--crossing-tol", "0"],
+                                   ["--bracket", "0.5,0.1"],
+                                   ["--bracket", "x"]])
+def test_rectify_rejects_bisection_settings_before_sweeping(
+        tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing",
+                 *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "usage error" in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "rectification.csv").exists()
+
+
 def test_entropy_trace_writes_csv(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["entropy-trace", "--circuit", "wire2", "--delta", "0",
