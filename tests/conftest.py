@@ -4,9 +4,14 @@ invariants (flux balance, method equivalence, ergodicity, physicality).
 import numpy as np
 import pytest
 
-from dephnet import (Circuit, build_graph, load_builtin, make_additivity_pair,
-                     make_parallel_circuit, make_pentagon,
-                     make_triangle_funnel, make_wire, reverse_circuit)
+from dephnet import (Circuit, assemble_generator, build_graph, load_builtin,
+                     make_additivity_pair, make_parallel_circuit,
+                     make_pentagon, make_triangle_funnel, make_wire,
+                     reverse_circuit, solve_ness_by_evolution,
+                     solve_ness_direct)
+
+#: The probe dephasing strengths of the suite's cross-checks.
+SUITE_DELTAS = (0.0, 0.1, 1.0, 20.0)
 
 
 def build_suite():
@@ -27,6 +32,20 @@ def build_suite():
 @pytest.fixture(scope="session")
 def suite_circuits():
     return build_suite()
+
+
+@pytest.fixture(scope="session")
+def ness_pairs(suite_circuits):
+    """Direct and evolution steady states for every suite circuit at
+    every probe dephasing strength (shared by the flux-balance,
+    method-equivalence and verdict-trail checks)."""
+    table = {}
+    for idx, c in enumerate(suite_circuits):
+        for delta in SUITE_DELTAS:
+            g = assemble_generator(c, delta)
+            table[idx, delta] = (solve_ness_direct(g),
+                                 solve_ness_by_evolution(g))
+    return table
 
 
 def random_density_matrix(rng: np.random.Generator, n: int,

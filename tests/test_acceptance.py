@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import random_density_matrix
+from conftest import SUITE_DELTAS, random_density_matrix
 
 from dephnet import (CONVERGED, DIVERGED, assemble_generator, conductance,
                      current_out, empty_state, evolve, find_conductance_peak,
@@ -19,22 +19,6 @@ from dephnet import (CONVERGED, DIVERGED, assemble_generator, conductance,
                      solve_ness_by_evolution, solve_ness_direct)
 from dephnet.experiments import LOG_GRID
 from dephnet.generator import EXPLICIT_BATH
-
-SUITE_DELTAS = (0.0, 0.1, 1.0, 20.0)
-
-
-@pytest.fixture(scope="session")
-def ness_pairs(suite_circuits):
-    """Direct and evolution steady states for every suite circuit at
-    every probe dephasing strength (shared by the flux-balance and
-    method-equivalence criteria)."""
-    table = {}
-    for idx, c in enumerate(suite_circuits):
-        for delta in SUITE_DELTAS:
-            g = assemble_generator(c, delta)
-            table[idx, delta] = (solve_ness_direct(g),
-                                 solve_ness_by_evolution(g))
-    return table
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,7 +8,12 @@ from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED, PhysicalityError,
                      make_pentagon, make_triangle_funnel, make_wire,
                      resistance, reverse_circuit, solve_ness_by_evolution,
                      solve_ness_direct)
-from conftest import random_connected_circuit, random_density_matrix
+from dephnet.steady_state import (HERMITICITY_TOL, MIN_EIGENVALUE_TOL,
+                                  POPULATION_TOL, SAMPLES_PER_WINDOW, WINDOW,
+                                  _advance, _block, _check_physical,
+                                  _propagator, _slope)
+from conftest import (SUITE_DELTAS, random_connected_circuit,
+                      random_density_matrix)
 
 
 def test_wire1_analytic_filling_curve():
@@ -228,6 +233,13 @@ def test_detect_divergence_needs_two_windows():
         detect_divergence(traj)
 
 
+def test_detect_divergence_needs_two_times_in_last_window():
+    # one sample in the last window leaves no slope to fit
+    traj = _synthetic([0.0, 25.0, 50.0], lambda t: np.array([[t]], dtype=complex))
+    with pytest.raises(TrajectoryTooShortError):
+        detect_divergence(traj)
+
+
 def test_direct_ness_is_physical_state():
     rng = np.random.default_rng(5)
     for delta in (0.0, 0.1, 2.0):
@@ -241,3 +253,155 @@ def test_direct_ness_is_physical_state():
     rho0 = random_density_matrix(rng, 3, trace=1.5)
     reached = solve_ness_by_evolution(g, rho0=rho0).rho_ness
     assert np.abs(reached - target).max() < 1e-6
+
+
+# The evolution solver's (status, elapsed_model_time) on the suite, in
+# conftest order, at delta = 0, 0.1, 1 and 20. Recorded with the
+# one-step-at-a-time propagator and eigenvalue-only physicality checks;
+# the blocked stepping must declare each verdict in the same window.
+_C, _D = CONVERGED, DIVERGED
+EVOLUTION_VERDICT_TRAIL = [
+    ("wire2", [(_C, 40.0), (_C, 40.0), (_C, 40.0), (_C, 440.0)]),
+    ("wire3", [(_C, 80.0), (_C, 60.0), (_C, 100.0), (_C, 1120.0)]),
+    ("parallel3x1", [(_C, 60.0), (_C, 320.0), (_C, 120.0), (_C, 620.0)]),
+    ("additivity-a", [(_C, 920.0), (_C, 260.0), (_C, 200.0), (_C, 1100.0)]),
+    ("additivity-b", [(_C, 540.0), (_C, 220.0), (_C, 200.0), (_C, 1100.0)]),
+    ("pentagon", [(_D, 80.0), (_C, 240.0), (_C, 140.0), (_C, 1100.0)]),
+    ("funnel", [(_D, 80.0), (_C, 620.0), (_C, 180.0), (_C, 560.0)]),
+    ("funnel reversed", [(_D, 480.0), (_C, 340.0), (_C, 160.0), (_C, 700.0)]),
+]
+
+
+def test_evolution_verdict_trail_is_pinned(suite_circuits, ness_pairs):
+    assert len(EVOLUTION_VERDICT_TRAIL) == len(suite_circuits)
+    for idx, (name, row) in enumerate(EVOLUTION_VERDICT_TRAIL):
+        for delta, expected in zip(SUITE_DELTAS, row):
+            evo = ness_pairs[idx, delta][1]
+            assert (evo.status, evo.elapsed_model_time) == expected, \
+                (name, delta)
+
+
+def _stable_system(rng, m):
+    """Random dy/dt = a y + b whose spectrum lies in Re z <= -0.1."""
+    a = rng.normal(size=(m, m)) / np.sqrt(m)
+    a -= (np.linalg.eigvals(a).real.max() + 0.1) * np.eye(m)
+    return a, rng.normal(size=m)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 8, 9, 80, 200])
+def test_blocked_advance_matches_plain_recurrence(steps):
+    # 80 steps (one window) run in blocks of 9; 0 and 1 take no block
+    # step, 9 and 200 end on a partial block
+    assert _block(SAMPLES_PER_WINDOW - 1) == 9
+    rng = np.random.default_rng(steps)
+    for m in (3, 17, 40):
+        a, b = _stable_system(rng, m)
+        f, c, f_block, c_block = _propagator(a, b, 0.3, steps)
+        y0 = rng.normal(size=m)
+        plain = np.empty((steps + 1, m))
+        plain[0] = y0
+        for i in range(steps):
+            plain[i + 1] = f @ plain[i] + c
+        blocked = _advance(f, c, f_block, c_block, y0, steps)
+        assert blocked.shape == plain.shape
+        gap = np.abs(blocked - plain).max() / np.abs(plain).max()
+        assert gap <= 1e-12, (m, gap)
+
+
+def _eigvalsh_check(states, where):
+    """_check_physical's verdict from eigenvalues alone."""
+    adjoint = states.conj().swapaxes(-1, -2)
+    herm = np.abs(states - adjoint).max(axis=(-2, -1))
+    pops = np.diagonal(states, axis1=-2, axis2=-1).real.min(axis=-1)
+    eigs = np.linalg.eigvalsh(0.5 * (states + adjoint)).min(axis=-1)
+    bad = ((herm > HERMITICITY_TOL) | (pops < POPULATION_TOL)
+           | (eigs < MIN_EIGENVALUE_TOL))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if herm[i] > HERMITICITY_TOL:
+        raise PhysicalityError(f"Hermiticity deviation {herm[i]:.3e} {where(i)}")
+    if pops[i] < POPULATION_TOL:
+        raise PhysicalityError(f"negative population {pops[i]:.3e} {where(i)}")
+    raise PhysicalityError(f"negative eigenvalue {eigs[i]:.3e} {where(i)}")
+
+
+def _outcome(check, states):
+    try:
+        check(states, lambda i: f"at sample {i}")
+    except PhysicalityError as exc:
+        return str(exc)
+    return None
+
+
+def _state_stack(rng, smallest, k=81, dim=7, at=40):
+    """(k, dim, dim) stack of states with eigenvalues in [1e-3, 1]; state
+    `at` has its smallest eigenvalue set to `smallest`."""
+    stack = np.empty((k, dim, dim), dtype=complex)
+    for i in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+        eigs = rng.uniform(1e-3, 1.0, size=dim)
+        if i == at:
+            eigs[0] = smallest
+        rho = (q * eigs) @ q.conj().T
+        stack[i] = 0.5 * (rho + rho.conj().T)
+    return stack
+
+
+@pytest.mark.parametrize("smallest, max_entry, fallback, expected", [
+    # the shift tau = 0.5e-8 lifts this one to positive definite
+    (-0.4e-8, None, False, None),
+    # within the tolerance but below -tau: eigenvalues decide
+    (-0.9e-8, None, True, None),
+    (-1.1e-8, None, True, "negative eigenvalue"),
+    # at this scale Cholesky rounding is too coarse to decide
+    (1e-3, 1e7, True, None),
+    (-1.0, 1e7, True, "negative eigenvalue"),
+])
+def test_cholesky_check_agrees_with_eigenvalues(monkeypatch, smallest,
+                                                max_entry, fallback, expected):
+    rng = np.random.default_rng(81)
+    states = _state_stack(rng, smallest)
+    if max_entry is not None:
+        states *= max_entry / np.abs(states).max()
+    reference = _outcome(_eigvalsh_check, states)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda x: calls.append(x) or eigvalsh(x))
+    outcome = _outcome(_check_physical, states)
+    assert outcome == reference
+    assert (outcome is None) == (expected is None)
+    if expected is not None:
+        assert outcome.startswith(expected) and "at sample 40" in outcome
+    assert bool(calls) == fallback
+
+
+def test_cholesky_check_reports_first_bad_state_as_before():
+    # a negative eigenvalue at sample 40 comes before a negative
+    # population at sample 60 and a non-Hermitian state at sample 70
+    rng = np.random.default_rng(7)
+    states = _state_stack(rng, -1e-6)
+    states[60, 2, 2] = -1e-6
+    states[70, 0, 1] += 1e-6
+    message = _outcome(_check_physical, states)
+    assert message == _outcome(_eigvalsh_check, states)
+    assert message.startswith("negative eigenvalue")
+    states[40] = _state_stack(rng, 0.5, k=1, at=0)[0]
+    message = _outcome(_check_physical, states)
+    assert message == _outcome(_eigvalsh_check, states)
+    assert message.startswith("negative population")
+
+
+def test_closed_form_slope_matches_polyfit():
+    times = np.linspace(0.0, 100.0, 401)
+    rng = np.random.default_rng(3)
+    series = [0.2 * times, np.ones_like(times),
+              3.0 * (1 - np.exp(-times / 30.0)),
+              rng.normal(size=times.size) + 0.05 * times]
+    cases = [(times, y) for y in series] + [(times[:41] / 10.0, times[:41] / 10.0)]
+    for x, y in cases:
+        last = x >= x[-1] - WINDOW
+        expected = np.polyfit(x[last], y[last], 1)[0]
+        assert abs(_slope(x[last], y[last]) - expected) <= 1e-12 * max(1.0, abs(expected))
