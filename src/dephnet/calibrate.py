@@ -13,17 +13,15 @@ atlas, so importing the package does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf, isfinite, isnan
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, UnphysicalSolutionError
-from .experiments import find_ratio_crossing
-from .generator import assemble_generator
-from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire, reverse_circuit
-from .observables import resistance
-from .steady_state import solve_ness_direct
+from .errors import CalibrationError
+from .experiments import (_ratio_flips, _resistance_at, find_ratio_crossing,
+                          funnel_ratio)
+from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
 
 #: Enumeration bounds: desk scale, every shipped device fits.
 MAX_SITES = 8
@@ -70,61 +68,40 @@ def _canonical_key(c: Circuit):
             c.label)
 
 
-def _resistance_at(c: Circuit, delta: float) -> float:
-    """R by direct solve; inf for an insulating device."""
-    try:
-        res = solve_ness_direct(assemble_generator(c, delta))
-    except UnphysicalSolutionError:
-        return inf
-    return resistance(res, c)
-
-
-def _ratio_at(c: Circuit, delta: float) -> float:
-    forward = _resistance_at(c, delta)
-    backward = _resistance_at(reverse_circuit(c), delta)
-    if not (isfinite(forward) and isfinite(backward)) or backward == 0:
-        return inf
-    return forward / backward
-
-
 def _single_crossing(c: Circuit) -> float | None:
     """Location of the ratio's sign change if there is exactly one in
     (0, 1); None otherwise."""
-    values = np.array([_ratio_at(c, d) for d in _CROSSING_GRID])
-    if not np.all(np.isfinite(values)):
+    ratios = [funnel_ratio(d, c) for d in _CROSSING_GRID]
+    if not all(isfinite(r) and abs(r - 1.0) >= SYMMETRY_NOISE for r in ratios):
         return None
-    if np.any(np.abs(values - 1.0) < SYMMETRY_NOISE):
-        return None
-    signs = np.sign(values - 1.0)
-    flips = np.nonzero(signs[:-1] != signs[1:])[0]
+    flips = _ratio_flips(list(zip(_CROSSING_GRID, ratios)))
     if len(flips) != 1:
         return None
-    lo, hi = _CROSSING_GRID[flips[0]], _CROSSING_GRID[flips[0] + 1]
-    return find_ratio_crossing((lo, hi), tol=1e-5,
-                               ratio_fn=lambda d: _ratio_at(c, d))
+    return find_ratio_crossing(flips[0], tol=1e-5,
+                               ratio_fn=lambda d: funnel_ratio(d, c))
 
 
 def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:
-    """(matches, solvable) for one candidate against one target."""
+    """(matches, solvable) for one candidate against one target. A
+    divergence target matches only R = inf; R = nan, past the solver's
+    conditioning limit, is no verdict and counts as unsolvable."""
     if target.observable == "resistance":
         r = _resistance_at(c, target.delta)
         if not isfinite(r):
             return False, False
         return abs(r - target.value) <= target.tolerance, True
     if target.observable == "divergence":
-        return not isfinite(_resistance_at(c, target.delta)), True
+        r = _resistance_at(c, target.delta)
+        return r == inf, not isnan(r)
     if target.observable == "ratio-at":
-        ratio = _ratio_at(c, target.delta)
+        ratio = funnel_ratio(target.delta, c)
         if not isfinite(ratio):
             return False, False
         return abs(ratio - target.value) <= target.tolerance, True
-    if target.observable == "ratio-crossing":
-        crossing = _single_crossing(c)
-        if crossing is None:
-            return False, True
-        return abs(crossing - target.value) <= target.tolerance, True
-    raise CalibrationError(f"target references unknown observable "
-                           f"{target.observable!r}")
+    crossing = _single_crossing(c)
+    if crossing is None:
+        return False, True
+    return abs(crossing - target.value) <= target.tolerance, True
 
 
 def _as_target(t) -> CalibrationTarget:
@@ -143,8 +120,9 @@ def calibrate_topology(family: Iterable[Circuit],
     """Return every candidate meeting all targets, in canonical order.
 
     Raises CalibrationError for an empty family, a malformed target, or
-    a finite-observable target that every single candidate fails by
-    being insulating (an unsolvable target for this family).
+    a target that every single candidate fails by being insulating (for
+    a finite observable) or past the solver's conditioning limit (an
+    unsolvable target for this family).
     """
     candidates = list(family)
     if not candidates:
@@ -166,7 +144,8 @@ def calibrate_topology(family: Iterable[Circuit],
     if not any(solvable for _, solvable in outcomes):
         raise CalibrationError(
             "unsolvable target: every candidate in the family is insulating "
-            "at the probed dephasing strength")
+            "or past the solver's conditioning limit at the probed "
+            "dephasing strength")
     matches = [c for c, (ok, _) in zip(candidates, outcomes) if ok]
     return sorted(matches, key=_canonical_key)
 

@@ -27,7 +27,8 @@ from .calibrate import (CalibrationTarget, additivity_pair_search,
                         pentagon_family)
 from .errors import DephnetError, NoSignChangeError, UsageError
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
-                          LOG_GRID, dephasing_sweep, entropy_trace,
+                          LOG_GRID, _check_bisection, _ratio_flips,
+                          dephasing_sweep, entropy_trace,
                           find_ratio_crossing, funnel_ratio,
                           rectification_sweep, sweep_branch_count)
 from .generator import assemble_generator, empty_state
@@ -436,15 +437,12 @@ def _cmd_rectify(cfg: RunConfig) -> int:
     # bisection settings are checked before the sweep, the slow part
     bracket = None
     if cfg.find_crossing:
-        if not cfg.crossing_tol > 0:
-            raise UsageError(f"--crossing-tol must be positive, got {cfg.crossing_tol}")
         if cfg.bracket:
             try:
                 lo, hi = bracket = tuple(float(t) for t in cfg.bracket.split(","))
             except ValueError as exc:
                 raise UsageError(f"--bracket expects LO,HI: {exc}") from exc
-            if not lo < hi:
-                raise UsageError(f"--bracket needs LO < HI, got {cfg.bracket}")
+        _check_bisection(bracket, cfg.crossing_tol)
     records, series = rectification_sweep(deltas, circuit=c)
     path = _out_path(cfg)
     write_records(records, path)
@@ -455,9 +453,7 @@ def _cmd_rectify(cfg: RunConfig) -> int:
         y_label="forward R / reverse R", title="Rectification ratio",
         log_x=True, guideline_y=1.0), path)
 
-    finite = [(d, r) for d, r in series if math.isfinite(r)]
-    flips = [(finite[i][0], finite[i + 1][0]) for i in range(len(finite) - 1)
-             if (finite[i][1] - 1.0) * (finite[i + 1][1] - 1.0) < 0]
+    flips = _ratio_flips(series)
     for lo, hi in flips:
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
     if not cfg.find_crossing:
@@ -467,9 +463,8 @@ def _cmd_rectify(cfg: RunConfig) -> int:
             raise NoSignChangeError("the ratio does not cross 1 on the grid; "
                                     "give an explicit --bracket")
         bracket = flips[0]
-    crossing = find_ratio_crossing(
-        bracket, tol=cfg.crossing_tol,
-        ratio_fn=None if c is None else (lambda d: funnel_ratio(d, c)))
+    crossing = find_ratio_crossing(bracket, tol=cfg.crossing_tol,
+                                   ratio_fn=lambda d: funnel_ratio(d, c))
     print(f"crossing  {crossing:.6f}")
     return 0
 

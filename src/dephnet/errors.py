@@ -32,8 +32,10 @@ class DimensionMismatchError(DephnetError, ValueError):
 
 
 class UnsupportedFormError(DephnetError, TypeError):
-    """Operation not defined for this generator form (the explicit-bath
-    form is affine only after clamping, so it has no matrix form)."""
+    """Operation not defined for this generator form. The explicit-bath
+    form is affine too, but it is deliberately built without a matrix:
+    it is integrated by RK45 as an independent check of the reduced
+    form's matrix."""
 
 
 class PhysicalityError(DephnetError, ValueError):
@@ -52,7 +54,9 @@ class IndeterminateResultError(DephnetError, RuntimeError):
 
 
 class NoSignChangeError(DephnetError, ValueError):
-    """Bisection bracket does not straddle a sign change."""
+    """Bisection bracket does not straddle a sign change, or the function
+    is not finite at an endpoint or a midpoint, so the side of the sign
+    change it lies on is unknown."""
 
 
 class TrajectoryTooShortError(DephnetError, ValueError):

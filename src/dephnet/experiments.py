@@ -24,7 +24,8 @@ from .graphs import (
     reverse_circuit,
 )
 from .observables import conductance, relative_entropy_coherence, resistance
-from .steady_state import CONVERGED, evolve, solve_ness_direct
+from .steady_state import (CONVERGED, SteadyStateResult, evolve,
+                           solve_ness_direct)
 
 #: Dephasing strengths for branch-count sweeps.
 BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
@@ -62,14 +63,56 @@ def _sort_key(rec: SweepRecord):
             -1 if rec.branches is None else rec.branches)
 
 
+def _solve(c: Circuit, delta: float) -> SteadyStateResult | None:
+    """Direct solve; None past the conditioning limit, where the solver
+    gives no verdict. The one place a sweep or ratio solve meets
+    UnphysicalSolutionError, so one such point never aborts a sweep."""
+    try:
+        return solve_ness_direct(assemble_generator(c, delta))
+    except UnphysicalSolutionError:
+        return None
+
+
+def _resistance_at(c: Circuit, delta: float) -> float:
+    """R by direct solve: inf for an insulating device (a verdict), nan
+    past the conditioning limit (no verdict)."""
+    res = _solve(c, delta)
+    return math.nan if res is None else resistance(res, c)
+
+
+def _ratio(r_forward: float, r_reverse: float) -> float:
+    """Forward/reverse resistance ratio; nan unless both are finite and
+    the reverse one is nonzero."""
+    if math.isfinite(r_forward) and math.isfinite(r_reverse) and r_reverse != 0:
+        return r_forward / r_reverse
+    return math.nan
+
+
+def _ratio_flips(series: Sequence[tuple[float, float]],
+                 ) -> list[tuple[float, float]]:
+    """(delta, delta') of neighbouring finite points of a (delta, ratio)
+    series between which ratio - 1 changes sign; non-finite points are
+    skipped."""
+    finite = [(d, r) for d, r in series if math.isfinite(r)]
+    return [(d0, d1) for (d0, r0), (d1, r1) in zip(finite, finite[1:])
+            if (r0 - 1.0) * (r1 - 1.0) < 0]
+
+
+def _check_bisection(bracket: tuple[float, float] | None, tol: float) -> None:
+    """Raise UsageError unless tol > 0 and, if given, lo < hi."""
+    if not tol > 0:
+        raise UsageError(f"bisection tolerance must be positive, got {tol}")
+    if bracket is not None and not bracket[0] < bracket[1]:
+        raise UsageError(f"bracket must satisfy lo < hi, got "
+                         f"{bracket[0]:g}, {bracket[1]:g}")
+
+
 def _measure(c: Circuit, delta: float, direction: str = "forward",
              branches: int | None = None) -> SweepRecord:
     point = dict(circuit_label=c.label or "circuit", delta=float(delta),
                  direction=direction, branches=branches)
-    try:
-        res = solve_ness_direct(assemble_generator(c, delta))
-    except UnphysicalSolutionError:
-        # one point past the conditioning limit must not abort the sweep
+    res = _solve(c, delta)
+    if res is None:
         return SweepRecord(**point, R=math.nan, G=math.nan, coherence=None,
                            status=ILL_CONDITIONED)
     coherence = None
@@ -159,26 +202,19 @@ def rectification_sweep(deltas: Sequence[float] = LOG_GRID,
               for d in deltas
               for c, direction in ((forward, "forward"), (backward, "reverse"))]
     records = _run_points(points)
-    by_key = {(r.delta, r.direction): r for r in records}
-    ratio_series = []
-    for d in sorted(set(float(x) for x in deltas)):
-        fwd, rev = by_key[(d, "forward")], by_key[(d, "reverse")]
-        if math.isfinite(fwd.R) and math.isfinite(rev.R) and rev.R != 0:
-            ratio_series.append((d, fwd.R / rev.R))
-        else:
-            ratio_series.append((d, math.nan))
+    r_at = {(r.delta, r.direction): r.R for r in records}
+    ratio_series = [(d, _ratio(r_at[(d, "forward")], r_at[(d, "reverse")]))
+                    for d in sorted(set(float(x) for x in deltas))]
     return records, ratio_series
 
 
 def funnel_ratio(delta: float, circuit: Circuit | None = None) -> float:
-    """Forward/reverse resistance ratio of the calibrated funnel."""
+    """Forward/reverse resistance ratio of the calibrated funnel, or of
+    `circuit` against its reverse; nan where either direction is
+    insulating or past the conditioning limit, or the reverse R is 0."""
     forward = circuit if circuit is not None else make_triangle_funnel("forward")
-    r_fwd = resistance(solve_ness_direct(assemble_generator(forward, delta)),
-                       forward)
-    backward = reverse_circuit(forward)
-    r_rev = resistance(solve_ness_direct(assemble_generator(backward, delta)),
-                       backward)
-    return r_fwd / r_rev
+    return _ratio(_resistance_at(forward, delta),
+                  _resistance_at(reverse_circuit(forward), delta))
 
 
 def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
@@ -190,16 +226,23 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
 
     The function whose root is sought is ratio(delta) - 1; by default
     the ratio of the calibrated funnel. Raises NoSignChangeError if the
-    bracket endpoints are on the same side of 1.
+    bracket endpoints are on the same side of 1, or if the ratio is not
+    finite at an endpoint or a midpoint, where its side of 1 is unknown.
     """
     fn = ratio_fn if ratio_fn is not None else funnel_ratio
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise UsageError("bracket must satisfy lo < hi")
-    if not tol > 0:
-        raise UsageError(f"bisection tolerance must be positive, got {tol}")
-    f_lo = fn(lo) - 1.0
-    f_hi = fn(hi) - 1.0
+    _check_bisection((lo, hi), tol)
+
+    def excess(d: float) -> float:
+        ratio = fn(d)
+        if not math.isfinite(ratio):
+            raise NoSignChangeError(
+                f"the ratio is undefined at delta = {d:g} ({ratio}), so its "
+                f"side of 1 is unknown")
+        return ratio - 1.0
+
+    f_lo = excess(lo)
+    f_hi = excess(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -212,7 +255,7 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # the ends are adjacent floats
             return mid
-        f_mid = fn(mid) - 1.0
+        f_mid = excess(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0) == (f_lo > 0):

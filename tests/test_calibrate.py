@@ -6,7 +6,8 @@ from dephnet import (CalibrationError, CalibrationTarget,
                      additivity_pair_search, calibrate_topology,
                      funnel_shortlist, make_pentagon, make_wire,
                      pentagon_family)
-from dephnet.calibrate import _canonical_key, _resistance_at, _single_crossing
+from dephnet.calibrate import _canonical_key, _single_crossing
+from dephnet.experiments import _resistance_at
 
 
 def test_empty_family_is_error():
@@ -31,6 +32,15 @@ def test_unsolvable_target_is_error():
     with pytest.raises(CalibrationError, match="unsolvable"):
         calibrate_topology(pentagon_family(),
                            [CalibrationTarget(0.0, "resistance", 1.75, 0.01)])
+
+
+def test_conditioning_limit_is_not_insulating():
+    # both wires conduct at 1e8; the direct solver only loses its
+    # verdict past its conditioning limit, which is no divergence
+    assert math.isnan(_resistance_at(make_wire(2), 1e8))
+    with pytest.raises(CalibrationError, match="conditioning limit"):
+        calibrate_topology([make_wire(2), make_wire(3)],
+                           [CalibrationTarget(1e8, "divergence", None, 0.0)])
 
 
 def test_resistance_target_matches_wire():

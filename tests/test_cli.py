@@ -238,6 +238,26 @@ def test_rectify_no_sign_change_exits_one(tmp_path, monkeypatch, capsys):
     assert "--bracket" in capsys.readouterr().err
 
 
+def test_rectify_refuses_crossing_where_ratio_is_undefined(
+        tmp_path, monkeypatch, capsys):
+    # the funnel insulates both ways at delta = 0, so the ratio there is
+    # undefined and the bracket [0, 0.2] gives no crossing
+    monkeypatch.chdir(tmp_path)
+    code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing",
+                 "--bracket", "0,0.2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "crossing " not in captured.out
+    assert "undefined" in captured.err
+    # a one-site wire has reverse R = 0: the ratio is undefined, not a
+    # division error
+    code = main(["rectify", "--circuit", "wire1", "--delta-grid", "0.1,1",
+                 "--find-crossing", "--bracket", "0.1,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("flags", [["--crossing-tol", "0"],
                                    ["--bracket", "0.5,0.1"],
                                    ["--bracket", "x"]])

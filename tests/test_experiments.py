@@ -7,7 +7,7 @@ from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      UnphysicalSolutionError, UsageError,
                      additivity_experiment, dephasing_sweep, entropy_trace,
                      find_conductance_peak, find_ratio_crossing,
-                     make_pentagon, make_wire, pentagon_sweep,
+                     funnel_ratio, make_pentagon, make_wire, pentagon_sweep,
                      rectification_sweep, sweep_branch_count)
 from dephnet.experiments import ENTROPY_T_END
 
@@ -93,6 +93,16 @@ def test_rectification_series_alignment():
     # the device conducts better forward below the crossing and worse
     # above it: the series straddles 1
     assert (series[0][1] - 1.0) * (series[1][1] - 1.0) < 0
+    # the series and funnel_ratio apply one ratio rule: nan where a
+    # direction is insulating (the funnel at 0) or the reverse R is 0
+    # (a one-site wire, whose source is its sink)
+    for circuit in (None, make_wire(1)):
+        _, series = rectification_sweep((0.0, 0.1, 0.5), circuit=circuit)
+        for d, ratio in series:
+            expected = funnel_ratio(d, circuit)
+            assert ratio == expected or (math.isnan(ratio)
+                                         and math.isnan(expected))
+    assert math.isnan(funnel_ratio(0.5, make_wire(1)))
 
 
 def test_find_ratio_crossing_synthetic():
@@ -130,6 +140,16 @@ def test_find_ratio_crossing_stops_at_float_spacing():
     step = _call_limited(lambda d: 0.5 if d < 0.3 else 2.0)
     crossing = find_ratio_crossing((0.1, 0.9), tol=1e-300, ratio_fn=step)
     assert crossing == pytest.approx(0.3, abs=1e-15)
+
+
+def test_find_ratio_crossing_refuses_undefined_ratio():
+    # a nan ratio has no side of 1; it must not steer the bisection
+    nan_at_lo = _call_limited(lambda d: math.nan if d == 0.0 else 2.0 * d)
+    with pytest.raises(NoSignChangeError, match="undefined"):
+        find_ratio_crossing((0.0, 0.9), ratio_fn=nan_at_lo)
+    nan_at_mid = _call_limited(lambda d: math.nan if d == 0.5 else 4.0 * d)
+    with pytest.raises(NoSignChangeError, match="undefined"):
+        find_ratio_crossing((0.1, 0.9), ratio_fn=nan_at_mid)
 
 
 def test_find_ratio_crossing_rejects_nonpositive_tol():
