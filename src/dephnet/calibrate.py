@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CalibrationError
-from .experiments import (_ratio_flips, _resistance_at, find_ratio_crossing,
-                          funnel_ratio)
+from .experiments import (_ratio_flips, _resistance_at, _series_ratio_fn,
+                          find_ratio_crossing, funnel_ratio)
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
 
 #: Enumeration bounds: desk scale, every shipped device fits.
@@ -74,11 +74,12 @@ def _single_crossing(c: Circuit) -> float | None:
     ratios = [funnel_ratio(d, c) for d in _CROSSING_GRID]
     if not all(isfinite(r) and abs(r - 1.0) >= SYMMETRY_NOISE for r in ratios):
         return None
-    flips = _ratio_flips(list(zip(_CROSSING_GRID, ratios)))
+    series = list(zip(_CROSSING_GRID, ratios))
+    flips = _ratio_flips(series)
     if len(flips) != 1:
         return None
     return find_ratio_crossing(flips[0], tol=1e-5,
-                               ratio_fn=lambda d: funnel_ratio(d, c))
+                               ratio_fn=_series_ratio_fn(series, c))
 
 
 def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:

@@ -13,9 +13,7 @@ numerical failures, and inconclusive runs.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,9 +26,9 @@ from .calibrate import (CalibrationTarget, additivity_pair_search,
 from .errors import DephnetError, NoSignChangeError, UsageError
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
                           LOG_GRID, _check_bisection, _ratio_flips,
-                          dephasing_sweep, entropy_trace,
-                          find_ratio_crossing, funnel_ratio,
-                          rectification_sweep, sweep_branch_count)
+                          _series_ratio_fn, dephasing_sweep, entropy_trace,
+                          find_ratio_crossing, rectification_sweep,
+                          sweep_branch_count)
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit
 from .observables import relative_entropy_coherence, transport_reading
@@ -39,20 +37,11 @@ from .registry import builtin_names, resolve_circuit
 from .steady_state import (CONVERGED, DIVERGED, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
 
-log = logging.getLogger("dephnet.cli")
-
-_DEFAULT_OUT = {
-    "sweep-branches": "branch_sweep.csv",
-    "sweep-dephasing": "dephasing_sweep.csv",
-    "rectify": "rectification.csv",
-    "entropy-trace": "entropy_trace.csv",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: config-file values overridden by
-    command-line flags."""
+    """Fully resolved invocation: command-line flags over config-file
+    values over the command's defaults."""
 
     command: str
     circuit: str | None = None
@@ -74,6 +63,51 @@ class RunConfig:
     find_crossing: bool = False
     bracket: str | None = None
     crossing_tol: float = 1e-4
+
+
+#: argparse keywords of every option, keyed by its RunConfig field; the
+#: flag is the field name with dashes
+_OPTIONS = {
+    "circuit": dict(metavar="NAME_OR_FILE",
+                    help="builtin circuit name (%s) or a .circuit file path"
+                         % ", ".join(builtin_names())),
+    "delta": dict(type=float, help="pure-dephasing rate on every site"),
+    "delta_grid": dict(help="dephasing grid: log:a:b:n, lin:a:b:n, or "
+                            "x1,x2,..."),
+    "solver": dict(choices=("direct", "evolution"),
+                   help="linear solve of the stationarity condition, or "
+                        "long-time integration"),
+    "tol": dict(type=float, help="residual at which the evolution solver "
+                                 "declares convergence"),
+    "t_max": dict(type=float, help="model-time budget of the evolution solver"),
+    "t_end": dict(type=float, help="model time to integrate to"),
+    "samples": dict(type=int, help="sample count of the trajectory or trace"),
+    "initial": dict(choices=("empty", "uniform", "source"),
+                    help="initial state: empty network, maximally mixed, "
+                         "or all population on the source"),
+    "m_max": dict(type=int, help="largest branch count"),
+    "branch_length": dict(type=int, help="sites per branch"),
+    "find_crossing": dict(action="store_true",
+                          help="bisect for the dephasing strength where the "
+                               "forward/reverse ratio crosses 1"),
+    "bracket": dict(metavar="LO,HI",
+                    help="search bracket for --find-crossing, in place of "
+                         "the first sign change on the grid"),
+    "crossing_tol": dict(type=float,
+                         help="bracket width at which bisection stops"),
+    "out": dict(metavar="CSV", help="CSV output path"),
+    "plot": dict(action="store_true",
+                 help="also write an SVG chart next to the CSV"),
+    "search": dict(choices=("pentagon", "additivity", "funnel"),
+                   help="which selection to reproduce"),
+    "max_n": dict(type=int, help="site budget of the additivity pair search"),
+    "full": dict(action="store_true",
+                 help="funnel search over the whole candidate family "
+                      "instead of the documented shortlist (slow)"),
+}
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,125 +145,42 @@ def parse_delta_grid(text: str) -> tuple[float, ...]:
     return values
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _build_parser() -> tuple[_Parser, dict]:
+    # every parser leaves an option it was not given out of the
+    # namespace, so parse_config can layer flags over the config file
     parser = _Parser(
-        prog="dephnet",
+        prog="dephnet", argument_default=argparse.SUPPRESS,
         description="Steady-state transport through dephasing site "
                     "networks driven between a source and a drain.")
     parser.add_argument("--config", metavar="FILE",
                         help="file of `key: value` defaults; command-line "
                              "flags override it")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    subparsers = {}
-
-    def cmd(name, help_text):
+    field_defaults = {f.name: f.default for f in fields(RunConfig)}
+    for name, (_, options, defaults, text) in _COMMANDS.items():
         # add_parser inherits _Parser, so usage mistakes raise UsageError
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        # accepted after the command too; the value is read in a pre-scan
+        p = sub.add_parser(name, help=text, description=text,
+                           argument_default=argparse.SUPPRESS)
+        # accepted after the command too; when absent it is left out of
+        # the namespace, so a --config before the command still counts
         p.add_argument("--config", metavar="FILE", help=argparse.SUPPRESS)
-        subparsers[name] = p
-        return p
-
-    def circuit_arg(p):
-        p.add_argument("--circuit", metavar="NAME_OR_FILE",
-                       help="builtin circuit name (%s, wireN) or a "
-                            ".circuit file path" % ", ".join(builtin_names()))
-
-    p = cmd("ness", "solve one steady state and report transport numbers")
-    circuit_arg(p)
-    p.add_argument("--delta", type=float,
-                   help="pure-dephasing rate on every site")
-    p.add_argument("--solver", choices=("direct", "evolution"),
-                   default=None, help="linear solve of the stationarity "
-                   "condition, or long-time integration (default direct)")
-    p.add_argument("--tol", type=float,
-                   help="residual at which the evolution solver declares "
-                        "convergence")
-    p.add_argument("--t-max", type=float, dest="t_max",
-                   help="model-time budget for the evolution solver")
-
-    p = cmd("evolve", "integrate the equation of motion and dump the "
-                      "trajectory")
-    circuit_arg(p)
-    p.add_argument("--delta", type=float,
-                   help="pure-dephasing rate on every site")
-    p.add_argument("--t-end", type=float, dest="t_end",
-                   help="model time to integrate to")
-    p.add_argument("--samples", type=int, help="trajectory sample count")
-    p.add_argument("--initial", choices=("empty", "uniform", "source"),
-                   default=None,
-                   help="initial state: empty network, maximally mixed, "
-                        "or all population on the source")
-    p.add_argument("--out", metavar="CSV", help="trajectory output path")
-
-    p = cmd("sweep-branches", "conductance versus branch count for the "
-                              "parallel-branch family")
-    p.add_argument("--m-max", type=int, dest="m_max",
-                   help="largest branch count (default %d)" % DEFAULT_M_MAX)
-    p.add_argument("--branch-length", type=int, dest="branch_length",
-                   help="sites per branch (default 1)")
-    p.add_argument("--delta-grid", dest="delta_grid",
-                   help="dephasing grid: log:a:b:n, lin:a:b:n, or x1,x2,...")
-    p.add_argument("--out", metavar="CSV", help="records output path")
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="also write an SVG chart next to the CSV")
-
-    p = cmd("sweep-dephasing", "resistance of one circuit across a "
-                               "dephasing grid")
-    circuit_arg(p)
-    p.add_argument("--delta-grid", dest="delta_grid",
-                   help="dephasing grid: log:a:b:n, lin:a:b:n, or x1,x2,...")
-    p.add_argument("--out", metavar="CSV", help="records output path")
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="also write an SVG chart next to the CSV")
-
-    p = cmd("rectify", "forward versus reverse resistance across a "
-                       "dephasing grid")
-    circuit_arg(p)
-    p.add_argument("--delta-grid", dest="delta_grid",
-                   help="dephasing grid: log:a:b:n, lin:a:b:n, or x1,x2,...")
-    p.add_argument("--find-crossing", action="store_true", default=None,
-                   dest="find_crossing",
-                   help="bisect for the dephasing strength where the "
-                        "forward/reverse ratio crosses 1")
-    p.add_argument("--bracket", metavar="LO,HI",
-                   help="search bracket for --find-crossing (default: the "
-                        "sign change on the grid)")
-    p.add_argument("--crossing-tol", type=float, dest="crossing_tol",
-                   help="bracket width at which bisection stops "
-                        "(default 1e-4)")
-    p.add_argument("--out", metavar="CSV", help="records output path")
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="also write an SVG chart of the ratio curve")
-
-    p = cmd("entropy-trace", "coherence content over time from the empty "
-                             "initial state")
-    circuit_arg(p)
-    p.add_argument("--delta", type=float,
-                   help="pure-dephasing rate on every site")
-    p.add_argument("--t-end", type=float, dest="t_end",
-                   help="model time to integrate to (default %g)"
-                        % ENTROPY_T_END)
-    p.add_argument("--samples", type=int, help="trace sample count")
-    p.add_argument("--out", metavar="CSV", help="trace output path")
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="also write an SVG chart of the trace")
-
-    p = cmd("calibrate", "re-run a topology search that selected a "
-                         "builtin circuit")
-    p.add_argument("--search", choices=("pentagon", "additivity", "funnel"),
-                   help="which selection to reproduce")
-    p.add_argument("--max-n", type=int, dest="max_n",
-                   help="site budget for the additivity pair search "
-                        "(default 6)")
-    p.add_argument("--full", action="store_true", default=None,
-                   help="funnel search over the whole candidate family "
-                        "instead of the documented shortlist (slow)")
-
-    return parser, subparsers
+        for key in options.split():
+            kwargs = dict(_OPTIONS[key])
+            default = defaults.get(key, field_defaults[key])
+            if default is not None and not isinstance(default, (bool, tuple)):
+                kwargs["help"] += f" (default {default})"
+            p.add_argument(_flag(key), **kwargs)
+    return parser, sub.choices
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _config_tokens(path: str, options: list[str]) -> list[str]:
+    """The `key: value` entries of a config file that name one of
+    `options`, as `--flag=value` tokens; a boolean key is its flag or
+    nothing."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -243,81 +194,51 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected `key: value`")
         key, _, value = line.partition(":")
         values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _coerce(action: argparse.Action, text: str):
-    if isinstance(action, argparse._StoreTrueAction):
-        lowered = text.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {action.dest!r} expects a boolean, "
-                         f"got {text!r}")
-    if action.choices is not None and text not in action.choices:
-        raise UsageError(f"config key {action.dest!r} must be one of "
-                         f"{sorted(action.choices)}, got {text!r}")
-    if action.type is not None:
-        try:
-            return action.type(text)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {action.dest!r}: {exc}") from exc
-    return text
+    unknown = set(values) - set(_OPTIONS)
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    tokens = []
+    for key in (k for k in options if k in values):
+        if _OPTIONS[key].get("action") != "store_true":
+            tokens.append(f"{_flag(key)}={values[key]}")
+        elif values[key].lower() not in _BOOLEANS:
+            raise UsageError(f"config key {key!r} expects a boolean, "
+                             f"got {values[key]!r}")
+        elif _BOOLEANS[values[key].lower()]:
+            tokens.append(_flag(key))
+    return tokens
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags plus an optional `key: value` config file; flags win."""
+    """Parse flags plus an optional `key: value` config file. Flags win
+    over the file, and the file over the command's defaults."""
     parser, subparsers = _build_parser()
-
-    config_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-    file_values = _read_config_file(config_path) if config_path else {}
-
-    known = {}
-    for p in subparsers.values():
-        for action in p._actions:
-            if action.dest not in ("help", "config"):
-                known.setdefault(action.dest, action)
-    unknown = set(file_values) - set(known)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    defaults = {dest: _coerce(known[dest], text)
-                for dest, text in file_values.items()}
-    for p in subparsers.values():
-        p.set_defaults(**{k: v for k, v in defaults.items()
-                          if any(a.dest == k for a in p._actions)})
-
-    ns = parser.parse_args(argv)
-    if ns.command is None:
+    given = vars(parser.parse_args(argv))
+    command = given.pop("command")
+    if command is None:
         raise UsageError("a command is required (see --help)")
-    names = {f.name for f in fields(RunConfig)}
-    picked = {k: v for k, v in vars(ns).items() if k in names and v is not None}
-    return RunConfig(**picked)
+    _, options, defaults, _ = _COMMANDS[command]
+    from_file = {}
+    path = given.pop("config", None)
+    if path:
+        tokens = _config_tokens(path, options.split())
+        try:
+            from_file = vars(subparsers[command].parse_args(tokens))
+        except UsageError as exc:
+            raise UsageError(f"config file {path}: {exc}") from exc
+    return RunConfig(command=command, **{**defaults, **from_file, **given})
 
 
 def _require(cfg: RunConfig, name: str):
     value = getattr(cfg, name)
     if value is None:
-        raise UsageError(f"--{name.replace('_', '-')} is required for "
-                         f"`{cfg.command}`")
+        raise UsageError(f"{_flag(name)} is required for `{cfg.command}`")
     return value
 
 
-def _grid(cfg: RunConfig, default: tuple[float, ...]) -> tuple[float, ...]:
-    if cfg.delta_grid is None:
-        return default
-    if isinstance(cfg.delta_grid, tuple):
-        return cfg.delta_grid
-    return parse_delta_grid(cfg.delta_grid)
-
-
-def _out_path(cfg: RunConfig) -> Path:
-    return Path(cfg.out if cfg.out else _DEFAULT_OUT[cfg.command])
+def _grid(cfg: RunConfig) -> tuple[float, ...]:
+    grid = cfg.delta_grid
+    return grid if isinstance(grid, tuple) else parse_delta_grid(grid)
 
 
 def _maybe_chart(cfg: RunConfig, rows, axes: AxesSpec, csv_path: Path) -> None:
@@ -404,9 +325,8 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep_branches(cfg: RunConfig) -> int:
-    records = sweep_branch_count(cfg.m_max, _grid(cfg, BRANCH_DELTAS),
-                                 cfg.branch_length)
-    path = _out_path(cfg)
+    records = sweep_branch_count(cfg.m_max, _grid(cfg), cfg.branch_length)
+    path = Path(cfg.out)
     write_records(records, path)
     print(f"wrote  {path} ({len(records)} rows)")
     _maybe_chart(cfg, records, AxesSpec(
@@ -418,8 +338,8 @@ def _cmd_sweep_branches(cfg: RunConfig) -> int:
 
 def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
     c = resolve_circuit(_require(cfg, "circuit"))
-    records = dephasing_sweep(c, _grid(cfg, (0.0,) + LOG_GRID))
-    path = _out_path(cfg)
+    records = dephasing_sweep(c, _grid(cfg))
+    path = Path(cfg.out)
     write_records(records, path)
     converged = sum(r.status == CONVERGED for r in records)
     print(f"wrote  {path} ({len(records)} rows, {converged} converged)")
@@ -433,7 +353,7 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
 
 def _cmd_rectify(cfg: RunConfig) -> int:
     c = resolve_circuit(cfg.circuit) if cfg.circuit else None
-    deltas = _grid(cfg, LOG_GRID)
+    deltas = _grid(cfg)
     # bisection settings are checked before the sweep, the slow part
     bracket = None
     if cfg.find_crossing:
@@ -444,7 +364,7 @@ def _cmd_rectify(cfg: RunConfig) -> int:
                 raise UsageError(f"--bracket expects LO,HI: {exc}") from exc
         _check_bisection(bracket, cfg.crossing_tol)
     records, series = rectification_sweep(deltas, circuit=c)
-    path = _out_path(cfg)
+    path = Path(cfg.out)
     write_records(records, path)
     print(f"wrote  {path} ({len(records)} rows)")
     rows = [{"delta": d, "ratio": r} for d, r in series]
@@ -464,17 +384,15 @@ def _cmd_rectify(cfg: RunConfig) -> int:
                                     "give an explicit --bracket")
         bracket = flips[0]
     crossing = find_ratio_crossing(bracket, tol=cfg.crossing_tol,
-                                   ratio_fn=lambda d: funnel_ratio(d, c))
+                                   ratio_fn=_series_ratio_fn(series, c))
     print(f"crossing  {crossing:.6f}")
     return 0
 
 
 def _cmd_entropy_trace(cfg: RunConfig) -> int:
     c = resolve_circuit(_require(cfg, "circuit"))
-    delta = cfg.delta if cfg.delta is not None else 0.0
-    t_end = cfg.t_end if cfg.t_end is not None else ENTROPY_T_END
-    times, values = entropy_trace(c, delta, t_end, cfg.samples)
-    path = _out_path(cfg)
+    times, values = entropy_trace(c, cfg.delta, cfg.t_end, cfg.samples)
+    path = Path(cfg.out)
     _write_series_csv(path, "t,coherence", zip(times, values))
     print(f"wrote  {path} ({len(times)} samples)")
     rows = [{"t": t, "coherence": v} for t, v in zip(times, values)]
@@ -526,25 +444,39 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "ness": _cmd_ness,
-    "evolve": _cmd_evolve,
-    "sweep-branches": _cmd_sweep_branches,
-    "sweep-dephasing": _cmd_sweep_dephasing,
-    "rectify": _cmd_rectify,
-    "entropy-trace": _cmd_entropy_trace,
-    "calibrate": _cmd_calibrate,
+#: per command: handler, options in help order, the defaults that
+#: belong to it alone (the rest are RunConfig's), and help text
+_COMMANDS = {
+    "ness": (_cmd_ness, "circuit delta solver tol t_max", {},
+             "solve one steady state and report transport numbers"),
+    "evolve": (_cmd_evolve, "circuit delta t_end samples initial out", {},
+               "integrate the equation of motion and dump the trajectory"),
+    "sweep-branches": (
+        _cmd_sweep_branches, "m_max branch_length delta_grid out plot",
+        {"delta_grid": BRANCH_DELTAS, "out": "branch_sweep.csv"},
+        "conductance versus branch count for the parallel-branch family"),
+    "sweep-dephasing": (
+        _cmd_sweep_dephasing, "circuit delta_grid out plot",
+        {"delta_grid": (0.0,) + LOG_GRID, "out": "dephasing_sweep.csv"},
+        "resistance of one circuit across a dephasing grid"),
+    "rectify": (
+        _cmd_rectify,
+        "circuit delta_grid find_crossing bracket crossing_tol out plot",
+        {"delta_grid": LOG_GRID, "out": "rectification.csv"},
+        "forward versus reverse resistance across a dephasing grid"),
+    "entropy-trace": (
+        _cmd_entropy_trace, "circuit delta t_end samples out plot",
+        {"delta": 0.0, "t_end": ENTROPY_T_END, "out": "entropy_trace.csv"},
+        "coherence content over time from the empty initial state"),
+    "calibrate": (_cmd_calibrate, "search max_n full", {},
+                  "re-run a topology search that selected a builtin circuit"),
 }
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=logging.INFO if os.environ.get("DEPHNET_VERBOSE")
-        else logging.WARNING)
-    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_config(args)
-        return _HANDLERS[cfg.command](cfg)
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

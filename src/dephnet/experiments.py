@@ -217,6 +217,17 @@ def funnel_ratio(delta: float, circuit: Circuit | None = None) -> float:
                   _resistance_at(reverse_circuit(forward), delta))
 
 
+def _series_ratio_fn(series: Sequence[tuple[float, float]],
+                     circuit: Circuit | None = None,
+                     ) -> Callable[[float], float]:
+    """A ratio_fn for find_ratio_crossing that reads the ratio from a
+    (delta, ratio) series where it holds the delta, so bracket ends
+    taken from the series are not solved again, and calls funnel_ratio
+    anywhere else."""
+    known = dict(series)
+    return lambda d: known[d] if d in known else funnel_ratio(d, circuit)
+
+
 def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
                         tol: float = 1e-4,
                         ratio_fn: Callable[[float], float] | None = None,

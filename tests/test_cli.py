@@ -108,9 +108,83 @@ def test_config_boolean_coercion(tmp_path):
         parse_config(["rectify", "--config", str(cfgfile)])
 
 
+def test_config_before_command(tmp_path):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("circuit: wire3\ndelta: 2.0\n")
+    cfg = parse_config(["--config", str(cfgfile), "ness", "--delta", "1.0"])
+    assert cfg.circuit == "wire3"
+    assert cfg.delta == 1.0
+
+
+def test_config_equals_form(tmp_path):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("circuit: wire3\ndelta: 2.0\n")
+    for argv in (["ness", f"--config={cfgfile}"], [f"--config={cfgfile}", "ness"]):
+        cfg = parse_config(argv)
+        assert (cfg.circuit, cfg.delta) == ("wire3", 2.0)
+
+
+def test_config_ignores_keys_of_other_commands(tmp_path):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("circuit: wire3\nm-max: 3\nplot: yes\nsearch: funnel\n")
+    cfg = parse_config(["ness", "--config", str(cfgfile)])
+    assert cfg == RunConfig(command="ness", circuit="wire3")
+
+
+def test_config_false_boolean_leaves_flag_off(tmp_path):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("plot: no\nfind-crossing: off\n")
+    cfg = parse_config(["rectify", "--config", str(cfgfile)])
+    assert cfg.plot is False
+    assert cfg.find_crossing is False
+    assert parse_config(["rectify", "--config", str(cfgfile),
+                         "--plot"]).plot is True
+
+
+def test_config_malformed_value_names_key(tmp_path, capsys):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("circuit: wire2\ndelta: abc\n")
+    with pytest.raises(UsageError, match="delta"):
+        parse_config(["ness", "--config", str(cfgfile)])
+    assert main(["ness", "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "delta" in err
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(UsageError, match="cannot read"):
         parse_config(["ness", "--config", str(tmp_path / "absent.conf")])
+
+
+# --- help -----------------------------------------------------------------
+
+_FLAGS = {
+    "ness": ["--circuit", "--delta", "--solver", "--tol", "--t-max"],
+    "evolve": ["--circuit", "--delta", "--t-end", "--samples", "--initial",
+               "--out"],
+    "sweep-branches": ["--m-max", "--branch-length", "--delta-grid", "--out",
+                       "--plot"],
+    "sweep-dephasing": ["--circuit", "--delta-grid", "--out", "--plot"],
+    "rectify": ["--circuit", "--delta-grid", "--find-crossing", "--bracket",
+                "--crossing-tol", "--out", "--plot"],
+    "entropy-trace": ["--circuit", "--delta", "--t-end", "--samples", "--out",
+                      "--plot"],
+    "calibrate": ["--search", "--max-n", "--full"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_names_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in _FLAGS[command]:
+        assert flag in out
+    if "--circuit" in _FLAGS[command]:
+        # builtin_names() already lists the wire<N> family
+        assert out.count("wire") == 1
 
 
 # --- exit codes and end-to-end runs -----------------------------------------
@@ -256,6 +330,24 @@ def test_rectify_refuses_crossing_where_ratio_is_undefined(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+
+
+def test_rectify_solves_each_point_once(tmp_path, monkeypatch, capsys):
+    # the bisection reads its bracket ends from the sweep's ratio series
+    import dephnet.experiments as experiments
+    solved = []
+    solve = experiments.solve_ness_direct
+
+    def counting_solve(g):
+        c = g.circuit
+        solved.append((c.graph.edges, c.source, c.sink, float(g.delta)))
+        return solve(g)
+
+    monkeypatch.setattr(experiments, "solve_ness_direct", counting_solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing"]) == 0
+    capsys.readouterr()
+    assert len(solved) == len(set(solved))
 
 
 @pytest.mark.parametrize("flags", [["--crossing-tol", "0"],
