@@ -65,6 +65,43 @@ class RunConfig:
     crossing_tol: float = 1e-4
 
 
+def parse_delta_grid(text: str) -> tuple[float, ...]:
+    """Grid grammar: ``log:a:b:n``, ``lin:a:b:n``, or ``x1,x2,...``."""
+    text = text.strip()
+    if text.startswith(("log:", "lin:")):
+        kind, *rest = text.split(":")
+        if len(rest) != 3:
+            raise UsageError(f"grid spec {text!r} needs kind:start:stop:count")
+        try:
+            start, stop, count = float(rest[0]), float(rest[1]), int(rest[2])
+        except ValueError as exc:
+            raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
+        if count < 1:
+            raise UsageError("grid needs at least one point")
+        if kind == "log":
+            if start <= 0 or stop <= 0:
+                raise UsageError("log grid endpoints must be positive")
+            return tuple(np.logspace(math.log10(start), math.log10(stop),
+                                     count))
+        return tuple(np.linspace(start, stop, count))
+    try:
+        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise UsageError(f"bad delta grid {text!r}: {exc}") from exc
+    if not values:
+        raise UsageError("empty delta grid")
+    return values
+
+
+def _grid_option(text: str) -> tuple[float, ...]:
+    # argparse reports an ArgumentTypeError with its own message, and any
+    # other ValueError, UsageError included, as a bare "invalid value"
+    try:
+        return parse_delta_grid(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 #: argparse keywords of every option, keyed by its RunConfig field; the
 #: flag is the field name with dashes
 _OPTIONS = {
@@ -72,7 +109,8 @@ _OPTIONS = {
                     help="builtin circuit name (%s) or a .circuit file path"
                          % ", ".join(builtin_names())),
     "delta": dict(type=float, help="pure-dephasing rate on every site"),
-    "delta_grid": dict(help="dephasing grid: log:a:b:n, lin:a:b:n, or "
+    "delta_grid": dict(type=_grid_option,
+                       help="dephasing grid: log:a:b:n, lin:a:b:n, or "
                             "x1,x2,..."),
     "solver": dict(choices=("direct", "evolution"),
                    help="linear solve of the stationarity condition, or "
@@ -115,34 +153,6 @@ class _Parser(argparse.ArgumentParser):
     # tool reserves for divergence verdicts)
     def error(self, message):
         raise UsageError(message)
-
-
-def parse_delta_grid(text: str) -> tuple[float, ...]:
-    """Grid grammar: ``log:a:b:n``, ``lin:a:b:n``, or ``x1,x2,...``."""
-    text = text.strip()
-    if text.startswith(("log:", "lin:")):
-        kind, *rest = text.split(":")
-        if len(rest) != 3:
-            raise UsageError(f"grid spec {text!r} needs kind:start:stop:count")
-        try:
-            start, stop, count = float(rest[0]), float(rest[1]), int(rest[2])
-        except ValueError as exc:
-            raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
-        if count < 1:
-            raise UsageError("grid needs at least one point")
-        if kind == "log":
-            if start <= 0 or stop <= 0:
-                raise UsageError("log grid endpoints must be positive")
-            return tuple(np.logspace(math.log10(start), math.log10(stop),
-                                     count))
-        return tuple(np.linspace(start, stop, count))
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad delta grid {text!r}: {exc}") from exc
-    if not values:
-        raise UsageError("empty delta grid")
-    return values
 
 
 def _flag(key: str) -> str:
@@ -236,11 +246,6 @@ def _require(cfg: RunConfig, name: str):
     return value
 
 
-def _grid(cfg: RunConfig) -> tuple[float, ...]:
-    grid = cfg.delta_grid
-    return grid if isinstance(grid, tuple) else parse_delta_grid(grid)
-
-
 def _maybe_chart(cfg: RunConfig, rows, axes: AxesSpec, csv_path: Path) -> None:
     if not cfg.plot:
         return
@@ -325,7 +330,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep_branches(cfg: RunConfig) -> int:
-    records = sweep_branch_count(cfg.m_max, _grid(cfg), cfg.branch_length)
+    records = sweep_branch_count(cfg.m_max, cfg.delta_grid, cfg.branch_length)
     path = Path(cfg.out)
     write_records(records, path)
     print(f"wrote  {path} ({len(records)} rows)")
@@ -338,7 +343,7 @@ def _cmd_sweep_branches(cfg: RunConfig) -> int:
 
 def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
     c = resolve_circuit(_require(cfg, "circuit"))
-    records = dephasing_sweep(c, _grid(cfg))
+    records = dephasing_sweep(c, cfg.delta_grid)
     path = Path(cfg.out)
     write_records(records, path)
     converged = sum(r.status == CONVERGED for r in records)
@@ -353,7 +358,7 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
 
 def _cmd_rectify(cfg: RunConfig) -> int:
     c = resolve_circuit(cfg.circuit) if cfg.circuit else None
-    deltas = _grid(cfg)
+    deltas = cfg.delta_grid
     # bisection settings are checked before the sweep, the slow part
     bracket = None
     if cfg.find_crossing:

@@ -32,10 +32,10 @@ class DimensionMismatchError(DephnetError, ValueError):
 
 
 class UnsupportedFormError(DephnetError, TypeError):
-    """Operation not defined for this generator form. The explicit-bath
-    form is affine too, but it is deliberately built without a matrix:
-    it is integrated by RK45 as an independent check of the reduced
-    form's matrix."""
+    """Operation not defined for this generator form: real_linear_system
+    writes the reduced form only. The explicit-bath form gets its matrix
+    by probing its own map, so it stays an independent check of the
+    reduced form's matrix."""
 
 
 class PhysicalityError(DephnetError, ValueError):

@@ -20,12 +20,15 @@ position-basis dephasing. Two equivalent forms are provided:
   sqrt(g)|R><k|. The bath populations are pinned (rho_LL = 0.5,
   rho_RR = 0, bath coherences 0) at every derivative evaluation, which
   makes the two forms agree exactly on the system block. The pinning
-  sets constants and zeroes entries, so this map is affine too, but it
-  is deliberately left without a matrix: evolve integrates it by RK45,
-  an integrator independent of the reduced form's exact propagator,
-  which is what acceptance criterion 13 compares. real_linear_system
-  writes the reduced form as dy/dt = a y + b over the n^2 real
-  coordinates y of a Hermitian state, the form both solvers use.
+  sets constants and zeroes entries, so this map is affine too.
+
+Both forms are written as dy/dt = a y + b over the dim^2 real
+coordinates y of a Hermitian state, by two independent constructions.
+real_linear_system writes the reduced form entry by entry; both
+solvers use it. _explicit_linear_system probes _apply_explicit on the
+coordinate basis; evolve integrates that system by RK45, an integrator
+independent of the reduced form's exact propagator, and acceptance
+criterion 13 compares the two.
 """
 from __future__ import annotations
 
@@ -159,6 +162,24 @@ def _apply_explicit(g: Generator, rho: np.ndarray) -> np.ndarray:
     return d
 
 
+def _explicit_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Real matrix a and offset b with pack(_apply_explicit(g, unpack(y)))
+    = a y + b in the coordinates of _hermitian_coords.
+
+    Probed, not derived: b is the derivative at y = 0 and column i of a
+    is the derivative at the unit vector e_i minus b, dim^2 + 1 calls in
+    all. The bath clamp sets constants and zeroes entries, so the map is
+    affine and the probe exact to rounding; the bath rows of a and b and
+    the bath columns of a are exactly zero. Built from _apply_explicit
+    alone, never from real_linear_system.
+    """
+    pack, unpack = _hermitian_coords(g.dim)
+    basis = unpack(np.eye(g.dim * g.dim))
+    b = pack(_apply_explicit(g, np.zeros((g.dim, g.dim), dtype=complex)))
+    a = np.stack([pack(_apply_explicit(g, e)) for e in basis], axis=1)
+    return a - b[:, None], b
+
+
 def _coordinate_pairs(dim: int):
     """Site pair (i, j) of each of the dim**2 real coordinates of a
     Hermitian matrix, and the count `split` of leading coordinates that
@@ -206,8 +227,9 @@ def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     """
     if g.form != REDUCED:
         raise UnsupportedFormError(
-            "only the reduced form is built as a matrix; the explicit-bath "
-            "form is integrated by RK45 as an independent check of it")
+            "real_linear_system writes the reduced form only; the "
+            "explicit-bath form is probed from its own map, so that it "
+            "stays an independent check of this matrix")
     n, h, sink = g.dim, g.H.real, g.circuit.sink
     ci, cj, split = _coordinate_pairs(n)
     coord, sites = np.arange(n * n), np.arange(n)

@@ -29,6 +29,7 @@ from .generator import (
     REDUCED,
     SOURCE_FLUX,
     Generator,
+    _explicit_linear_system,
     _hermitian_coords,
     apply_generator,
     empty_state,
@@ -236,10 +237,13 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     propagator: one step per sample spacing for the first ~sqrt(samples)
     samples, then whole blocks of that many samples at once by the
     propagator's power (see _advance). The explicit-bath form clamps
-    the bath at every evaluation; that map is affine as well, but it is
-    integrated on purpose by an explicit embedded Runge-Kutta pair
-    (RK45) to the local error tolerances RK45_RTOL and RK45_ATOL, so that
-    acceptance criterion 13 compares two independent integrators.
+    the bath; that map is affine as well, and its system is probed from
+    the map itself once per call (_explicit_linear_system), not taken
+    from real_linear_system. It is integrated on purpose by an explicit
+    embedded Runge-Kutta pair (RK45) to the local error tolerances
+    RK45_RTOL and RK45_ATOL, so that acceptance criterion 13 compares
+    two independent generator constructions and two independent
+    integrators.
 
     The returned trajectory is sampled on a uniform grid of `samples`
     points from 0 to t_end and each sampled state is checked against the
@@ -252,15 +256,17 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
         raise UsageError(f"t_end must be positive and finite, got {t_end}")
     if samples < 1:
         raise UsageError(f"samples must be positive, got {samples}")
-    pack, unpack = _hermitian_coords(g.dim)
+    unpack = _hermitian_coords(g.dim)[1]
     t_eval = np.linspace(0.0, t_end, samples)
     if g.form == REDUCED:
         steps = samples - 1
         step = _propagator(*real_linear_system(g), t_end / max(steps, 1), steps)
         ys = _advance(*step, y0, steps)
     else:
+        a, b = _explicit_linear_system(g)
+
         def rhs(_t, y):
-            return pack(apply_generator(g, unpack(y)))
+            return a @ y + b
 
         sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", t_eval=t_eval,
                         rtol=RK45_RTOL, atol=RK45_ATOL)

@@ -14,7 +14,8 @@ from conftest import SUITE_DELTAS, random_density_matrix
 from dephnet import (CONVERGED, DIVERGED, assemble_generator, conductance,
                      current_out, empty_state, evolve, find_conductance_peak,
                      find_ratio_crossing, funnel_ratio, make_additivity_pair,
-                     make_parallel_circuit, make_pentagon, make_wire,
+                     make_parallel_circuit, make_pentagon,
+                     make_triangle_funnel, make_wire,
                      relative_entropy_coherence, resistance,
                      solve_ness_by_evolution, solve_ness_direct)
 from dephnet.experiments import LOG_GRID
@@ -192,3 +193,22 @@ def test_criterion_13_explicit_bath_matches_reduced_form():
         gap = max(float(np.max(np.abs(r - e[:n, :n])))
                   for r, e in zip(t_red.states, t_exp.states))
         assert gap <= 1e-8, f"delta={delta}: {gap:.3e}"
+
+
+@pytest.mark.parametrize("circuit", [make_pentagon, make_triangle_funnel],
+                         ids=["pentagon", "funnel"])
+def test_explicit_bath_matches_reduced_form_on_benchmark_inputs(circuit):
+    """Criterion 13's comparison on the inputs the evolution benchmark
+    integrates in explicit-bath form: delta = 1, t = 40, 81 samples. The
+    bath populations never leave their pinned (0.5, 0)."""
+    c = circuit()
+    n = c.graph.n
+    reduced = assemble_generator(c, 1.0)
+    explicit = assemble_generator(c, 1.0, form=EXPLICIT_BATH)
+    t_red = evolve(reduced, empty_state(reduced), 40.0, samples=81)
+    t_exp = evolve(explicit, empty_state(explicit), 40.0, samples=81)
+    assert np.array_equal(t_red.times, t_exp.times)
+    gap = np.abs(t_red.states - t_exp.states[:, :n, :n]).max()
+    assert gap <= 1e-8, f"{gap:.3e}"
+    baths = t_exp.states[:, [n, n + 1], [n, n + 1]]
+    assert np.array_equal(baths, np.broadcast_to([0.5, 0.0], baths.shape))

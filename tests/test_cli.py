@@ -17,7 +17,8 @@ def test_parse_minimal_ness():
 
 def test_parse_rectify_grid():
     cfg = parse_config(["rectify", "--delta-grid", "log:1e-3:50:40"])
-    grid = parse_delta_grid(cfg.delta_grid)
+    grid = cfg.delta_grid
+    assert grid == parse_delta_grid("log:1e-3:50:40")
     assert len(grid) == 40
     assert grid[0] == pytest.approx(1e-3)
     assert grid[-1] == pytest.approx(50.0)
@@ -105,6 +106,16 @@ def test_config_boolean_coercion(tmp_path):
     assert parse_config(["rectify", "--config", str(cfgfile)]).plot is True
     cfgfile.write_text("plot: maybe\n")
     with pytest.raises(UsageError, match="boolean"):
+        parse_config(["rectify", "--config", str(cfgfile)])
+
+
+def test_config_grid_is_parsed(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("delta-grid: 0.1, 0.5\n")
+    cfg = parse_config(["rectify", "--config", str(cfgfile)])
+    assert cfg.delta_grid == (0.1, 0.5)
+    cfgfile.write_text("delta-grid: log:0:1:5\n")
+    with pytest.raises(UsageError, match="log grid endpoints must be positive"):
         parse_config(["rectify", "--config", str(cfgfile)])
 
 

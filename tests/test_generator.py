@@ -7,7 +7,8 @@ from dephnet import (EXPLICIT_BATH, REDUCED, DimensionMismatchError,
                      apply_generator, assemble_generator, clamp_bath, dephase,
                      empty_state, make_pentagon, make_wire,
                      real_linear_system)
-from dephnet.generator import SOURCE_FLUX, _hermitian_coords
+from dephnet.generator import (SOURCE_FLUX, _coordinate_pairs,
+                               _explicit_linear_system, _hermitian_coords)
 from conftest import random_connected_circuit, random_density_matrix
 
 
@@ -73,6 +74,23 @@ def test_real_linear_system_matches_apply(delta, seed):
     a, b = real_linear_system(g)
     y = rng.normal(size=g.dim ** 2)
     assert np.abs(pack(apply_generator(g, unpack(y))) - (a @ y + b)).max() < 1e-12
+
+
+@given(st.floats(min_value=0.0, max_value=20.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_explicit_linear_system_matches_apply(delta, seed):
+    # y is random in every coordinate, the bath ones included, so the
+    # clamp inside apply_generator has entries to pin
+    rng = np.random.default_rng(seed)
+    c = random_connected_circuit(rng)
+    g = assemble_generator(c, delta, form=EXPLICIT_BATH)
+    pack, unpack = _hermitian_coords(g.dim)
+    a, b = _explicit_linear_system(g)
+    y = rng.normal(size=g.dim ** 2)
+    assert np.abs(pack(apply_generator(g, unpack(y))) - (a @ y + b)).max() < 1e-12
+    ci, cj, _ = _coordinate_pairs(g.dim)
+    bath = (ci >= c.graph.n) | (cj >= c.graph.n)
+    assert not a[bath].any() and not b[bath].any()
 
 
 def test_real_linear_system_rejects_explicit_form():
