@@ -280,6 +280,8 @@ def _cmd_ness(cfg: RunConfig) -> int:
     print(f"residual  {res.residual:.3e}")
     if res.backward_error is not None:
         print(f"backward error  {res.backward_error:.3e}")
+    if res.condition is not None:
+        print(f"condition       {res.condition:.3e}")
     if res.status == CONVERGED:
         reading = transport_reading(res, c)
         rho = res.rho_ness

@@ -43,9 +43,10 @@ class PhysicalityError(DephnetError, ValueError):
 
 
 class UnphysicalSolutionError(DephnetError, RuntimeError):
-    """The stationary linear system is solvable to tolerance but the
-    solution is not a physical density matrix (rank-deficient case,
-    reported distinctly from a genuine divergence verdict)."""
+    """The direct solver has no trustworthy answer: its linear algebra is
+    too ill-conditioned for working precision, or the solution is not a
+    stationary, physical density matrix. Reported distinctly from a
+    genuine divergence verdict."""
 
 
 class IndeterminateResultError(DephnetError, RuntimeError):

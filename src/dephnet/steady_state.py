@@ -1,9 +1,12 @@
 """Steady-state solvers: direct linear solve and time evolution.
 
-Both report the same three-way verdict: ``converged`` (a physical NESS
-was found), ``diverged`` (the device is insulating and piles up
-particles forever), or ``max-time-exceeded`` (evolution hit its cutoff
-without either verdict).
+The direct solver makes one LU solve of the real system at delta > 0
+and diagonalizes the n x n operator K = H - i(g/2)|k><k| at delta = 0
+(see solve_ness_direct). Both solvers report the same three-way
+verdict: ``converged`` (a physical NESS was found), ``diverged`` (the
+device is insulating and piles up particles forever), or
+``max-time-exceeded`` (evolution hit its cutoff without either
+verdict).
 
 scipy is imported where it is called, by the matrix exponential of
 the evolution solver and by the RK45 integrator, so a direct solve
@@ -47,11 +50,18 @@ SLOPE_MIN = 0.01
 HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 POPULATION_TOL = -1e-10
-#: Relative to max(1, largest coordinate of the direct solution).
+#: Relative to max(1, largest entry of the direct solution).
 FLUX_TOL = 1e-8
-#: Normwise relative backward error above which the direct solution is
-#: inconsistent, i.e. the device diverges.
+#: Normwise relative backward error above which a direct solution is
+#: not accepted as stationary.
 BACKWARD_ERROR_TOL = 1e-10
+#: At delta = 0: a mode of K with |Im lambda| at most this times
+#: max(1, max |lambda|) is undamped, and the source feeds it if its
+#: overlap exceeds this times the largest overlap.
+UNDAMPED_TOL = 1e-9
+#: At delta = 0: largest accepted cond_1(W)^2 eps, the error scale of a
+#: state computed in the eigenbasis W of K.
+EIGENBASIS_ERROR_TOL = 1e-8
 
 #: Time span of one evolution window, and the samples taken in it: the
 #: evolution solver checks stationarity once per window, and
@@ -86,10 +96,12 @@ class SteadyStateResult:
     """Verdict of a steady-state solve.
 
     residual is the absolute max-norm of the stationarity defect: |a y + b|
-    in the real coordinates for the direct solver, |drho/dt| at the last
-    sample for evolution. backward_error is the normwise relative backward
-    error on which the direct solver bases its verdict; evolution leaves
-    it None.
+    in the real coordinates for the direct solver at delta > 0, |drho/dt|
+    of the returned state for the direct solver at delta = 0 and at the
+    last sample for evolution. backward_error is that defect relative to
+    the size of the generator and the state, and condition the condition
+    number of the direct solver's linear algebra (see solve_ness_direct);
+    evolution leaves both None.
     """
 
     status: str
@@ -98,6 +110,7 @@ class SteadyStateResult:
     method: str
     elapsed_model_time: float | None = None
     backward_error: float | None = None
+    condition: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -279,65 +292,122 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
 
 
 def solve_ness_direct(g: Generator) -> SteadyStateResult:
-    """Stationary point of the generator, restricted to Hermitian states.
+    """Stationary point of the generator, by one of two numpy-only paths.
 
-    Solved by singular-value decomposition of the real system
-    a y + b = 0 of real_linear_system, in which the answer is exactly
-    Hermitian. A plain solve would return an arbitrary null-space
-    admixture where the generator is singular (some devices at delta = 0).
+    delta > 0: one LU solve of the real system a y + b = 0 of
+    real_linear_system, in which the answer is exactly Hermitian, with
+    the identity as extra right-hand sides, so that the same
+    factorization gives a^-1 and the exact condition number
+    cond_1 = |a|_1 |a^-1|_1. A connected device has a unique steady
+    state here, so this path converges or raises. The state is accurate
+    to about cond_1 eps relative, and cond_1 grows like
+    max(delta, 1/delta)^2; once cond_1 N eps reaches 1 (N = dim^2) the
+    state carries no significant digit and UnphysicalSolutionError is
+    raised instead.
 
-    The verdict rests on the normwise relative backward error
-    eta = |a y + b| / (|a| |y| + |b|) in the infinity norm (Rigal &
-    Gaches, 1967) of the minimum-norm solution y. Conducting devices
-    reach rounding level (below 1e-15) however large y grows with delta
-    or 1/delta; eta above BACKWARD_ERROR_TOL means the injected flux has
-    nowhere to go and the device diverges. The condition number grows
-    like max(delta, 1/delta)^2, so the state is accurate to about
-    eps * max(delta, 1/delta)^2 relative. For delta > 0 the steady state
-    of a connected device is unique, so a singular value lost to
-    rounding (once max(delta, 1/delta)^2 approaches 1/eps) raises
-    UnphysicalSolutionError instead of returning a verdict.
+    delta = 0: the equation reduces to K rho - rho K^+ = -i S |s><s| with
+    K = H - i(g/2)|k><k|, solved in the eigenbasis of K (see
+    _solve_coherent). The device is an insulator (``diverged``) iff an
+    undamped mode of K (real eigenvalue) overlaps the source; undamped
+    modes the source does not feed, such as the antisymmetric modes of
+    parallel branches, stay empty, which is the state the dynamics reach
+    from the empty device.
 
-    When the system is consistent but singular at delta = 0 (dark modes
-    decoupled from source and sink, e.g. parallel branches), the
-    stationary state is not unique; the solver returns the one the
-    dynamics actually reach from the canonical empty device. That state
-    is pinned by conservation laws: each left null vector w of the
-    generator makes w . y a constant of motion, so the reachable steady
-    state keeps those components at their initial (zero) values.
+    residual is the max-norm stationarity defect of the returned state
+    (of the state with the insulating modes left empty, for a
+    ``diverged`` verdict). backward_error is the normwise relative
+    backward error (Rigal & Gaches, 1967), that defect relative to
+    |L| |rho| + S in the infinity norm, with |L| = |a| at delta > 0 and
+    the bound 2 |K| at delta = 0; condition is cond_1 of a at delta > 0
+    and cond_1 of the eigenvector matrix of K at delta = 0. A converged
+    state must have a backward error of at most BACKWARD_ERROR_TOL and
+    pass _check_physical and flux balance, or UnphysicalSolutionError
+    is raised.
     """
+    if g.delta > 0:
+        return _solve_dephased(g)
+    return _solve_coherent(g)
+
+
+def _solve_dephased(g: Generator) -> SteadyStateResult:
+    """solve_ness_direct at delta > 0: LU solve of a y = -b and a^-1."""
     a, b = real_linear_system(g)
-    u, s, vt = np.linalg.svd(a)
-    kept = s > s[0] * max(a.shape) * np.finfo(float).eps
-    if g.delta > 0 and not kept.all():
+    size = len(b)
+    try:
+        sol = np.linalg.solve(a, np.column_stack([-b, np.eye(size)]))
+    except np.linalg.LinAlgError as exc:
         raise UnphysicalSolutionError(
-            f"stationary system at delta = {g.delta:g} is singular "
-            f"to working precision: its condition number, which grows like "
-            f"max(delta, 1/delta)^2, has reached 1/eps")
-    norm_a = float(np.abs(a).sum(axis=1).max())
+            f"stationary system at delta = {g.delta:g} is exactly singular "
+            f"in floating point") from exc
+    y, inverse = sol[:, 0], sol[:, 1:]
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inverse, 1))
+    # written so that an infinite or NaN condition number raises too
+    if not cond * size * np.finfo(float).eps < 1.0:
+        raise UnphysicalSolutionError(
+            f"stationary system at delta = {g.delta:g} is singular to "
+            f"working precision: its condition number {cond:.3e}, which "
+            f"grows like max(delta, 1/delta)^2, has reached 1/(N eps)")
+    residual = float(np.abs(a @ y + b).max())
+    scale = float(np.abs(y).max())
+    eta = residual / (float(np.linalg.norm(a, np.inf)) * scale
+                      + float(np.abs(b).max()))
+    return _accept(g, _hermitian_coords(g.dim)[1](y), residual, eta, cond, scale)
 
-    def backward_error(y):
-        residual = float(np.abs(a @ y + b).max())
-        return residual, residual / (norm_a * np.abs(y).max() + np.abs(b).max())
 
-    # minimum-norm solution of a y = -b
-    y = vt[kept].T @ ((u[:, kept].T @ -b) / s[kept])
-    residual, eta = backward_error(y)
-    if eta <= BACKWARD_ERROR_TOL and not kept.all():
-        u0, v0 = u[:, ~kept], vt[~kept].T
-        try:
-            # conserved components are zero from the empty start
-            z = np.linalg.solve(u0.T @ v0, u0.T @ -y)
-        except np.linalg.LinAlgError as exc:
-            raise UnphysicalSolutionError(
-                "stationary system is consistent but its zero mode is "
-                "defective; no steady state is reachable") from exc
-        y = y + v0 @ z
-        residual, eta = backward_error(y)
-    if eta > BACKWARD_ERROR_TOL:
+def _solve_coherent(g: Generator) -> SteadyStateResult:
+    """solve_ness_direct at delta = 0, in the eigenbasis of K.
+
+    With K = W diag(lambda) W^-1 and v = W^-1 e_s, rho = W X W^+ where
+    X_ab = -i S v_a conj(v_b) / (lambda_a - conj(lambda_b)). A mode with
+    |Im lambda_a| <= UNDAMPED_TOL max(1, max |lambda|) is undamped; it
+    makes the device an insulator if |v_a| > UNDAMPED_TOL max |v|, and is
+    left empty otherwise. The state's error grows like cond(W)^2 eps, so
+    an eigenbasis with cond_1(W)^2 eps > EIGENBASIS_ERROR_TOL (close to an
+    exceptional point of K) raises UnphysicalSolutionError.
+    """
+    sink = g.circuit.sink
+    k_op = g.H.copy()
+    k_op[sink, sink] -= 0.5j * GAMMA_BATH
+    lam, w = np.linalg.eig(k_op)
+    try:
+        w_inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalSolutionError(
+            "eigenvectors of the delta = 0 system are linearly dependent; "
+            "K is at an exceptional point") from exc
+    cond = float(np.linalg.norm(w, 1) * np.linalg.norm(w_inv, 1))
+    # written so that an infinite or NaN condition number raises too
+    if not cond * cond * np.finfo(float).eps <= EIGENBASIS_ERROR_TOL:
+        raise UnphysicalSolutionError(
+            f"eigenbasis of the delta = 0 system is ill-conditioned "
+            f"(condition number {cond:.3e}); K is close to an exceptional "
+            f"point")
+    v = w_inv[:, g.circuit.source]
+    undamped = np.abs(lam.imag) <= UNDAMPED_TOL * max(1.0, float(np.abs(lam).max()))
+    insulating = bool((np.abs(v[undamped]) > UNDAMPED_TOL * np.abs(v).max()).any())
+    v = np.where(undamped, 0.0, v)
+    denom = lam[:, None] - lam.conj()[None, :]
+    denom[undamped[:, None] & undamped[None, :]] = 1.0  # numerator is 0
+    x = -1j * SOURCE_FLUX * np.outer(v, v.conj()) / denom
+    rho = w @ x @ w.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    residual = float(np.abs(apply_generator(g, rho)).max())
+    scale = float(np.abs(rho).max())
+    eta = residual / (2.0 * float(np.linalg.norm(k_op, np.inf)) * scale
+                      + SOURCE_FLUX)
+    if insulating:
         return SteadyStateResult(DIVERGED, None, residual, "direct",
-                                 backward_error=eta)
-    rho = _hermitian_coords(g.dim)[1](y)
+                                 backward_error=eta, condition=cond)
+    return _accept(g, rho, residual, eta, cond, scale)
+
+
+def _accept(g: Generator, rho: np.ndarray, residual: float, eta: float,
+            cond: float, scale: float) -> SteadyStateResult:
+    """Converged result for a direct solution rho whose largest entry is
+    `scale`, once its backward error, physicality and flux balance hold."""
+    if eta > BACKWARD_ERROR_TOL:
+        raise UnphysicalSolutionError(
+            f"direct solution is not stationary: backward error {eta:.3e}")
     sink_pop = rho[g.circuit.sink, g.circuit.sink].real
     expected = SOURCE_FLUX / GAMMA_BATH
     try:
@@ -345,13 +415,13 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     except PhysicalityError as exc:
         raise UnphysicalSolutionError(
             f"stationary system solvable (residual {residual:.3e}) but the "
-            f"minimum-norm solution is unphysical: {exc}") from exc
-    if abs(sink_pop - expected) > FLUX_TOL * max(1.0, float(np.abs(y).max())):
+            f"solution is unphysical: {exc}") from exc
+    if abs(sink_pop - expected) > FLUX_TOL * max(1.0, scale):
         raise UnphysicalSolutionError(
             f"stationary solution violates flux balance: sink population "
             f"{sink_pop:.12f} vs expected {expected}")
     return SteadyStateResult(CONVERGED, rho, residual, "direct",
-                             backward_error=eta)
+                             backward_error=eta, condition=cond)
 
 
 def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,

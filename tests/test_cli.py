@@ -224,6 +224,15 @@ def test_ness_reports_backward_error(capsys):
     assert eta <= 1e-15
 
 
+def test_ness_reports_condition(capsys):
+    assert main(["ness", "--circuit", "wire2", "--delta", "1"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("condition")[1].split()[0]) >= 1
+    assert main(["ness", "--circuit", "wire2", "--delta", "1",
+                 "--solver", "evolution"]) == 0
+    assert "condition" not in capsys.readouterr().out
+
+
 def test_unknown_circuit_exits_one(capsys):
     code = main(["ness", "--circuit", "nosuch", "--delta", "0"])
     assert code == 1

@@ -8,6 +8,7 @@ from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED, PhysicalityError,
                      make_pentagon, make_triangle_funnel, make_wire,
                      resistance, reverse_circuit, solve_ness_by_evolution,
                      solve_ness_direct)
+from dephnet.generator import _hermitian_coords, real_linear_system
 from dephnet.steady_state import (HERMITICITY_TOL, MIN_EIGENVALUE_TOL,
                                   POPULATION_TOL, SAMPLES_PER_WINDOW, WINDOW,
                                   _advance, _block, _check_physical,
@@ -97,10 +98,15 @@ def test_direct_strong_dephasing_reaches_kirchhoff_limit(suite_circuits):
 def test_direct_reports_backward_error_not_residual():
     # at strong dephasing populations reach ~1e4, so the absolute
     # residual sits far above rounding while the backward error does not
-    res = solve_ness_direct(assemble_generator(make_pentagon(), 1e4))
+    g = assemble_generator(make_pentagon(), 1e4)
+    res = solve_ness_direct(g)
     assert res.status == CONVERGED
     assert res.backward_error <= 1e-15
-    assert res.residual > 1e-9
+    a, b = real_linear_system(g)
+    y = _hermitian_coords(g.dim)[0](res.rho_ness)
+    scale = np.abs(a).sum(axis=1).max() * np.abs(y).max() + np.abs(b).max()
+    assert res.backward_error == pytest.approx(res.residual / scale, rel=1e-12)
+    assert res.backward_error < 1e-6 * res.residual
     evo = solve_ness_by_evolution(assemble_generator(make_wire(2), 1.0))
     assert evo.backward_error is None
 
