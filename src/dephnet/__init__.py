@@ -10,17 +10,16 @@ topology calibration searches (`calibrate`), the canned experiments
 from .errors import (CalibrationError, CalibrationNotRunError,
                      CircuitFileError, DephnetError, DimensionMismatchError,
                      GraphConstructionError, IndeterminateResultError,
-                     IntegrationError, NoSignChangeError, PhysicalityError,
+                     NoSignChangeError, PhysicalityError,
                      TrajectoryTooShortError, UnknownCircuitError,
-                     UnphysicalSolutionError, UnsupportedFormError,
-                     UsageError)
+                     UnphysicalSolutionError, UnsupportedFormError, UsageError)
 from .graphs import (Circuit, Graph, build_graph, laplacian_hamiltonian,
                      make_additivity_pair, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
                      reverse_circuit)
 from .generator import (EXPLICIT_BATH, REDUCED, Generator,
                         assemble_generator, apply_generator, clamp_bath,
-                        dephase, empty_state, real_linear_system)
+                        empty_state, real_linear_system)
 from .steady_state import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                            SteadyStateResult, Trajectory, detect_divergence,
                            evolve, solve_ness_by_evolution, solve_ness_direct)
@@ -49,8 +48,7 @@ __all__ = [
     "CalibrationTarget", "Circuit", "CircuitFileError", "CONVERGED",
     "DephnetError", "DimensionMismatchError", "DIVERGED", "EXPLICIT_BATH",
     "Generator", "Graph", "GraphConstructionError", "ILL_CONDITIONED",
-    "IndeterminateResultError",
-    "IntegrationError", "MAX_TIME_EXCEEDED", "NoSignChangeError",
+    "IndeterminateResultError", "MAX_TIME_EXCEEDED", "NoSignChangeError",
     "PhysicalityError", "PhysicalityReport", "REDUCED",
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",
     "TrajectoryTooShortError", "TransportReading", "UnknownCircuitError",
@@ -58,7 +56,7 @@ __all__ = [
     "additivity_experiment", "additivity_pair_search", "apply_generator",
     "assemble_generator", "build_graph", "builtin_names",
     "calibrate_topology", "clamp_bath", "conductance", "current_out",
-    "dephase", "dephasing_sweep", "detect_divergence", "empty_state",
+    "dephasing_sweep", "detect_divergence", "empty_state",
     "entropy_trace", "evolve", "find_conductance_peak", "find_ratio_crossing",
     "funnel_family", "funnel_ratio", "funnel_shortlist",
     "laplacian_hamiltonian", "load_builtin", "load_calibrated", "main",

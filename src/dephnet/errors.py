@@ -64,9 +64,5 @@ class TrajectoryTooShortError(DephnetError, ValueError):
     """Divergence detection needs at least two analysis windows."""
 
 
-class IntegrationError(DephnetError, RuntimeError):
-    """The ODE integrator failed (for example step-size underflow)."""
-
-
 class UsageError(DephnetError, ValueError):
     """Bad command line or config-file input."""

@@ -26,9 +26,8 @@ Both forms are written as dy/dt = a y + b over the dim^2 real
 coordinates y of a Hermitian state, by two independent constructions.
 real_linear_system writes the reduced form entry by entry; both
 solvers use it. _explicit_linear_system probes _apply_explicit on the
-coordinate basis; evolve integrates that system by RK45, an integrator
-independent of the reduced form's exact propagator, and acceptance
-criterion 13 compares the two.
+coordinate basis; evolve advances either system by the same exact
+propagator, so acceptance criterion 13 compares the two constructions.
 """
 from __future__ import annotations
 
@@ -254,9 +253,3 @@ def real_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     add_commutator(coord[split:], 0, -1.0)
     b = SOURCE_FLUX * (coord == g.circuit.source)  # X_ss is y[s]
     return a, b
-
-
-def dephase(rho: np.ndarray) -> np.ndarray:
-    """Project onto the position basis: keep the diagonal, zero the rest."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.diag(np.diag(rho))

@@ -8,9 +8,9 @@ device is insulating and piles up particles forever), or
 ``max-time-exceeded`` (evolution hit its cutoff without either
 verdict).
 
-scipy is imported where it is called, by the matrix exponential of
-the evolution solver and by the RK45 integrator, so a direct solve
-runs on numpy alone.
+scipy is imported where it is called, by the matrix exponential that
+both forms of evolve and the evolution solver propagate, so a direct
+solve runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    IntegrationError,
     PhysicalityError,
     TrajectoryTooShortError,
     UnphysicalSolutionError,
@@ -68,10 +67,6 @@ EIGENBASIS_ERROR_TOL = 1e-8
 #: detect_divergence compares the last two windows.
 WINDOW = 20.0
 SAMPLES_PER_WINDOW = 81
-
-#: Local error tolerances of the RK45 integrator of the explicit-bath form.
-RK45_RTOL = 1e-9
-RK45_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +198,10 @@ def _propagator(a: np.ndarray, b: np.ndarray, dt: float, steps: int):
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: the
-    explicit-bath form of evolve is its only user, so a process that
-    never integrates that form does not pay for the import. Kept at
-    module level under scipy's name so that bench/tracer.py can rebind
-    it."""
+    """scipy.integrate.solve_ivp, imported on the first call. No code of
+    the package calls it: both forms of evolve use the exact propagator.
+    It stays only because bench/tracer.py rebinds steady_state.solve_ivp
+    by name, and a traced benchmark run fails without it."""
     from scipy.integrate import solve_ivp as integrate
 
     return integrate(*args, **kwargs)
@@ -252,11 +246,11 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     propagator's power (see _advance). The explicit-bath form clamps
     the bath; that map is affine as well, and its system is probed from
     the map itself once per call (_explicit_linear_system), not taken
-    from real_linear_system. It is integrated on purpose by an explicit
-    embedded Runge-Kutta pair (RK45) to the local error tolerances
-    RK45_RTOL and RK45_ATOL, so that acceptance criterion 13 compares
-    two independent generator constructions and two independent
-    integrators.
+    from real_linear_system, then advanced the same way. Its bath rows
+    and columns are exactly zero, so every propagator step keeps the
+    bath coordinates exactly at their initial values (the pinned ones,
+    from empty_state). Acceptance criterion 13 compares the two
+    independent generator constructions.
 
     The returned trajectory is sampled on a uniform grid of `samples`
     points from 0 to t_end and each sampled state is checked against the
@@ -271,21 +265,9 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
         raise UsageError(f"samples must be positive, got {samples}")
     unpack = _hermitian_coords(g.dim)[1]
     t_eval = np.linspace(0.0, t_end, samples)
-    if g.form == REDUCED:
-        steps = samples - 1
-        step = _propagator(*real_linear_system(g), t_end / max(steps, 1), steps)
-        ys = _advance(*step, y0, steps)
-    else:
-        a, b = _explicit_linear_system(g)
-
-        def rhs(_t, y):
-            return a @ y + b
-
-        sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", t_eval=t_eval,
-                        rtol=RK45_RTOL, atol=RK45_ATOL)
-        if not sol.success:
-            raise IntegrationError(f"integrator failed: {sol.message}")
-        ys = sol.y.T
+    steps = samples - 1
+    system = real_linear_system(g) if g.form == REDUCED else _explicit_linear_system(g)
+    ys = _advance(*_propagator(*system, t_end / max(steps, 1), steps), y0, steps)
     states = unpack(ys)
     _check_physical(states, lambda i: f"at t={t_eval[i]:.6g}")
     return Trajectory(times=t_eval, states=states)

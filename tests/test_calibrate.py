@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from dephnet import (CalibrationError, CalibrationTarget,
-                     additivity_pair_search, calibrate_topology,
+from dephnet import (CalibrationError, CalibrationTarget, Circuit,
+                     additivity_pair_search, build_graph, calibrate_topology,
                      funnel_shortlist, make_pentagon, make_wire,
                      pentagon_family)
-from dephnet.calibrate import _canonical_key, _single_crossing
+from dephnet.calibrate import (_canonical_key, _in_additivity_window,
+                               _single_crossing)
 from dephnet.experiments import _resistance_at
 
 
@@ -79,6 +80,33 @@ def test_additivity_search_empty_below_needed_size():
     # deviation
     triples = additivity_pair_search(max_n=5)
     assert [t for t in triples if not t[2]] == []
+
+
+@pytest.mark.parametrize("r, inside", [
+    (1.75, True), (1.74, True), (1.76, True),
+    # the n = 7 pairs on the window's edge, as computed by the eigenbasis
+    # path (R_A, R_B) and by the former SVD path (an R_B)
+    (1.759999999999972, True), (1.7599999999999705, True),
+    (1.7600000000000087, True), (1.7599999999998868, True),
+    (1.7600000000000005, True),
+    (1.7600001, False), (1.7399999, False),
+    (math.inf, False), (math.nan, False),
+])
+def test_additivity_window_is_closed_up_to_rounding(r, inside):
+    assert _in_additivity_window(r) is inside
+
+
+@pytest.mark.parametrize("source, sink", [(5, 6), (2, 3)])
+def test_additivity_edge_pairs_are_in_window(source, sink):
+    # n = 7: R_A and R_B are 1.76 at delta = 0, the upper edge of the
+    # window, and the computed values fall on either side of it
+    edges_a = [(0, 1), (0, 2), (0, 4), (0, 5), (2, 3), (3, 6), (5, 6)]
+    a = Circuit(build_graph(7, edges_a), source, sink)
+    b = Circuit(build_graph(7, edges_a + [(1, 4)]), source, sink)
+    r_a, r_b = _resistance_at(a, 0.0), _resistance_at(b, 0.0)
+    assert r_b == pytest.approx(1.76, abs=1e-12)
+    assert r_a == pytest.approx(1.76, abs=1e-12)
+    assert _in_additivity_window(r_a) and _in_additivity_window(r_b)
 
 
 def test_funnel_shortlist_calibration_selects_frozen_device():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dephnet import (EXPLICIT_BATH, REDUCED, DimensionMismatchError,
                      GraphConstructionError, UnsupportedFormError,
-                     apply_generator, assemble_generator, clamp_bath, dephase,
+                     apply_generator, assemble_generator, clamp_bath,
                      empty_state, make_pentagon, make_wire,
                      real_linear_system)
 from dephnet.generator import (SOURCE_FLUX, _coordinate_pairs,
@@ -128,15 +128,3 @@ def test_explicit_matches_reduced_on_system_block():
         d_r = apply_generator(g_r, system)
         d_x = apply_generator(g_x, full)
         assert np.abs(d_r - d_x[:3, :3]).max() < 1e-12
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_dephase_idempotent_and_trace_preserving(seed):
-    rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng, 4, trace=1.0)
-    once = dephase(rho)
-    assert np.array_equal(once, dephase(once))
-    assert np.trace(once) == pytest.approx(np.trace(rho).real, abs=1e-12)
-    off = once - np.diag(np.diag(once))
-    assert np.abs(off).max() == 0.0

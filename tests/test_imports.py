@@ -1,7 +1,8 @@
 """scipy and networkx load on first use, not with the package: a direct
 solve runs on numpy alone, and the commands that do need them still
-work. Checked in a fresh interpreter, since this test session has
-imported both long before."""
+work. scipy.integrate never loads: both forms of evolve use the exact
+propagator of scipy.linalg.expm. Checked in a fresh interpreter, since
+this test session has imported all of them long before."""
 import json
 import os
 import subprocess
@@ -57,6 +58,6 @@ def test_scipy_and_networkx_load_only_where_called():
     assert "resistance   1.5\n" in report["ness_out"]
     assert report["after_ness"] == []
     assert report["evolve_trace"] > 0
-    assert report["integrate_loaded"]
+    assert not report["integrate_loaded"]
     assert report["calibrate_code"] == 0
     assert report["calibrate_out"] == ADDITIVITY_MAX_N_5

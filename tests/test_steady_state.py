@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED, PhysicalityError,
-                     Trajectory, TrajectoryTooShortError, UsageError,
-                     assemble_generator, detect_divergence, empty_state,
-                     evolve, laplacian_hamiltonian, make_parallel_circuit,
+from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
+                     PhysicalityError, Trajectory, TrajectoryTooShortError,
+                     UsageError, apply_generator, assemble_generator,
+                     detect_divergence, empty_state, evolve,
+                     laplacian_hamiltonian, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
                      resistance, reverse_circuit, solve_ness_by_evolution,
                      solve_ness_direct)
@@ -312,6 +313,34 @@ def test_blocked_advance_matches_plain_recurrence(steps):
         assert blocked.shape == plain.shape
         gap = np.abs(blocked - plain).max() / np.abs(plain).max()
         assert gap <= 1e-12, (m, gap)
+
+
+@pytest.mark.parametrize("circuit, delta, t_end, samples", [
+    (make_wire(3), 0.0, 20.0, 41),
+    (make_wire(3), 1.0, 20.0, 41),
+    (make_pentagon(), 1.0, 40.0, 81),
+    (make_triangle_funnel(), 1.0, 40.0, 81),
+], ids=["wire3-0", "wire3-1", "pentagon-1", "funnel-1"])
+def test_explicit_bath_evolve_matches_rk45_of_its_map(circuit, delta, t_end,
+                                                      samples):
+    """An integrator independent of the exact propagator: RK45 on the
+    explicit-bath map itself, over the flattened complex state."""
+    from scipy.integrate import solve_ivp
+
+    g = assemble_generator(circuit, delta, form=EXPLICIT_BATH)
+    dim = g.dim
+    rho0 = empty_state(g)
+    traj = evolve(g, rho0, t_end, samples=samples)
+
+    def rhs(_t, y):
+        return apply_generator(g, y.reshape(dim, dim)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, t_end), rho0.ravel(), method="RK45",
+                    t_eval=traj.times, rtol=1e-9, atol=1e-12)
+    assert sol.success, sol.message
+    rk45 = sol.y.T.reshape(samples, dim, dim)
+    gap = np.abs(traj.states - rk45).max()
+    assert gap <= 1e-8, f"{gap:.3e}"
 
 
 def _eigvalsh_check(states, where):
