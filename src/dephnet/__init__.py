@@ -23,22 +23,20 @@ from .generator import (EXPLICIT_BATH, REDUCED, Generator,
 from .steady_state import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                            SteadyStateResult, Trajectory, detect_divergence,
                            evolve, solve_ness_by_evolution, solve_ness_direct)
-from .observables import (PhysicalityReport, TransportReading, conductance,
-                          current_out, physicality_report,
-                          relative_entropy_coherence, resistance,
-                          transport_reading, voltage)
+from .observables import (conductance, current_out, relative_entropy_coherence,
+                          resistance, voltage)
 from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
 from .experiments import (ILL_CONDITIONED, SweepRecord, additivity_experiment,
                           dephasing_sweep, entropy_trace,
                           find_conductance_peak, find_ratio_crossing,
-                          funnel_ratio, pentagon_sweep, rectification_sweep,
+                          funnel_ratio, rectification_sweep, series_crossing,
                           sweep_branch_count)
 from .registry import (builtin_names, load_builtin, load_calibrated,
                        parse_circuit_file, parse_circuit_text,
                        resolve_circuit, write_circuit_file)
-from .output import AxesSpec, render_chart, write_records
+from .output import AxesSpec, render_chart, write_records, write_table
 from .cli import RunConfig, main, parse_config, parse_delta_grid
 
 __version__ = "0.1.0"
@@ -49,9 +47,9 @@ __all__ = [
     "DephnetError", "DimensionMismatchError", "DIVERGED", "EXPLICIT_BATH",
     "Generator", "Graph", "GraphConstructionError", "ILL_CONDITIONED",
     "IndeterminateResultError", "MAX_TIME_EXCEEDED", "NoSignChangeError",
-    "PhysicalityError", "PhysicalityReport", "REDUCED",
+    "PhysicalityError", "REDUCED",
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",
-    "TrajectoryTooShortError", "TransportReading", "UnknownCircuitError",
+    "TrajectoryTooShortError", "UnknownCircuitError",
     "UnphysicalSolutionError", "UnsupportedFormError", "UsageError",
     "additivity_experiment", "additivity_pair_search", "apply_generator",
     "assemble_generator", "build_graph", "builtin_names",
@@ -63,10 +61,9 @@ __all__ = [
     "make_additivity_pair", "make_parallel_circuit", "make_pentagon",
     "make_triangle_funnel", "make_wire", "parse_circuit_file",
     "parse_circuit_text", "parse_config", "parse_delta_grid",
-    "pentagon_family", "pentagon_sweep",
-    "physicality_report", "real_linear_system", "rectification_sweep",
+    "pentagon_family", "real_linear_system", "rectification_sweep",
     "relative_entropy_coherence", "render_chart", "resistance",
-    "resolve_circuit", "reverse_circuit", "solve_ness_by_evolution",
-    "solve_ness_direct", "sweep_branch_count", "transport_reading", "voltage",
-    "write_circuit_file", "write_records",
+    "resolve_circuit", "reverse_circuit", "series_crossing",
+    "solve_ness_by_evolution", "solve_ness_direct", "sweep_branch_count",
+    "voltage", "write_circuit_file", "write_records", "write_table",
 ]

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CalibrationError
-from .experiments import (_ratio_flips, _resistance_at, _series_ratio_fn,
-                          find_ratio_crossing, funnel_ratio)
+from .experiments import (_ratio_flips, _resistance_at, funnel_ratio,
+                          series_crossing)
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
 
 #: Enumeration bounds: desk scale, every shipped device fits.
@@ -79,11 +79,9 @@ def _single_crossing(c: Circuit) -> float | None:
     if not all(isfinite(r) and abs(r - 1.0) >= SYMMETRY_NOISE for r in ratios):
         return None
     series = list(zip(_CROSSING_GRID, ratios))
-    flips = _ratio_flips(series)
-    if len(flips) != 1:
+    if len(_ratio_flips(series)) != 1:
         return None
-    return find_ratio_crossing(flips[0], tol=1e-5,
-                               ratio_fn=_series_ratio_fn(series, c))
+    return series_crossing(series, c, tol=1e-5)
 
 
 def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:

@@ -23,16 +23,16 @@ import numpy as np
 from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
-from .errors import DephnetError, NoSignChangeError, UsageError
+from .errors import DephnetError, UsageError
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
                           LOG_GRID, _check_bisection, _ratio_flips,
-                          _series_ratio_fn, dephasing_sweep, entropy_trace,
-                          find_ratio_crossing, rectification_sweep,
-                          sweep_branch_count)
+                          dephasing_sweep, entropy_trace, rectification_sweep,
+                          series_crossing, sweep_branch_count)
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit
-from .observables import relative_entropy_coherence, transport_reading
-from .output import AxesSpec, render_chart, write_records
+from .observables import (conductance, current_out, relative_entropy_coherence,
+                          resistance, voltage)
+from .output import AxesSpec, render_chart, write_records, write_table
 from .registry import builtin_names, resolve_circuit
 from .steady_state import (CONVERGED, DIVERGED, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
@@ -61,12 +61,13 @@ class RunConfig:
     max_n: int = 6
     full: bool = False
     find_crossing: bool = False
-    bracket: str | None = None
+    bracket: tuple[float, float] | None = None
     crossing_tol: float = 1e-4
 
 
 def parse_delta_grid(text: str) -> tuple[float, ...]:
-    """Grid grammar: ``log:a:b:n``, ``lin:a:b:n``, or ``x1,x2,...``."""
+    """Grid grammar: ``log:a:b:n``, ``lin:a:b:n``, or ``x1,x2,...``;
+    every point must be a dephasing strength, finite and >= 0."""
     text = text.strip()
     if text.startswith(("log:", "lin:")):
         kind, *rest = text.split(":")
@@ -81,25 +82,41 @@ def parse_delta_grid(text: str) -> tuple[float, ...]:
         if kind == "log":
             if start <= 0 or stop <= 0:
                 raise UsageError("log grid endpoints must be positive")
-            return tuple(np.logspace(math.log10(start), math.log10(stop),
-                                     count))
-        return tuple(np.linspace(start, stop, count))
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad delta grid {text!r}: {exc}") from exc
-    if not values:
-        raise UsageError("empty delta grid")
+            values = tuple(np.logspace(math.log10(start), math.log10(stop),
+                                       count))
+        else:
+            values = tuple(np.linspace(start, stop, count))
+    else:
+        try:
+            values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        except ValueError as exc:
+            raise UsageError(f"bad number list {text!r}: {exc}") from exc
+        if not values:
+            raise UsageError("empty delta grid")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise UsageError(f"dephasing strengths must be finite and >= 0, "
+                         f"got {text!r}")
     return values
 
 
-def _grid_option(text: str) -> tuple[float, ...]:
-    # argparse reports an ArgumentTypeError with its own message, and any
-    # other ValueError, UsageError included, as a bare "invalid value"
-    try:
-        return parse_delta_grid(text)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _parse_bracket(text: str) -> tuple[float, float]:
+    """``lo,hi``: a grid of two dephasing strengths with lo < hi."""
+    bracket = parse_delta_grid(text)
+    if len(bracket) != 2 or not bracket[0] < bracket[1]:
+        raise UsageError(f"bracket {text!r} is not LO,HI with LO < HI")
+    return bracket
+
+
+def _option_type(parse):
+    """argparse type of a parser that raises UsageError. argparse
+    reports an ArgumentTypeError with its own message, and any other
+    ValueError, UsageError included, as a bare "invalid value"."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 #: argparse keywords of every option, keyed by its RunConfig field; the
@@ -109,7 +126,7 @@ _OPTIONS = {
                     help="builtin circuit name (%s) or a .circuit file path"
                          % ", ".join(builtin_names())),
     "delta": dict(type=float, help="pure-dephasing rate on every site"),
-    "delta_grid": dict(type=_grid_option,
+    "delta_grid": dict(type=_option_type(parse_delta_grid),
                        help="dephasing grid: log:a:b:n, lin:a:b:n, or "
                             "x1,x2,..."),
     "solver": dict(choices=("direct", "evolution"),
@@ -128,7 +145,7 @@ _OPTIONS = {
     "find_crossing": dict(action="store_true",
                           help="bisect for the dephasing strength where the "
                                "forward/reverse ratio crosses 1"),
-    "bracket": dict(metavar="LO,HI",
+    "bracket": dict(type=_option_type(_parse_bracket), metavar="LO,HI",
                     help="search bracket for --find-crossing, in place of "
                          "the first sign change on the grid"),
     "crossing_tol": dict(type=float,
@@ -254,12 +271,6 @@ def _maybe_chart(cfg: RunConfig, rows, axes: AxesSpec, csv_path: Path) -> None:
         print(f"chart  {chart}")
 
 
-def _write_series_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(f"{v:.16e}" for v in row) for row in rows)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -283,12 +294,11 @@ def _cmd_ness(cfg: RunConfig) -> int:
     if res.condition is not None:
         print(f"condition       {res.condition:.3e}")
     if res.status == CONVERGED:
-        reading = transport_reading(res, c)
         rho = res.rho_ness
-        print(f"current      {reading.current:.12g}")
-        print(f"voltage      {reading.voltage:.12g}")
-        print(f"resistance   {reading.resistance:.12g}")
-        print(f"conductance  {reading.conductance:.12g}")
+        print(f"current      {current_out(rho, c):.12g}")
+        print(f"voltage      {voltage(rho, c):.12g}")
+        print(f"resistance   {resistance(res, c):.12g}")
+        print(f"conductance  {conductance(res, c):.12g}")
         print(f"sink population  {rho[c.sink, c.sink].real:.12g}")
         print(f"coherence        {relative_entropy_coherence(rho):.12g}")
         return 0
@@ -314,13 +324,13 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     g = assemble_generator(c, _require(cfg, "delta"))
     traj = evolve(g, _initial_state(cfg, g, c), _require(cfg, "t_end"),
                   samples=cfg.samples)
-    rows = []
-    for t, rho in zip(traj.times, traj.states):
-        rows.append((t, np.trace(rho).real, rho[c.source, c.source].real,
-                     rho[c.sink, c.sink].real, relative_entropy_coherence(rho)))
+    rows = [(t, trace, rho[c.source, c.source].real, rho[c.sink, c.sink].real,
+             relative_entropy_coherence(rho))
+            for t, trace, rho in zip(traj.times, traj.trace_series, traj.states)]
     if cfg.out:
         path = Path(cfg.out)
-        _write_series_csv(path, "t,trace,source_pop,sink_pop,coherence", rows)
+        write_table(rows, ("t", "trace", "source_pop", "sink_pop", "coherence"),
+                    path)
         print(f"wrote  {path}")
     final = rows[-1]
     print(f"t_end        {final[0]:g}")
@@ -360,17 +370,11 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
 
 def _cmd_rectify(cfg: RunConfig) -> int:
     c = resolve_circuit(cfg.circuit) if cfg.circuit else None
-    deltas = cfg.delta_grid
-    # bisection settings are checked before the sweep, the slow part
-    bracket = None
+    # the tolerance is checked before the sweep, the slow part; the
+    # bracket was checked while parsing
     if cfg.find_crossing:
-        if cfg.bracket:
-            try:
-                lo, hi = bracket = tuple(float(t) for t in cfg.bracket.split(","))
-            except ValueError as exc:
-                raise UsageError(f"--bracket expects LO,HI: {exc}") from exc
-        _check_bisection(bracket, cfg.crossing_tol)
-    records, series = rectification_sweep(deltas, circuit=c)
+        _check_bisection(None, cfg.crossing_tol)
+    records, series = rectification_sweep(cfg.delta_grid, circuit=c)
     path = Path(cfg.out)
     write_records(records, path)
     print(f"wrote  {path} ({len(records)} rows)")
@@ -380,18 +384,11 @@ def _cmd_rectify(cfg: RunConfig) -> int:
         y_label="forward R / reverse R", title="Rectification ratio",
         log_x=True, guideline_y=1.0), path)
 
-    flips = _ratio_flips(series)
-    for lo, hi in flips:
+    for lo, hi in _ratio_flips(series):
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
     if not cfg.find_crossing:
         return 0
-    if bracket is None:
-        if not flips:
-            raise NoSignChangeError("the ratio does not cross 1 on the grid; "
-                                    "give an explicit --bracket")
-        bracket = flips[0]
-    crossing = find_ratio_crossing(bracket, tol=cfg.crossing_tol,
-                                   ratio_fn=_series_ratio_fn(series, c))
+    crossing = series_crossing(series, c, cfg.bracket, cfg.crossing_tol)
     print(f"crossing  {crossing:.6f}")
     return 0
 
@@ -400,7 +397,7 @@ def _cmd_entropy_trace(cfg: RunConfig) -> int:
     c = resolve_circuit(_require(cfg, "circuit"))
     times, values = entropy_trace(c, cfg.delta, cfg.t_end, cfg.samples)
     path = Path(cfg.out)
-    _write_series_csv(path, "t,coherence", zip(times, values))
+    write_table(zip(times, values), ("t", "coherence"), path)
     print(f"wrote  {path} ({len(times)} samples)")
     rows = [{"t": t, "coherence": v} for t, v in zip(times, values)]
     _maybe_chart(cfg, rows, AxesSpec(

@@ -19,7 +19,6 @@ from .graphs import (
     Circuit,
     make_additivity_pair,
     make_parallel_circuit,
-    make_pentagon,
     make_triangle_funnel,
     reverse_circuit,
 )
@@ -180,16 +179,6 @@ def dephasing_sweep(c: Circuit, deltas: Sequence[float] = (0.0,) + LOG_GRID,
     return _run_points([(c, float(d), "forward", None) for d in deltas])
 
 
-def pentagon_sweep(deltas: Sequence[float] = (0.0,) + LOG_GRID,
-                   ) -> list[SweepRecord]:
-    """R(delta) for the canonical pentagon; the grid must include 0,
-    where the device is insulating and the row carries the diverged
-    status."""
-    if 0.0 not in tuple(deltas):
-        raise UsageError("pentagon sweep must include delta = 0")
-    return dephasing_sweep(make_pentagon(), deltas)
-
-
 def rectification_sweep(deltas: Sequence[float] = LOG_GRID,
                         circuit: Circuit | None = None,
                         ) -> tuple[list[SweepRecord], list[tuple[float, float]]]:
@@ -215,17 +204,6 @@ def funnel_ratio(delta: float, circuit: Circuit | None = None) -> float:
     forward = circuit if circuit is not None else make_triangle_funnel("forward")
     return _ratio(_resistance_at(forward, delta),
                   _resistance_at(reverse_circuit(forward), delta))
-
-
-def _series_ratio_fn(series: Sequence[tuple[float, float]],
-                     circuit: Circuit | None = None,
-                     ) -> Callable[[float], float]:
-    """A ratio_fn for find_ratio_crossing that reads the ratio from a
-    (delta, ratio) series where it holds the delta, so bracket ends
-    taken from the series are not solved again, and calls funnel_ratio
-    anywhere else."""
-    known = dict(series)
-    return lambda d: known[d] if d in known else funnel_ratio(d, circuit)
 
 
 def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
@@ -274,6 +252,30 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def series_crossing(series: Sequence[tuple[float, float]],
+                    circuit: Circuit | None = None,
+                    bracket: tuple[float, float] | None = None,
+                    tol: float = 1e-4) -> float:
+    """Where the ratio of `circuit` (by default the calibrated funnel)
+    crosses 1, bisected from `bracket` or else from the first sign
+    change of its (delta, ratio) series. Ratios the series holds, such
+    as the bracket ends it gave, are read from it and not solved again.
+
+    Raises NoSignChangeError if no bracket is given and the series does
+    not cross 1, or as find_ratio_crossing does.
+    """
+    if bracket is None:
+        flips = _ratio_flips(series)
+        if not flips:
+            raise NoSignChangeError("the ratio does not cross 1 on the grid; "
+                                    "give an explicit --bracket")
+        bracket = flips[0]
+    known = dict(series)
+    return find_ratio_crossing(
+        bracket, tol,
+        lambda d: known[d] if d in known else funnel_ratio(d, circuit))
 
 
 def entropy_trace(c: Circuit, delta: float, t_end: float,

@@ -8,37 +8,19 @@ difference and conductance its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndeterminateResultError, PhysicalityError
 from .generator import GAMMA_BATH, SOURCE_FLUX
 from .graphs import Circuit
-from .steady_state import (CONVERGED, DIVERGED, HERMITICITY_TOL,
-                           MAX_TIME_EXCEEDED, MIN_EIGENVALUE_TOL,
-                           SteadyStateResult)
+from .steady_state import (DIVERGED, HERMITICITY_TOL, MAX_TIME_EXCEEDED,
+                           MIN_EIGENVALUE_TOL, SteadyStateResult)
 
 #: Eigenvalues below this are treated as exact zeros (0 ln 0 = 0).
 EIGENVALUE_FLOOR = 1e-12
 #: Numerical noise allowance before clipping the entropy to zero.
 ENTROPY_CLIP = -1e-9
-
-
-@dataclass(frozen=True)
-class TransportReading:
-    current: float
-    voltage: float
-    resistance: float
-    conductance: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class PhysicalityReport:
-    hermiticity_deviation: float
-    min_eigenvalue: float
-    trace: float
 
 
 def current_out(rho: np.ndarray, c: Circuit) -> float:
@@ -72,22 +54,6 @@ def conductance(res: SteadyStateResult, c: Circuit) -> float:
     return math.inf if r == 0 else 1.0 / r
 
 
-def transport_reading(res: SteadyStateResult, c: Circuit) -> TransportReading:
-    if res.status == CONVERGED:
-        return TransportReading(
-            current=current_out(res.rho_ness, c),
-            voltage=voltage(res.rho_ness, c),
-            resistance=resistance(res, c),
-            conductance=conductance(res, c),
-            converged=True,
-        )
-    # divergence is a physical verdict, kept as tagged non-finite values
-    return TransportReading(current=math.nan, voltage=math.nan,
-                            resistance=resistance(res, c),
-                            conductance=conductance(res, c),
-                            converged=False)
-
-
 def relative_entropy_coherence(rho: np.ndarray) -> float:
     """S(rho || sigma) with sigma the dephased (diagonal) counterpart.
 
@@ -116,14 +82,3 @@ def _sum_x_ln_x(values: np.ndarray) -> float:
     kept = values[values > EIGENVALUE_FLOOR]
     return float(np.sum(kept * np.log(kept)))
 
-
-def physicality_report(rho: np.ndarray) -> PhysicalityReport:
-    """Hermiticity deviation, smallest eigenvalue, and trace of a state."""
-    rho = np.asarray(rho, dtype=complex)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    sym = 0.5 * (rho + rho.conj().T)
-    return PhysicalityReport(
-        hermiticity_deviation=herm,
-        min_eigenvalue=float(np.linalg.eigvalsh(sym).min()),
-        trace=float(np.trace(rho).real),
-    )

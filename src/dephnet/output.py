@@ -1,4 +1,5 @@
-"""Record serialization (CSV) and static SVG line charts.
+"""CSV files, of sweep records and of numeric tables such as
+trajectories, and static SVG line charts.
 
 CSV is the data interface: full-precision scientific notation, UTF-8,
 LF endings, byte-identical across repeated runs on the same records.
@@ -41,7 +42,17 @@ def _record_row(rec) -> str:
 def write_records(records: Sequence, path) -> None:
     """Write sweep records as CSV (records come pre-sorted by their
     canonical key; order is preserved)."""
-    lines = [CSV_HEADER] + [_record_row(r) for r in records]
+    _write_lines([CSV_HEADER] + [_record_row(r) for r in records], path)
+
+
+def write_table(rows, columns: Sequence[str], path) -> None:
+    """Write rows of numbers, such as a trajectory's samples, as CSV
+    under a header of column names."""
+    _write_lines([",".join(columns)]
+                 + [",".join(_fmt(v) for v in row) for row in rows], path)
+
+
+def _write_lines(lines: Sequence[str], path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -253,21 +253,22 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     independent generator constructions.
 
     The returned trajectory is sampled on a uniform grid of `samples`
-    points from 0 to t_end and each sampled state is checked against the
-    density-matrix invariants (smallest eigenvalue above -1e-8,
-    populations non-negative), by Cholesky factorization where that
-    settles positivity and by eigenvalues otherwise (see _check_physical).
+    >= 2 points from 0 to t_end and each sampled state is checked
+    against the density-matrix invariants (smallest eigenvalue above
+    -1e-8, populations non-negative), by Cholesky factorization where
+    that settles positivity and by eigenvalues otherwise (see
+    _check_physical).
     """
     y0 = _initial_coords(g, rho0)
     if not 0 < t_end < np.inf:
         raise UsageError(f"t_end must be positive and finite, got {t_end}")
-    if samples < 1:
-        raise UsageError(f"samples must be positive, got {samples}")
+    if samples < 2:
+        raise UsageError(f"samples must be at least 2, got {samples}")
     unpack = _hermitian_coords(g.dim)[1]
     t_eval = np.linspace(0.0, t_end, samples)
     steps = samples - 1
     system = real_linear_system(g) if g.form == REDUCED else _explicit_linear_system(g)
-    ys = _advance(*_propagator(*system, t_end / max(steps, 1), steps), y0, steps)
+    ys = _advance(*_propagator(*system, t_end / steps, steps), y0, steps)
     states = unpack(ys)
     _check_physical(states, lambda i: f"at t={t_eval[i]:.6g}")
     return Trajectory(times=t_eval, states=states)

@@ -132,3 +132,21 @@ def test_single_crossing_rejects_symmetric_and_recrossing_devices():
     assert _single_crossing(shortlist["kite-lead"]) is None  # two crossings
     crossing = _single_crossing(shortlist["triangle"])
     assert crossing == pytest.approx(0.22512, abs=5e-4)
+
+
+def test_single_crossing_solves_each_point_once(monkeypatch):
+    # the bisection reads its bracket ends from the probe grid's ratios
+    import dephnet.experiments as experiments
+    solved = []
+    solve = experiments.solve_ness_direct
+
+    def counting_solve(g):
+        c = g.circuit
+        solved.append((c.graph.edges, c.source, c.sink, float(g.delta)))
+        return solve(g)
+
+    monkeypatch.setattr(experiments, "solve_ness_direct", counting_solve)
+    triangle = {c.label: c for c in funnel_shortlist()}["triangle"]
+    assert _single_crossing(triangle) == pytest.approx(0.22512, abs=5e-4)
+    assert len(solved) > 2 * 25
+    assert len(solved) == len(set(solved))

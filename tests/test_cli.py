@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -42,10 +43,22 @@ def test_parse_delta_grid_linear_and_list():
     "lin:a:1:5",          # non-numeric bound
     "one,two",            # non-numeric list
     "",                   # nothing at all
+    "1,2,-1",             # negative dephasing strength
+    "lin:-1:1:3",         # grid reaching below zero
+    "1,nan",              # not a number
 ])
 def test_parse_delta_grid_rejects(text):
     with pytest.raises(UsageError):
         parse_delta_grid(text)
+
+
+def test_parse_bracket_is_a_pair_of_floats(tmp_path):
+    cfg = parse_config(["rectify", "--bracket", "0.1,0.5"])
+    assert cfg.bracket == (0.1, 0.5)
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("bracket: 0, 0.2\n")
+    assert parse_config(["rectify", "--config", str(cfgfile)]).bracket == (0.0, 0.2)
+    assert parse_config(["rectify"]).bracket is None
 
 
 def test_unknown_flag_is_usage_error():
@@ -260,12 +273,27 @@ def test_missing_required_flag_exits_one(capsys):
     ["ness", "--circuit", "wire2", "--delta", "nan"],
     ["ness", "--circuit", "wire2", "--delta", "inf"],
     ["sweep-dephasing", "--circuit", "wire2", "--delta-grid", "1,nan"],
+    ["evolve", "--circuit", "wire2", "--delta", "1", "--t-end", "1",
+     "--samples", "1"],
+    ["entropy-trace", "--circuit", "wire2", "--samples", "1"],
 ], ids=["negative-t-end", "zero-samples", "zero-tol", "nan-delta",
-        "inf-delta", "nan-in-grid"])
+        "inf-delta", "nan-in-grid", "one-sample-evolve", "one-sample-trace"])
 def test_bad_numbers_exit_one(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(("usage error: ", "error: "))
+
+
+def test_ness_prints_readme_block(capsys):
+    # README's example, read from the document so the two cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("$ dephnet ness --circuit wire2 --delta 1\n")[1]
+    block = block.split("```")[0]
+    assert block.startswith("circuit   wire2\n")
+    assert block.endswith("coherence        0.2411198428\n")
+    assert len(block.splitlines()) == 13
+    assert main(["ness", "--circuit", "wire2", "--delta", "1"]) == 0
+    assert capsys.readouterr().out == block
 
 
 def test_evolve_writes_trajectory(tmp_path, capsys):
@@ -381,6 +409,21 @@ def test_rectify_rejects_bisection_settings_before_sweeping(
     captured = capsys.readouterr()
     assert code == 1
     assert "usage error" in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "rectification.csv").exists()
+
+
+@pytest.mark.parametrize("bracket", ["1,0.5", "0.2,0.2", "x", "0.1,0.2,0.3",
+                                     "-1,0.5", "0.1,inf"])
+def test_rectify_rejects_malformed_bracket_without_find_crossing(
+        tmp_path, monkeypatch, capsys, bracket):
+    # --bracket is parsed with the other flags, so a bad one is refused
+    # even when no crossing is searched for
+    monkeypatch.chdir(tmp_path)
+    code = main(["rectify", "--delta-grid", "0.1,0.5", "--bracket", bracket])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("usage error: argument --bracket")
     assert "wrote" not in captured.out
     assert not (tmp_path / "rectification.csv").exists()
 

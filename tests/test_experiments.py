@@ -7,7 +7,7 @@ from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      UnphysicalSolutionError, UsageError,
                      additivity_experiment, dephasing_sweep, entropy_trace,
                      find_conductance_peak, find_ratio_crossing,
-                     funnel_ratio, make_pentagon, make_wire, pentagon_sweep,
+                     funnel_ratio, make_pentagon, make_wire,
                      rectification_sweep, sweep_branch_count)
 from dephnet.experiments import ENTROPY_T_END
 
@@ -58,10 +58,9 @@ def test_dephasing_sweep_single_circuit():
         dephasing_sweep(make_wire(2), deltas=())
 
 
-def test_pentagon_sweep_requires_zero_point():
-    with pytest.raises(UsageError):
-        pentagon_sweep(deltas=(0.5, 1.0))
-    records = pentagon_sweep(deltas=(0.0, 0.5))
+def test_dephasing_sweep_keeps_diverged_row():
+    # the pentagon insulates at delta = 0: a verdict recorded as a row
+    records = dephasing_sweep(make_pentagon(), deltas=(0.0, 0.5))
     by_delta = {r.delta: r for r in records}
     assert by_delta[0.0].status == DIVERGED
     assert by_delta[0.0].R == math.inf

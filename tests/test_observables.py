@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                      IndeterminateResultError, PhysicalityError,
-                     SteadyStateResult, assemble_generator, conductance,
-                     current_out, make_wire, physicality_report,
-                     relative_entropy_coherence, resistance,
-                     solve_ness_direct, transport_reading, voltage)
+                     SteadyStateResult, conductance, current_out, make_wire,
+                     relative_entropy_coherence, resistance, voltage)
 from conftest import random_density_matrix
 
 
@@ -38,25 +36,6 @@ def test_conductance_conventions():
     assert conductance(_result(DIVERGED), c) == 0.0
     zero_drop = np.diag([0.5, 0.5]).astype(complex)
     assert conductance(_result(CONVERGED, zero_drop), c) == math.inf
-
-
-def test_transport_reading_diverged_row():
-    c = make_wire(2)
-    reading = transport_reading(_result(DIVERGED), c)
-    assert reading.resistance == math.inf
-    assert reading.conductance == 0.0
-    assert math.isnan(reading.current)
-    assert not reading.converged
-
-
-def test_transport_reading_converged():
-    c = make_wire(2)
-    res = solve_ness_direct(assemble_generator(c, 0.5))
-    reading = transport_reading(res, c)
-    assert reading.converged
-    assert reading.current == pytest.approx(1.0, abs=1e-10)
-    assert reading.resistance == pytest.approx(1.0, abs=1e-10)
-    assert reading.conductance == pytest.approx(1.0, abs=1e-10)
 
 
 def test_entropy_zero_for_diagonal_states():
@@ -98,10 +77,3 @@ def test_entropy_invariant_under_site_relabeling(seed, perm):
 def test_entropy_tolerates_tiny_negative_eigenvalues():
     rho = np.diag([1.0, -1e-9, 0.0]).astype(complex)
     assert relative_entropy_coherence(rho) == 0.0
-
-
-def test_physicality_report_fields():
-    report = physicality_report(np.array([[0.5, 0.1j], [-0.1j, 0.5]]))
-    assert report.hermiticity_deviation == 0.0
-    assert report.trace == pytest.approx(1.0)
-    assert report.min_eigenvalue == pytest.approx(0.4, abs=1e-12)

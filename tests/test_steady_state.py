@@ -39,6 +39,10 @@ def test_evolve_validates_input():
     g = assemble_generator(make_wire(2), 0.0)
     with pytest.raises(ValueError):
         evolve(g, empty_state(g), -1.0)
+    # one sample would be the initial state alone, never t_end
+    for samples in (0, 1):
+        with pytest.raises(UsageError, match="at least 2"):
+            evolve(g, empty_state(g), 1.0, samples=samples)
     with pytest.raises(PhysicalityError, match="Hermitian"):
         evolve(g, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
