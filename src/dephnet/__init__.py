@@ -28,10 +28,10 @@ from .observables import (conductance, current_out, relative_entropy_coherence,
 from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
-from .experiments import (ILL_CONDITIONED, SweepRecord, additivity_experiment,
-                          dephasing_sweep, entropy_trace,
-                          find_conductance_peak, find_ratio_crossing,
-                          funnel_ratio, rectification_sweep, series_crossing,
+from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
+                          entropy_trace, find_conductance_peak,
+                          find_ratio_crossing, funnel_ratio,
+                          rectification_sweep, series_crossing,
                           sweep_branch_count)
 from .registry import (builtin_names, load_builtin, load_calibrated,
                        parse_circuit_file, parse_circuit_text,
@@ -45,9 +45,8 @@ __all__ = [
     "AxesSpec", "CalibrationError", "CalibrationNotRunError",
     "CalibrationTarget", "Circuit", "CircuitFileError", "CONVERGED",
     "DephnetError", "DimensionMismatchError", "DIVERGED", "EXPLICIT_BATH",
-    "Generator", "Graph", "GraphConstructionError", "ILL_CONDITIONED",
-    "IndeterminateResultError", "MAX_TIME_EXCEEDED", "NoSignChangeError",
-    "PhysicalityError", "REDUCED",
+    "Generator", "Graph", "GraphConstructionError", "IndeterminateResultError",
+    "MAX_TIME_EXCEEDED", "NoSignChangeError", "PhysicalityError", "REDUCED",
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",
     "TrajectoryTooShortError", "UnknownCircuitError",
     "UnphysicalSolutionError", "UnsupportedFormError", "UsageError",

@@ -13,7 +13,7 @@ atlas, so importing the package does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, isnan
+from math import inf, isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,9 +85,8 @@ def _single_crossing(c: Circuit) -> float | None:
 
 
 def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:
-    """(matches, solvable) for one candidate against one target. A
-    divergence target matches only R = inf; R = nan, past the solver's
-    conditioning limit, is no verdict and counts as unsolvable."""
+    """(matches, solvable) for one candidate against one target; an
+    insulating device leaves a finite target unsolvable."""
     if target.observable == "resistance":
         r = _resistance_at(c, target.delta)
         if not isfinite(r):
@@ -95,7 +94,7 @@ def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:
         return abs(r - target.value) <= target.tolerance, True
     if target.observable == "divergence":
         r = _resistance_at(c, target.delta)
-        return r == inf, not isnan(r)
+        return r == inf, True
     if target.observable == "ratio-at":
         ratio = funnel_ratio(target.delta, c)
         if not isfinite(ratio):
@@ -124,8 +123,8 @@ def calibrate_topology(family: Iterable[Circuit],
 
     Raises CalibrationError for an empty family, a malformed target, or
     a target that every single candidate fails by being insulating (for
-    a finite observable) or past the solver's conditioning limit (an
-    unsolvable target for this family).
+    a finite observable: an unsolvable target for this family), and
+    UnphysicalSolutionError where the direct solver refuses a probe.
     """
     candidates = list(family)
     if not candidates:
@@ -147,8 +146,7 @@ def calibrate_topology(family: Iterable[Circuit],
     if not any(solvable for _, solvable in outcomes):
         raise CalibrationError(
             "unsolvable target: every candidate in the family is insulating "
-            "or past the solver's conditioning limit at the probed "
-            "dephasing strength")
+            "at the probed dephasing strength")
     matches = [c for c, (ok, _) in zip(candidates, outcomes) if ok]
     return sorted(matches, key=_canonical_key)
 

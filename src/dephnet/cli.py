@@ -24,10 +24,11 @@ from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
 from .errors import DephnetError, UsageError
-from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
-                          LOG_GRID, _check_bisection, _ratio_flips,
-                          dephasing_sweep, entropy_trace, rectification_sweep,
-                          series_crossing, sweep_branch_count)
+from .experiments import (BRANCH_DELTAS, CROSSING_TOL, DEFAULT_M_MAX,
+                          ENTROPY_T_END, LOG_GRID, _check_bisection,
+                          _ratio_flips, dephasing_sweep, entropy_trace,
+                          rectification_sweep, series_crossing,
+                          sweep_branch_count)
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit
 from .observables import (conductance, current_out, relative_entropy_coherence,
@@ -62,7 +63,7 @@ class RunConfig:
     full: bool = False
     find_crossing: bool = False
     bracket: tuple[float, float] | None = None
-    crossing_tol: float = 1e-4
+    crossing_tol: float | None = None
 
 
 def parse_delta_grid(text: str) -> tuple[float, ...]:
@@ -149,7 +150,8 @@ _OPTIONS = {
                     help="search bracket for --find-crossing, in place of "
                          "the first sign change on the grid"),
     "crossing_tol": dict(type=float,
-                         help="bracket width at which bisection stops"),
+                         help="bracket width at which bisection stops "
+                              "(default %g)" % CROSSING_TOL),
     "out": dict(metavar="CSV", help="CSV output path"),
     "plot": dict(action="store_true",
                  help="also write an SVG chart next to the CSV"),
@@ -370,10 +372,13 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
 
 def _cmd_rectify(cfg: RunConfig) -> int:
     c = resolve_circuit(cfg.circuit) if cfg.circuit else None
-    # the tolerance is checked before the sweep, the slow part; the
-    # bracket was checked while parsing
+    # the bisection settings are checked before the sweep, the slow
+    # part; the bracket's own values were checked while parsing
+    tol = CROSSING_TOL if cfg.crossing_tol is None else cfg.crossing_tol
     if cfg.find_crossing:
-        _check_bisection(None, cfg.crossing_tol)
+        _check_bisection(None, tol)
+    elif cfg.bracket is not None or cfg.crossing_tol is not None:
+        raise UsageError("--bracket and --crossing-tol need --find-crossing")
     records, series = rectification_sweep(cfg.delta_grid, circuit=c)
     path = Path(cfg.out)
     write_records(records, path)
@@ -388,7 +393,7 @@ def _cmd_rectify(cfg: RunConfig) -> int:
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
     if not cfg.find_crossing:
         return 0
-    crossing = series_crossing(series, c, cfg.bracket, cfg.crossing_tol)
+    crossing = series_crossing(series, c, cfg.bracket, tol)
     print(f"crossing  {crossing:.6f}")
     return 0
 

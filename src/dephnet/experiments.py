@@ -1,9 +1,11 @@
 """Scripted parameter sweeps: branch counts, dephasing grids, the
 one-extra-edge pair, and the rectification crossing.
 
-Sweep points are solved one after another; the emitted records are
-sorted by (circuit label, delta, direction, branches), whatever order
-the points were given in.
+Sweep points are solved one after another by the direct solver; the
+emitted records are sorted by (circuit label, delta, direction,
+branches), whatever order the points were given in. A point the direct
+solver refuses raises its UnphysicalSolutionError, which ends the sweep,
+ratio or search that asked for it.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError, UnphysicalSolutionError, UsageError
+from .errors import NoSignChangeError, UsageError
 from .generator import assemble_generator, empty_state
 from .graphs import (
     Circuit,
@@ -23,8 +25,7 @@ from .graphs import (
     reverse_circuit,
 )
 from .observables import conductance, relative_entropy_coherence, resistance
-from .steady_state import (CONVERGED, SteadyStateResult, evolve,
-                           solve_ness_direct)
+from .steady_state import CONVERGED, evolve, solve_ness_direct
 
 #: Dephasing strengths for branch-count sweeps.
 BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
@@ -32,16 +33,16 @@ BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 #: sharp small-delta features and the classical tail.
 LOG_GRID = tuple(np.logspace(-3.0, math.log10(50.0), 40))
 DEFAULT_M_MAX = 10
+#: Bracket width at which the crossing bisection stops by default.
+CROSSING_TOL = 1e-4
 #: Model time of the coherence traces, long enough to pass the peak.
 ENTROPY_T_END = 25.0
-#: Status of a sweep point whose stationary system is singular to
-#: working precision: neither R nor G is known.
-ILL_CONDITIONED = "ill-conditioned"
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (circuit, delta, direction) measurement row."""
+    """One (circuit, delta, direction) measurement row: R is finite for
+    a converged point and inf for an insulating one."""
 
     circuit_label: str
     delta: float
@@ -53,8 +54,10 @@ class SweepRecord:
     status: str
 
     def __post_init__(self):
-        if (self.status == CONVERGED) != math.isfinite(self.R):
-            raise ValueError("status converged must coincide with finite R")
+        if not (math.isfinite(self.R) if self.status == CONVERGED
+                else self.R == math.inf):
+            raise ValueError("R must be finite for status converged and "
+                             "inf otherwise")
 
 
 def _sort_key(rec: SweepRecord):
@@ -62,21 +65,9 @@ def _sort_key(rec: SweepRecord):
             -1 if rec.branches is None else rec.branches)
 
 
-def _solve(c: Circuit, delta: float) -> SteadyStateResult | None:
-    """Direct solve; None past the conditioning limit, where the solver
-    gives no verdict. The one place a sweep or ratio solve meets
-    UnphysicalSolutionError, so one such point never aborts a sweep."""
-    try:
-        return solve_ness_direct(assemble_generator(c, delta))
-    except UnphysicalSolutionError:
-        return None
-
-
 def _resistance_at(c: Circuit, delta: float) -> float:
-    """R by direct solve: inf for an insulating device (a verdict), nan
-    past the conditioning limit (no verdict)."""
-    res = _solve(c, delta)
-    return math.nan if res is None else resistance(res, c)
+    """R by direct solve: inf for an insulating device (a verdict)."""
+    return resistance(solve_ness_direct(assemble_generator(c, delta)), c)
 
 
 def _ratio(r_forward: float, r_reverse: float) -> float:
@@ -110,10 +101,7 @@ def _measure(c: Circuit, delta: float, direction: str = "forward",
              branches: int | None = None) -> SweepRecord:
     point = dict(circuit_label=c.label or "circuit", delta=float(delta),
                  direction=direction, branches=branches)
-    res = _solve(c, delta)
-    if res is None:
-        return SweepRecord(**point, R=math.nan, G=math.nan, coherence=None,
-                           status=ILL_CONDITIONED)
+    res = solve_ness_direct(assemble_generator(c, delta))
     coherence = None
     if res.converged:
         coherence = relative_entropy_coherence(res.rho_ness)
@@ -146,10 +134,6 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
     """
     recs = sweep_branch_count(m_max, deltas=(delta,),
                               branch_length=branch_length)
-    if any(r.status == ILL_CONDITIONED for r in recs):
-        raise UnphysicalSolutionError(
-            f"branch sweep at delta = {delta:g} is past the conditioning "
-            f"limit of the direct solver; no peak can be located")
     g_values = np.array([r.G for r in sorted(recs, key=lambda r: r.branches)])
     best = int(np.argmax(g_values)) + 1  # argmax takes the first maximum
     if best == 1 or best == m_max:
@@ -200,14 +184,15 @@ def rectification_sweep(deltas: Sequence[float] = LOG_GRID,
 def funnel_ratio(delta: float, circuit: Circuit | None = None) -> float:
     """Forward/reverse resistance ratio of the calibrated funnel, or of
     `circuit` against its reverse; nan where either direction is
-    insulating or past the conditioning limit, or the reverse R is 0."""
+    insulating or the reverse R is 0. UnphysicalSolutionError where the
+    direct solver refuses either direction."""
     forward = circuit if circuit is not None else make_triangle_funnel("forward")
     return _ratio(_resistance_at(forward, delta),
                   _resistance_at(reverse_circuit(forward), delta))
 
 
 def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
-                        tol: float = 1e-4,
+                        tol: float = CROSSING_TOL,
                         ratio_fn: Callable[[float], float] | None = None,
                         ) -> float:
     """Bisect the bracket down to width <= tol, or until no float lies
@@ -257,7 +242,7 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
 def series_crossing(series: Sequence[tuple[float, float]],
                     circuit: Circuit | None = None,
                     bracket: tuple[float, float] | None = None,
-                    tol: float = 1e-4) -> float:
+                    tol: float = CROSSING_TOL) -> float:
     """Where the ratio of `circuit` (by default the calibrated funnel)
     crosses 1, bisected from `bracket` or else from the first sign
     change of its (delta, ratio) series. Ratios the series holds, such

@@ -19,7 +19,9 @@ from .steady_state import (DIVERGED, HERMITICITY_TOL, MAX_TIME_EXCEEDED,
 
 #: Eigenvalues below this are treated as exact zeros (0 ln 0 = 0).
 EIGENVALUE_FLOOR = 1e-12
-#: Numerical noise allowance before clipping the entropy to zero.
+#: Numerical noise allowance before clipping the entropy to zero, per
+#: particle: the two sums whose difference is S grow like tr(rho), and
+#: so does their rounding.
 ENTROPY_CLIP = -1e-9
 
 
@@ -59,7 +61,8 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
 
     Computed from the eigenvalues of rho and the diagonal of rho:
     S = sum(lam ln lam) - sum(d ln d). Zero iff rho is already diagonal;
-    small negative values from rounding (>= -1e-9) are clipped to 0.
+    small negative values from rounding (>= -1e-9 max(1, tr rho)) are
+    clipped to 0.
     """
     rho = np.asarray(rho, dtype=complex)
     herm = float(np.abs(rho - rho.conj().T).max())
@@ -71,7 +74,7 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
             f"negative eigenvalue {lam.min():.3e} beyond tolerance")
     diag = np.diag(rho).real
     entropy = _sum_x_ln_x(lam) - _sum_x_ln_x(diag)
-    if entropy < ENTROPY_CLIP:
+    if entropy < ENTROPY_CLIP * max(1.0, float(diag.sum())):
         raise PhysicalityError(
             f"relative entropy {entropy:.3e} below the noise allowance; "
             "eigendecomposition inconsistent")

@@ -27,10 +27,6 @@ def _record_row(rec) -> str:
     branches = "" if rec.branches is None else str(rec.branches)
     if math.isfinite(rec.R):
         r_txt, g_txt = _fmt(rec.R), _fmt(rec.G)
-    elif math.isnan(rec.R):
-        # no verdict (e.g. an ill-conditioned point): empty cells, which
-        # do not read as an insulator
-        r_txt = g_txt = ""
     else:
         # divergence is a verdict, not a float overflow: tagged tokens
         r_txt, g_txt = "inf", "0"

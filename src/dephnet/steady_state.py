@@ -54,6 +54,10 @@ FLUX_TOL = 1e-8
 #: Normwise relative backward error above which a direct solution is
 #: not accepted as stationary.
 BACKWARD_ERROR_TOL = 1e-10
+#: Safety factor c of the forward-error estimate c kappa eps of a
+#: direct solution at delta > 0 (see solve_ness_direct). Against exact
+#: rational solves the true error is at most kappa eps.
+FORWARD_ERROR_FACTOR = 10.0
 #: At delta = 0: a mode of K with |Im lambda| at most this times
 #: max(1, max |lambda|) is undamped, and the source feeds it if its
 #: overlap exceeds this times the largest overlap.
@@ -94,9 +98,10 @@ class SteadyStateResult:
     in the real coordinates for the direct solver at delta > 0, |drho/dt|
     of the returned state for the direct solver at delta = 0 and at the
     last sample for evolution. backward_error is that defect relative to
-    the size of the generator and the state, and condition the condition
-    number of the direct solver's linear algebra (see solve_ness_direct);
-    evolution leaves both None.
+    the size of the generator and the state, and condition the direct
+    solver's condition number (see solve_ness_direct): at delta > 0 the
+    componentwise kappa of its state, whose relative max-norm error is
+    at most about kappa eps; evolution leaves both None.
     """
 
     status: str
@@ -280,13 +285,25 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     delta > 0: one LU solve of the real system a y + b = 0 of
     real_linear_system, in which the answer is exactly Hermitian, with
     the identity as extra right-hand sides, so that the same
-    factorization gives a^-1 and the exact condition number
-    cond_1 = |a|_1 |a^-1|_1. A connected device has a unique steady
-    state here, so this path converges or raises. The state is accurate
-    to about cond_1 eps relative, and cond_1 grows like
-    max(delta, 1/delta)^2; once cond_1 N eps reaches 1 (N = dim^2) the
-    state carries no significant digit and UnphysicalSolutionError is
-    raised instead.
+    factorization gives a^-1. With the computed residual r = a y + b,
+
+        kappa = | |a^-1| (|a| |y| + |b| + |r| / eps) |_inf / |y|_inf
+
+    is the componentwise condition number of the computed state (Skeel,
+    1980), which ignores the scaling of the rows (coherence rows carry
+    -2 delta on the diagonal, population rows O(1)), plus the error
+    a^-1 r that the residual itself carries (the bound of LAPACK's
+    xGERFS; Higham, 2002, sec. 7.2). The residual term leads only where
+    the LU solve is not componentwise stable, as on devices whose state
+    has an exactly empty dark block. The relative max-norm error of the
+    state is at most about kappa eps; once the estimate
+    FORWARD_ERROR_FACTOR kappa eps reaches 1, the state carries no
+    significant digit and UnphysicalSolutionError is raised instead. A
+    connected device has a unique steady state here, so this path
+    converges or raises. kappa stays O(10) at every delta on devices
+    whose undamped modes the source feeds, and grows like 1/delta at
+    weak dephasing on devices with a dark mode it does not feed, such as
+    parallel branches.
 
     delta = 0: the equation reduces to K rho - rho K^+ = -i S |s><s| with
     K = H - i(g/2)|k><k|, solved in the eigenbasis of K (see
@@ -301,8 +318,8 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     ``diverged`` verdict). backward_error is the normwise relative
     backward error (Rigal & Gaches, 1967), that defect relative to
     |L| |rho| + S in the infinity norm, with |L| = |a| at delta > 0 and
-    the bound 2 |K| at delta = 0; condition is cond_1 of a at delta > 0
-    and cond_1 of the eigenvector matrix of K at delta = 0. A converged
+    the bound 2 |K| at delta = 0; condition is kappa at delta > 0 and
+    cond_1 of the eigenvector matrix of K at delta = 0. A converged
     state must have a backward error of at most BACKWARD_ERROR_TOL and
     pass _check_physical and flux balance, or UnphysicalSolutionError
     is raised.
@@ -313,27 +330,32 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
 
 
 def _solve_dephased(g: Generator) -> SteadyStateResult:
-    """solve_ness_direct at delta > 0: LU solve of a y = -b and a^-1."""
+    """solve_ness_direct at delta > 0: LU solve of a y = -b and a^-1,
+    and from a^-1 the condition number kappa of y."""
     a, b = real_linear_system(g)
-    size = len(b)
     try:
-        sol = np.linalg.solve(a, np.column_stack([-b, np.eye(size)]))
+        sol = np.linalg.solve(a, np.column_stack([-b, np.eye(len(b))]))
     except np.linalg.LinAlgError as exc:
         raise UnphysicalSolutionError(
             f"stationary system at delta = {g.delta:g} is exactly singular "
             f"in floating point") from exc
     y, inverse = sol[:, 0], sol[:, 1:]
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inverse, 1))
+    defect = np.abs(a @ y + b)
+    residual, scale = float(defect.max()), float(np.abs(y).max())
+    # a and a^-1 are not needed again: their absolute values are taken
+    # in place, so that no N x N temporary is allocated
+    abs_a, abs_b = np.abs(a, out=a), np.abs(b)
+    eta = residual / (float(abs_a.sum(axis=1).max()) * scale
+                      + float(abs_b.max()))
+    eps = np.finfo(float).eps
+    cond = float((np.abs(inverse, out=inverse)
+                  @ (abs_a @ np.abs(y) + abs_b + defect / eps)).max()) / scale
     # written so that an infinite or NaN condition number raises too
-    if not cond * size * np.finfo(float).eps < 1.0:
+    if not FORWARD_ERROR_FACTOR * cond * eps < 1.0:
         raise UnphysicalSolutionError(
-            f"stationary system at delta = {g.delta:g} is singular to "
-            f"working precision: its condition number {cond:.3e}, which "
-            f"grows like max(delta, 1/delta)^2, has reached 1/(N eps)")
-    residual = float(np.abs(a @ y + b).max())
-    scale = float(np.abs(y).max())
-    eta = residual / (float(np.linalg.norm(a, np.inf)) * scale
-                      + float(np.abs(b).max()))
+            f"stationary system at delta = {g.delta:g} leaves its state no "
+            f"significant digit: the error estimate {FORWARD_ERROR_FACTOR:g} "
+            f"kappa eps reaches 1 at kappa = {cond:.3e}")
     return _accept(g, _hermitian_coords(g.dim)[1](y), residual, eta, cond, scale)
 
 

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from dephnet import (CalibrationError, CalibrationTarget, Circuit,
-                     additivity_pair_search, build_graph, calibrate_topology,
-                     funnel_shortlist, make_pentagon, make_wire,
+                     UnphysicalSolutionError, additivity_pair_search,
+                     build_graph, calibrate_topology, funnel_shortlist,
+                     make_parallel_circuit, make_pentagon, make_wire,
                      pentagon_family)
 from dephnet.calibrate import (_canonical_key, _in_additivity_window,
                                _single_crossing)
@@ -36,12 +37,16 @@ def test_unsolvable_target_is_error():
 
 
 def test_conditioning_limit_is_not_insulating():
-    # both wires conduct at 1e8; the direct solver only loses its
-    # verdict past its conditioning limit, which is no divergence
-    assert math.isnan(_resistance_at(make_wire(2), 1e8))
-    with pytest.raises(CalibrationError, match="conditioning limit"):
-        calibrate_topology([make_wire(2), make_wire(3)],
-                           [CalibrationTarget(1e8, "divergence", None, 0.0)])
+    # both wires conduct at 1e8, and the direct solver says so
+    assert _resistance_at(make_wire(2), 1e8) == 1e8 + 0.5
+    assert calibrate_topology(
+        [make_wire(2), make_wire(3)],
+        [CalibrationTarget(1e8, "divergence", None, 0.0)]) == []
+    # two parallel branches at 1e-15 are past the solver's error
+    # estimate: a refusal is an error, not a divergence verdict
+    with pytest.raises(UnphysicalSolutionError, match="significant digit"):
+        calibrate_topology([make_wire(2), make_parallel_circuit(2)],
+                           [CalibrationTarget(1e-15, "divergence", None, 0.0)])
 
 
 def test_resistance_target_matches_wire():

@@ -318,20 +318,33 @@ def test_sweep_branches_writes_csv_and_chart(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_sweep_keeps_ill_conditioned_point(tmp_path, monkeypatch, capsys):
-    # wire2 at delta = 1e8 is past the direct solver's conditioning limit;
-    # the row is recorded without numbers instead of aborting the sweep
+def test_sweep_converges_at_strong_dephasing(tmp_path, monkeypatch, capsys):
+    # wire2 has R = delta + 1/2, and the direct solver keeps every digit
+    # of it far into the classical regime
     monkeypatch.chdir(tmp_path)
     code = main(["sweep-dephasing", "--circuit", "wire2",
-                 "--delta-grid", "1,1e8", "--out", "wire2.csv"])
+                 "--delta-grid", "1,1e8,1e12", "--out", "wire2.csv"])
     assert code == 0
     rows = [line.split(",") for line in
             (tmp_path / "wire2.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 2
-    assert rows[0][7] == "converged"
-    assert float(rows[0][4]) == pytest.approx(1.5)
-    assert rows[1][4:] == ["", "", "", "ill-conditioned"]
+    assert [row[4] for row in rows] == ["1.5000000000000000e+00",
+                                        "1.0000000050000000e+08",
+                                        "1.0000000000005000e+12"]
+    assert [row[7] for row in rows] == ["converged"] * 3
     capsys.readouterr()
+
+
+def test_sweep_refusal_exits_one_without_csv(tmp_path, monkeypatch, capsys):
+    # two or more parallel branches at 1e-15 leave the state no
+    # significant digit: the sweep stops with the solver's error
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep-branches", "--m-max", "6", "--delta-grid", "1e-15"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "significant digit" in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "branch_sweep.csv").exists()
 
 
 def test_rectify_reports_bracket(tmp_path, monkeypatch, capsys):
@@ -411,6 +424,38 @@ def test_rectify_rejects_bisection_settings_before_sweeping(
     assert "usage error" in captured.err
     assert "wrote" not in captured.out
     assert not (tmp_path / "rectification.csv").exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--bracket", "0.1,0.5"], None),
+    (["--crossing-tol", "1e-3"], None),
+    (["--bracket", "0.1,0.5", "--crossing-tol", "0"], None),
+    (["--crossing-tol", "0"], None),
+    ([], "bracket: 0.1,0.5\n"),
+    ([], "crossing-tol: 1e-3\nfind-crossing: no\n"),
+], ids=["bracket", "tol", "bracket-zero-tol", "zero-tol", "config-bracket",
+        "config-tol"])
+def test_rectify_rejects_bisection_settings_without_find_crossing(
+        tmp_path, monkeypatch, capsys, flags, config):
+    # the bisection settings act only with --find-crossing; given without
+    # it, from a flag or a config file, they are a usage mistake, found
+    # before any solve
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = flags + ["--config", "run.cfg"]
+    code = main(["rectify", "--delta-grid", "0.1,0.5", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("usage error: ")
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "rectification.csv").exists()
+
+
+def test_rectify_help_states_tolerance_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["rectify", "--help"])
+    assert "(default 0.0001)" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("bracket", ["1,0.5", "0.2,0.2", "x", "0.1,0.2,0.3",

@@ -7,8 +7,8 @@ from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      UnphysicalSolutionError, UsageError,
                      additivity_experiment, dephasing_sweep, entropy_trace,
                      find_conductance_peak, find_ratio_crossing,
-                     funnel_ratio, make_pentagon, make_wire,
-                     rectification_sweep, sweep_branch_count)
+                     funnel_ratio, make_parallel_circuit, make_pentagon,
+                     make_wire, rectification_sweep, sweep_branch_count)
 from dephnet.experiments import ENTROPY_T_END
 
 
@@ -43,10 +43,19 @@ def test_find_conductance_peak_interior_and_boundary():
 
 
 def test_find_conductance_peak_refuses_ill_conditioned_sweep():
-    # every parallel circuit is past the conditioning limit at 1e8; the
-    # sweep records them without numbers, which must not read as no peak
+    # the direct solver refuses two or more parallel branches at 1e-15,
+    # where the state keeps no significant digit; the refusal ends each
+    # sweep, ratio and search that meets it
     with pytest.raises(UnphysicalSolutionError):
-        find_conductance_peak(1e8, m_max=4)
+        find_conductance_peak(1e-15, m_max=4)
+    with pytest.raises(UnphysicalSolutionError):
+        sweep_branch_count(4, deltas=(1.0, 1e-15))
+    with pytest.raises(UnphysicalSolutionError):
+        dephasing_sweep(make_parallel_circuit(2), deltas=(1.0, 1e-15))
+    with pytest.raises(UnphysicalSolutionError):
+        funnel_ratio(1e-15, make_parallel_circuit(3))
+    # at 1e8 every branch count converges, and G grows with m
+    assert find_conductance_peak(1e8, m_max=4) is None
 
 
 def test_dephasing_sweep_single_circuit():

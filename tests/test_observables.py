@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                      IndeterminateResultError, PhysicalityError,
-                     SteadyStateResult, conductance, current_out, make_wire,
-                     relative_entropy_coherence, resistance, voltage)
+                     SteadyStateResult, assemble_generator, conductance,
+                     current_out, make_additivity_pair, make_parallel_circuit,
+                     make_pentagon, make_wire, relative_entropy_coherence,
+                     resistance, solve_ness_direct, voltage)
 from conftest import random_density_matrix
 
 
@@ -77,3 +79,14 @@ def test_entropy_invariant_under_site_relabeling(seed, perm):
 def test_entropy_tolerates_tiny_negative_eigenvalues():
     rho = np.diag([1.0, -1e-9, 0.0]).astype(complex)
     assert relative_entropy_coherence(rho) == 0.0
+
+
+@pytest.mark.parametrize("c, delta", [
+    (make_additivity_pair()[0], 1e8), (make_pentagon(), 1e10),
+    (make_parallel_circuit(4), 1e12)])
+def test_entropy_noise_allowance_grows_with_the_trace(c, delta):
+    # at strong dephasing the populations reach delta R_eff; both sums
+    # of S, and their rounding, grow with the trace
+    res = solve_ness_direct(assemble_generator(c, delta))
+    assert np.trace(res.rho_ness).real > 1e8
+    assert relative_entropy_coherence(res.rho_ness) >= 0.0

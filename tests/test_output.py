@@ -47,13 +47,11 @@ def test_diverged_row_uses_tagged_tokens(tmp_path):
     assert fields[7] == "diverged"
 
 
-def test_ill_conditioned_row_leaves_numbers_empty(tmp_path):
-    path = tmp_path / "ill.csv"
-    write_records([SweepRecord("wire2", 1e8, "forward", None, R=math.nan,
-                               G=math.nan, coherence=None,
-                               status="ill-conditioned")], path)
-    fields = path.read_text().splitlines()[1].split(",")
-    assert fields[4:] == ["", "", "", "ill-conditioned"]
+def test_record_without_verdict_is_refused():
+    # every row carries a verdict: a finite R that converged, or inf
+    with pytest.raises(ValueError):
+        SweepRecord("wire2", 1e8, "forward", None, R=math.nan, G=math.nan,
+                    coherence=None, status="diverged")
 
 
 def test_csv_uses_lf_and_utf8(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ def test_direct_strong_dephasing_reaches_kirchhoff_limit(suite_circuits):
         assert res.status == CONVERGED
         excess = resistance(res, c) - delta * _effective_resistance(c)
         assert 0.0 <= excess <= 1.0, (c, delta, excess)
+    # further out, R = delta R_eff + c0 + O(1/delta), with the constants
+    # of the exact rational functions; past 1e8 a few ulp of R exceed
+    # the 5/delta bound
+    funnel = make_triangle_funnel("forward")
+    tails = [(make_wire(3), Fraction(2), Fraction(1, 2)),
+             (make_pentagon(), Fraction(6, 5), Fraction(13, 50)),
+             (funnel, Fraction(37, 95), Fraction(447, 3610)),
+             (reverse_circuit(funnel), Fraction(37, 95), Fraction(2493, 18050))]
+    for c, r_eff, c0 in tails:
+        assert _effective_resistance(c) == pytest.approx(float(r_eff))
+        for delta in (1e6, 1e8):
+            r = resistance(solve_ness_direct(assemble_generator(c, delta)), c)
+            deviation = Fraction(r) - Fraction(delta) * r_eff - c0
+            assert abs(deviation) <= 5 / Fraction(delta), (c, delta, deviation)
 
 
 def test_direct_reports_backward_error_not_residual():
