@@ -23,8 +23,8 @@ from .experiments import (_ratio_flips, _resistance_at, funnel_ratio,
                           series_crossing)
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
 
-#: Enumeration bounds: desk scale, every shipped device fits.
-MAX_SITES = 8
+#: Enumeration bound on edges: desk scale, every shipped device fits.
+#: Sites are bounded by the atlas, up to 7 (see _connected_atlas).
 MAX_EDGES = 14
 
 #: The additivity pair's published numbers: R_A = R_B = 1.75 +/- 0.01 at

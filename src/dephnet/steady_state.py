@@ -1,8 +1,9 @@
 """Steady-state solvers: direct linear solve and time evolution.
 
-The direct solver makes one LU solve of the real system at delta > 0
-and diagonalizes the n x n operator K = H - i(g/2)|k><k| at delta = 0
-(see solve_ness_direct). Both solvers report the same three-way
+The direct solver inverts the real system once at delta > 0 and
+refines the state by one step with that inverse, and diagonalizes the
+n x n operator K = H - i(g/2)|k><k| at delta = 0 (see
+solve_ness_direct). Both solvers report the same three-way
 verdict: ``converged`` (a physical NESS was found), ``diverged`` (the
 device is insulating and piles up particles forever), or
 ``max-time-exceeded`` (evolution hit its cutoff without either
@@ -282,10 +283,13 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
 def solve_ness_direct(g: Generator) -> SteadyStateResult:
     """Stationary point of the generator, by one of two numpy-only paths.
 
-    delta > 0: one LU solve of the real system a y + b = 0 of
-    real_linear_system, in which the answer is exactly Hermitian, with
-    the identity as extra right-hand sides, so that the same
-    factorization gives a^-1. With the computed residual r = a y + b,
+    delta > 0: the real system a y + b = 0 of real_linear_system, in
+    which the answer is exactly Hermitian, is solved by its explicit
+    inverse, y = -a^-1 b, and one step of fixed-precision iterative
+    refinement, y -= a^-1 (a y + b) (Higham, 2002, sec. 12.2). Forming
+    a^-1 costs an LU and N right-hand sides, and the solve holds at most
+    four N x N arrays at once: a, numpy's two LAPACK buffers and a^-1.
+    With the residual r = a y + b of the refined state,
 
         kappa = | |a^-1| (|a| |y| + |b| + |r| / eps) |_inf / |y|_inf
 
@@ -293,17 +297,19 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     1980), which ignores the scaling of the rows (coherence rows carry
     -2 delta on the diagonal, population rows O(1)), plus the error
     a^-1 r that the residual itself carries (the bound of LAPACK's
-    xGERFS; Higham, 2002, sec. 7.2). The residual term leads only where
-    the LU solve is not componentwise stable, as on devices whose state
-    has an exactly empty dark block. The relative max-norm error of the
-    state is at most about kappa eps; once the estimate
-    FORWARD_ERROR_FACTOR kappa eps reaches 1, the state carries no
-    significant digit and UnphysicalSolutionError is raised instead. A
-    connected device has a unique steady state here, so this path
-    converges or raises. kappa stays O(10) at every delta on devices
-    whose undamped modes the source feeds, and grows like 1/delta at
-    weak dephasing on devices with a dark mode it does not feed, such as
-    parallel branches.
+    xGERFS; Higham, 2002, sec. 7.2). Without refinement the residual
+    term leads where the solve is not componentwise stable, as on
+    devices whose state has an exactly empty block for a dark mode the
+    source does not feed (relative error up to 3e-2 there); the
+    refinement step clears most of that error and keeps the term small.
+    The relative max-norm error of the state is at most about kappa
+    eps; once the estimate FORWARD_ERROR_FACTOR kappa eps reaches 1, the
+    state carries no significant digit and UnphysicalSolutionError is
+    raised instead. A connected device has a unique steady state here,
+    so this path converges or raises. kappa stays O(10) at every delta
+    on devices whose undamped modes the source feeds, and grows like
+    1/delta at weak dephasing on devices with a dark mode it does not
+    feed, such as parallel branches.
 
     delta = 0: the equation reduces to K rho - rho K^+ = -i S |s><s| with
     K = H - i(g/2)|k><k|, solved in the eigenbasis of K (see
@@ -330,16 +336,18 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
 
 
 def _solve_dephased(g: Generator) -> SteadyStateResult:
-    """solve_ness_direct at delta > 0: LU solve of a y = -b and a^-1,
-    and from a^-1 the condition number kappa of y."""
+    """solve_ness_direct at delta > 0: y = -a^-1 b from the explicit
+    inverse, one refinement step y -= a^-1 (a y + b), and from a^-1 the
+    condition number kappa of the refined y."""
     a, b = real_linear_system(g)
     try:
-        sol = np.linalg.solve(a, np.column_stack([-b, np.eye(len(b))]))
+        inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise UnphysicalSolutionError(
             f"stationary system at delta = {g.delta:g} is exactly singular "
             f"in floating point") from exc
-    y, inverse = sol[:, 0], sol[:, 1:]
+    y = -(inverse @ b)
+    y -= inverse @ (a @ y + b)
     defect = np.abs(a @ y + b)
     residual, scale = float(defect.max()), float(np.abs(y).max())
     # a and a^-1 are not needed again: their absolute values are taken

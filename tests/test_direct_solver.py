@@ -1,6 +1,8 @@
 """The two paths of solve_ness_direct against references computed here:
 a dark-state test and Sylvester solves at delta = 0, the singular values
-of the real system and exact rational solves at delta > 0."""
+of the real system and exact rational solves at delta > 0, and the
+memory a solve at delta > 0 takes."""
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -169,6 +171,25 @@ def test_condition_reported_by_direct_solver_only():
     g = assemble_generator(make_wire(3), 1.0)
     assert solve_ness_direct(assemble_generator(make_wire(3), 0.0)).condition >= 1
     assert solve_ness_by_evolution(g).condition is None
+
+
+def test_dephased_solve_keeps_two_system_sized_arrays():
+    # tracemalloc traces the arrays numpy allocates (here a and a^-1),
+    # but not the work buffers its LAPACK wrappers take with malloc, so
+    # this bound counts only the user-side copies
+    g = assemble_generator(make_parallel_circuit(18), 1.0)
+    size = g.dim ** 2
+    assert size == 400
+    solve_ness_direct(g)  # warm-up: lazy imports and cached coordinates
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve_ness_direct(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.status == CONVERGED
+    assert peak <= 2.5 * size * size * 8, peak / (size * size * 8)
 
 
 @pytest.mark.parametrize("hopping, ok", [(0.5, False), (0.51, True)])

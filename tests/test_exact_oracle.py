@@ -1,6 +1,7 @@
 """The direct solver against the exact rational oracle of exact_oracle:
 closed forms first, then the error of the state against the solver's
-own estimate FORWARD_ERROR_FACTOR kappa eps."""
+own estimate FORWARD_ERROR_FACTOR kappa eps, and on devices with an
+unfed dark mode against rounding."""
 import re
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ ORACLE_CIRCUITS = (
      (_PAIR[0], False), (_PAIR[1], False)]
     + [(make_parallel_circuit(m), m >= 2) for m in (1, 2, 3, 4, 6)]
     # two leaves on one site: the dark mode's block of the state is
-    # exactly 0, and there the LU solve's own error exceeds the
+    # exactly 0, and there an unrefined LU solve's own error exceeds the
     # componentwise condition number alone by up to 10^10
     + [(Circuit(build_graph(5, [(0, 1), (0, 3), (1, 2), (1, 4)]), 3, 0),
         True)])
@@ -69,3 +70,24 @@ def test_direct_solver_error_within_its_estimate(c, dark):
             r = resistance(res, c)
             assert abs(Fraction(r) - r_exact) <= 1e-13 * abs(r_exact), (
                 delta, r, float(r_exact))
+
+
+_LEAVES = ORACLE_CIRCUITS[-1][0]
+DARK_BLOCK_POINTS = (
+    [(_LEAVES, delta, 1e-14) for delta in (1e-15, 1e-14, 1e-13)]
+    + [(make_parallel_circuit(3), delta, 1e-12)
+       for delta in (1e-14, 1e-13, 1e-12)])
+
+
+@pytest.mark.parametrize(
+    "c, delta, tol", DARK_BLOCK_POINTS,
+    ids=[f"{c.label or 'leaves'}@{delta:g}" for c, delta, _ in DARK_BLOCK_POINTS])
+def test_refinement_clears_the_unfed_dark_block(c, delta, tol):
+    # at weak dephasing an unrefined LU state carries a relative error
+    # of up to 8e-3 here, in the block of a dark mode the source does
+    # not feed (the two-leaf graph at 1e-15; 4e-3 on parallel m = 3 at
+    # 1e-14); one refinement step with a^-1 removes nearly all of it
+    res = solve_ness_direct(assemble_generator(c, delta))
+    assert res.status == CONVERGED
+    error = relative_state_error(res.rho_ness, exact_state(c, delta))
+    assert error <= tol, error
