@@ -14,8 +14,7 @@ from .errors import (CalibrationError, CalibrationNotRunError,
                      TrajectoryTooShortError, UnknownCircuitError,
                      UnphysicalSolutionError, UnsupportedFormError, UsageError)
 from .graphs import (Circuit, Graph, build_graph, laplacian_hamiltonian,
-                     make_additivity_pair, make_parallel_circuit,
-                     make_pentagon, make_triangle_funnel, make_wire,
+                     make_parallel_circuit, make_pentagon, make_wire,
                      reverse_circuit)
 from .generator import (EXPLICIT_BATH, REDUCED, Generator,
                         assemble_generator, apply_generator, clamp_bath,
@@ -34,6 +33,7 @@ from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
                           rectification_sweep, series_crossing,
                           sweep_branch_count)
 from .registry import (builtin_names, load_builtin, load_calibrated,
+                       make_additivity_pair, make_triangle_funnel,
                        parse_circuit_file, parse_circuit_text,
                        resolve_circuit, write_circuit_file)
 from .output import AxesSpec, render_chart, write_records, write_table

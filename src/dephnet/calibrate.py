@@ -22,6 +22,7 @@ from .errors import CalibrationError
 from .experiments import (_ratio_flips, _resistance_at, funnel_ratio,
                           series_crossing)
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
+from .registry import load_builtin
 
 #: Enumeration bound on edges: desk scale, every shipped device fits.
 #: Sites are bounded by the atlas, up to 7 (see _connected_atlas).
@@ -262,8 +263,6 @@ def funnel_shortlist() -> list[Circuit]:
     devices whose ratio is pinned at 1, and a triangle-bearing device
     whose ratio dips below 1 and recrosses, failing the single-crossing
     requirement)."""
-    from .registry import load_builtin
-
     runner_up_1 = Circuit(build_graph(7, [(0, 1), (0, 3), (0, 4), (0, 5),
                                           (0, 6), (1, 2), (1, 4), (2, 3),
                                           (2, 4), (3, 4), (3, 6), (4, 5),

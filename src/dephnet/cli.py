@@ -23,7 +23,7 @@ import numpy as np
 from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
-from .errors import DephnetError, UsageError
+from .errors import CircuitFileError, DephnetError, UsageError
 from .experiments import (BRANCH_DELTAS, CROSSING_TOL, DEFAULT_M_MAX,
                           ENTROPY_T_END, LOG_GRID, _check_bisection,
                           _ratio_flips, dephasing_sweep, entropy_trace,
@@ -34,7 +34,7 @@ from .graphs import Circuit
 from .observables import (conductance, current_out, relative_entropy_coherence,
                           resistance, voltage)
 from .output import AxesSpec, render_chart, write_records, write_table
-from .registry import builtin_names, resolve_circuit
+from .registry import builtin_names, read_fields, resolve_circuit
 from .steady_state import (CONVERGED, DIVERGED, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
 
@@ -207,22 +207,16 @@ def _build_parser() -> tuple[_Parser, dict]:
 
 
 def _config_tokens(path: str, options: list[str]) -> list[str]:
-    """The `key: value` entries of a config file that name one of
-    `options`, as `--flag=value` tokens; a boolean key is its flag or
-    nothing."""
+    """The `key: value` entries of a config file, read by the circuit
+    file reader, that name one of `options`, as `--flag=value` tokens;
+    a boolean key is its flag or nothing."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        fields = read_fields(Path(path).read_text(encoding="utf-8"), path)[0]
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise UsageError(f"{path}:{lineno}: expected `key: value`")
-        key, _, value = line.partition(":")
-        values[key.strip().replace("-", "_")] = value.strip()
+    except CircuitFileError as exc:
+        raise UsageError(str(exc)) from exc
+    values = {key.replace("-", "_"): value for key, value in fields.items()}
     unknown = set(values) - set(_OPTIONS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")

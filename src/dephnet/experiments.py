@@ -2,10 +2,11 @@
 one-extra-edge pair, and the rectification crossing.
 
 Sweep points are solved one after another by the direct solver; the
-emitted records are sorted by (circuit label, delta, direction,
-branches), whatever order the points were given in. A point the direct
-solver refuses raises its UnphysicalSolutionError, which ends the sweep,
-ratio or search that asked for it.
+emitted records are sorted by (branch count as a number, circuit label,
+delta, direction), whatever order the points were given in, so a branch
+sweep lists m = 1, 2, ..., 10 and not the label parallel10x1 first. A
+point the direct solver refuses raises its UnphysicalSolutionError,
+which ends the sweep, ratio or search that asked for it.
 """
 from __future__ import annotations
 
@@ -17,14 +18,9 @@ import numpy as np
 
 from .errors import NoSignChangeError, UsageError
 from .generator import assemble_generator, empty_state
-from .graphs import (
-    Circuit,
-    make_additivity_pair,
-    make_parallel_circuit,
-    make_triangle_funnel,
-    reverse_circuit,
-)
+from .graphs import Circuit, make_parallel_circuit, reverse_circuit
 from .observables import conductance, relative_entropy_coherence, resistance
+from .registry import make_additivity_pair, make_triangle_funnel
 from .steady_state import CONVERGED, evolve, solve_ness_direct
 
 #: Dephasing strengths for branch-count sweeps.
@@ -61,8 +57,8 @@ class SweepRecord:
 
 
 def _sort_key(rec: SweepRecord):
-    return (rec.circuit_label, rec.delta, rec.direction,
-            -1 if rec.branches is None else rec.branches)
+    return (-1 if rec.branches is None else rec.branches, rec.circuit_label,
+            rec.delta, rec.direction)
 
 
 def _resistance_at(c: Circuit, delta: float) -> float:
@@ -134,7 +130,7 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
     """
     recs = sweep_branch_count(m_max, deltas=(delta,),
                               branch_length=branch_length)
-    g_values = np.array([r.G for r in sorted(recs, key=lambda r: r.branches)])
+    g_values = np.array([r.G for r in recs])
     best = int(np.argmax(g_values)) + 1  # argmax takes the first maximum
     if best == 1 or best == m_max:
         return None

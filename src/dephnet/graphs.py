@@ -1,4 +1,6 @@
-"""Graphs, circuits, and constructors for every named device.
+"""Graphs, circuits, and constructors of the generated devices (wire,
+parallel branches, pentagon); the calibrated devices that ship as files
+are built in `registry`.
 
 Sites are indexed from 0. Every edge is an identical hopping element, so
 the Hamiltonian is the graph Laplacian D - A: vertex degree on the
@@ -173,45 +175,6 @@ def make_pentagon(sink_site: int = CANONICAL_PENTAGON_SINK) -> Circuit:
         raise GraphConstructionError("pentagon sink must be in {1, 2, 3, 4}")
     edges = [(i, (i + 1) % 5) for i in range(5)]
     return Circuit(build_graph(5, edges), 0, sink_site, label="pentagon")
-
-
-def make_additivity_pair() -> tuple[Circuit, Circuit]:
-    """The calibrated one-extra-edge pair (A, B).
-
-    B's graph is A's plus exactly one edge; both share source and sink;
-    both measure R = 1.75 +/- 0.01 at delta = 0 while B is the more
-    resistive device at any tested delta > 0. Refuses to construct the
-    pair if the shipped definition files lack a calibration record.
-    """
-    from . import registry
-
-    a = registry.load_calibrated("additivity-a")
-    b = registry.load_calibrated("additivity-b")
-    if len(b.graph.edges) != len(a.graph.edges) + 1:
-        raise GraphConstructionError("pair must differ by exactly one edge")
-    if (a.source, a.sink) != (b.source, b.sink):
-        raise GraphConstructionError("pair must share source and sink")
-    return a, b
-
-
-def make_triangle_funnel(direction: str = "forward") -> Circuit:
-    """The calibrated triangulated device with direction-dependent R.
-
-    `forward` is the orientation stored in the shipped definition file;
-    `reverse` swaps source and sink. Refuses to construct the circuit if
-    the definition file lacks a calibration record.
-    """
-    if direction not in ("forward", "reverse"):
-        raise GraphConstructionError(
-            f"direction must be 'forward' or 'reverse', got {direction!r}")
-    c = _load_funnel()
-    return c if direction == "forward" else reverse_circuit(c)
-
-
-def _load_funnel() -> Circuit:
-    from . import registry
-
-    return registry.load_calibrated("triangle")
 
 
 def reverse_circuit(c: Circuit) -> Circuit:

@@ -81,7 +81,8 @@ def _get(row, field):
 
 
 def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
-    """Write a line chart; one series per value of axes.series_field.
+    """Write a line chart; one series per value of axes.series_field,
+    in ascending order of that value.
 
     Non-finite points (diverged rows) are dropped; if nothing plottable
     remains, a warning is issued and no file is written. Returns True
@@ -139,7 +140,7 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
                      f'stroke="#888888" stroke-dasharray="5,4" '
                      f'class="guideline"/>')
 
-    for idx, key in enumerate(sorted(groups, key=str)):
+    for idx, key in enumerate(sorted(groups)):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = groups[key]
         if len(pts) >= 2:

@@ -1,4 +1,5 @@
-"""Builtin circuit registry and the circuit definition file format.
+"""Builtin circuit registry, the calibrated devices, and the
+``key: value`` text format that circuit and config files share.
 
 A circuit file is plain text, one circuit per file, whitespace
 insensitive, with ``#`` starting a comment anywhere on a line:
@@ -10,10 +11,15 @@ insensitive, with ``#`` starting a comment anywhere on a line:
     source: 0
     sink: 2
 
+`read_fields` is the one reader of that format: blank lines are
+skipped, a line without a colon or a repeated key is an error that
+names the line. The CLI reads its config files with it too.
+
 The calibrated topologies ship as files with their calibration
-provenance embedded as comments; constructors that depend on a
-completed calibration look for the ``calibration-status: validated``
-marker among the comments and refuse to build without it.
+provenance embedded as comments. Every file-backed builtin, by name
+through `load_builtin` or by constructor, is loaded by
+`load_calibrated`, which looks for the ``calibration-status:
+validated`` marker among the comments and refuses to build without it.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CalibrationNotRunError, CircuitFileError, GraphConstructionError, UnknownCircuitError
-from .graphs import Circuit, build_graph, make_wire
+from .graphs import Circuit, build_graph, make_wire, reverse_circuit
 
 CALIBRATION_MARKER = "calibration-status: validated"
 
@@ -36,8 +42,10 @@ _ALIASES = {"funnel": "triangle"}
 _WIRE_RE = re.compile(r"^wire(\d+)$")
 
 
-def parse_circuit_text(text: str, origin: str = "<string>") -> tuple[Circuit, list[str]]:
-    """Parse a circuit definition, returning the circuit and its comments."""
+def read_fields(text: str, origin: str) -> tuple[dict[str, str], list[str]]:
+    """The `key: value` fields of a text, keys lowercased, and its
+    comments. CircuitFileError names `origin` and the line of a line
+    without a colon or of a repeated key."""
     fields: dict[str, str] = {}
     comments: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -56,7 +64,12 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> tuple[Circuit, li
         if key in fields:
             raise CircuitFileError(f"{origin}:{lineno}: duplicate field {key!r}")
         fields[key] = value.strip()
+    return fields, comments
 
+
+def parse_circuit_text(text: str, origin: str = "<string>") -> tuple[Circuit, list[str]]:
+    """Parse a circuit definition, returning the circuit and its comments."""
+    fields, comments = read_fields(text, origin)
     for required in ("n", "edges", "source", "sink"):
         if required not in fields:
             raise CircuitFileError(f"{origin}: missing field {required!r}")
@@ -119,14 +132,15 @@ def _read_builtin(name: str) -> tuple[Circuit, list[str]]:
 
 
 def load_builtin(name: str) -> Circuit:
-    """Resolve a builtin circuit name. Unknown names are an error,
-    never silently empty."""
+    """Resolve a builtin circuit name: the wireN family, or a shipped
+    file by load_calibrated. Unknown names are an error, never silently
+    empty."""
     key = _ALIASES.get(name, name)
     wire = _WIRE_RE.match(key)
     if wire:
         return make_wire(int(wire.group(1)))
     if key in _FILE_BY_NAME:
-        return _read_builtin(key)[0]
+        return load_calibrated(name)
     raise UnknownCircuitError(
         f"unknown builtin circuit {name!r}; known: {', '.join(builtin_names())}")
 
@@ -140,7 +154,7 @@ def load_calibrated(name: str) -> Circuit:
     if not any(CALIBRATION_MARKER in comment for comment in comments):
         raise CalibrationNotRunError(
             f"circuit {name!r} has no {CALIBRATION_MARKER!r} record; "
-            "run the calibration search before using this constructor")
+            "run the calibration search before using this circuit")
     return circuit
 
 
@@ -152,3 +166,34 @@ def resolve_circuit(spec: str) -> Circuit:
             raise CircuitFileError(f"circuit file not found: {spec}")
         return parse_circuit_file(path)[0]
     return load_builtin(spec)
+
+
+def make_additivity_pair() -> tuple[Circuit, Circuit]:
+    """The calibrated one-extra-edge pair (A, B).
+
+    B's graph is A's plus exactly one edge; both share source and sink;
+    both measure R = 1.75 +/- 0.01 at delta = 0 while B is the more
+    resistive device at any tested delta > 0. Refuses to construct the
+    pair if the shipped definition files lack a calibration record.
+    """
+    a = load_calibrated("additivity-a")
+    b = load_calibrated("additivity-b")
+    if len(b.graph.edges) != len(a.graph.edges) + 1:
+        raise GraphConstructionError("pair must differ by exactly one edge")
+    if (a.source, a.sink) != (b.source, b.sink):
+        raise GraphConstructionError("pair must share source and sink")
+    return a, b
+
+
+def make_triangle_funnel(direction: str = "forward") -> Circuit:
+    """The calibrated triangulated device with direction-dependent R.
+
+    `forward` is the orientation stored in the shipped definition file;
+    `reverse` swaps source and sink. Refuses to construct the circuit if
+    the definition file lacks a calibration record.
+    """
+    if direction not in ("forward", "reverse"):
+        raise GraphConstructionError(
+            f"direction must be 'forward' or 'reverse', got {direction!r}")
+    c = load_calibrated("triangle")
+    return c if direction == "forward" else reverse_circuit(c)

@@ -25,6 +25,7 @@ from .errors import (
     PhysicalityError,
     TrajectoryTooShortError,
     UnphysicalSolutionError,
+    UnsupportedFormError,
     UsageError,
 )
 from .generator import (
@@ -328,8 +329,11 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     cond_1 of the eigenvector matrix of K at delta = 0. A converged
     state must have a backward error of at most BACKWARD_ERROR_TOL and
     pass _check_physical and flux balance, or UnphysicalSolutionError
-    is raised.
+    is raised. Both paths solve the reduced form; a generator of the
+    explicit-bath form raises UnsupportedFormError at every delta.
     """
+    if g.form != REDUCED:
+        raise UnsupportedFormError("direct solves take the reduced form only")
     if g.delta > 0:
         return _solve_dephased(g)
     return _solve_coherent(g)

@@ -176,6 +176,27 @@ def test_config_malformed_value_names_key(tmp_path, capsys):
     assert "delta" in err
 
 
+def test_config_inline_comment(tmp_path):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("circuit: wire2  # the two-site wire\n"
+                       "delta: 0.5  # weak\n")
+    cfg = parse_config(["ness", "--config", str(cfgfile)])
+    assert (cfg.circuit, cfg.delta) == ("wire2", 0.5)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("circuit: wire2\ndelta: 0.5\nDelta: 2\n", 3, "duplicate field 'delta'"),
+    ("circuit: wire2\n\ndelta 0.5\n", 3, "expected 'key: value'"),
+], ids=["repeated-key", "no-colon"])
+def test_config_bad_line_names_file_and_line(tmp_path, capsys, text, line,
+                                             message):
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text(text)
+    assert main(["ness", "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {cfgfile}:{line}: {message}")
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(UsageError, match="cannot read"):
         parse_config(["ness", "--config", str(tmp_path / "absent.conf")])
@@ -489,3 +510,21 @@ def test_calibrate_pentagon_lists_matches(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "4 sink placements" in out
+
+
+def test_calibrate_funnel_lists_shortlist_matches(capsys):
+    code = main(["calibrate", "--search", "funnel"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "3 candidates match the rectification targets:"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "runner-up-2", "runner-up-1", "triangle"]
+
+
+def test_calibrate_additivity_reports_no_usable_pair(capsys):
+    code = main(["calibrate", "--search", "additivity", "--max-n", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "1 pairs matched up to n=5 (0 non-degenerate)"
+    assert lines[-1] == ("no usable pair at this size; the shipped pair "
+                         "needed eight sites")

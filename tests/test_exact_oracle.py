@@ -13,6 +13,8 @@ from dephnet import (CONVERGED, Circuit, UnphysicalSolutionError,
                      make_parallel_circuit, make_pentagon,
                      make_triangle_funnel, make_wire, resistance,
                      reverse_circuit, solve_ness_direct)
+from dephnet.calibrate import (ADDITIVITY_R, ADDITIVITY_R_TOL,
+                               _in_additivity_window)
 from dephnet.steady_state import FORWARD_ERROR_FACTOR
 from exact_oracle import exact_resistance, exact_state, relative_state_error
 
@@ -91,3 +93,27 @@ def test_refinement_clears_the_unfed_dark_block(c, delta, tol):
     assert res.status == CONVERGED
     error = relative_state_error(res.rho_ness, exact_state(c, delta))
     assert error <= tol, error
+
+
+#: The n = 7 pair with R_A = R_B = 1.76 at delta = 0, the closed edge of
+#: the additivity window: A, and B = A + the edge 1-4
+_EDGE_A = [(0, 1), (0, 2), (0, 4), (0, 5), (2, 3), (3, 6), (5, 6)]
+_EDGE_B = _EDGE_A + [(1, 4)]
+
+
+@pytest.mark.parametrize("source, sink", [(5, 6), (2, 3)],
+                         ids=["5-6", "2-3"])
+def test_additivity_edge_pairs_sit_exactly_on_the_window_edge(source, sink):
+    # the exact system is singular at delta = 0, so R(0) is the limit of
+    # R(delta), which is linear in delta near 0 (R - 44/25 is about
+    # -70.5 delta); 44/25 = 1.75 + 0.01 is the window's closed edge, and
+    # ADDITIVITY_EDGE_SLACK must cover the solver's rounding there
+    edge = Fraction(str(ADDITIVITY_R)) + Fraction(str(ADDITIVITY_R_TOL))
+    assert edge == Fraction(44, 25)
+    for edges in (_EDGE_A, _EDGE_B):
+        c = Circuit(build_graph(7, edges), source, sink)
+        for delta in (2.0 ** -40, 2.0 ** -50):
+            r = exact_resistance(c, delta)
+            assert abs(r - edge) <= 100 * Fraction(delta), (delta, float(r))
+        r = resistance(solve_ness_direct(assemble_generator(c, 0.0)), c)
+        assert _in_additivity_window(r), r

@@ -13,11 +13,11 @@ from dephnet.experiments import ENTROPY_T_END
 
 
 def test_sweep_records_are_canonically_sorted():
-    records = sweep_branch_count(4, deltas=(1.0, 0.0))
-    keys = [(r.circuit_label, r.delta, r.direction, r.branches)
-            for r in records]
-    assert keys == sorted(keys)
-    assert len(records) == 8
+    # at m_max = 10 the label parallel10x1 sorts before parallel1x1 as a
+    # string; the records follow the branch count as a number
+    records = sweep_branch_count(10, deltas=(1.0, 0.0))
+    assert [(r.branches, r.delta) for r in records] == [
+        (m, d) for m in range(1, 11) for d in (0.0, 1.0)]
     assert all(r.status == CONVERGED for r in records)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -89,6 +90,21 @@ def test_chart_polyline_per_series(tmp_path):
     svg = path.read_text()
     assert svg.count("<polyline") == 2
     assert "<svg" in svg and svg.rstrip().endswith("</svg>")
+
+
+def test_chart_legend_follows_series_values(tmp_path):
+    # ordered as numbers, 5.0 comes before 20.0; as strings it would not
+    deltas = (20.0, 0.0, 5.0, 0.5)
+    records = [_converged(delta=d, branches=m, r=(1.0 + d) / m)
+               for d in deltas for m in (1, 2)]
+    path = tmp_path / "legend.svg"
+    assert render_chart(records, AxesSpec(x_field="branches", y_field="G",
+                                          series_field="delta"), path)
+    # legend entries, unlike tick labels, sit at integer coordinates
+    legend = re.findall(r'<text x="\d+" y="\d+" font-size="11" '
+                        r'font-family="sans-serif">([^<]*)</text>',
+                        path.read_text())
+    assert legend == ["0.0", "0.5", "5.0", "20.0"]
 
 
 def test_chart_single_point_gets_marker(tmp_path):

@@ -100,6 +100,9 @@ def test_calibration_marker_enforced(tmp_path, monkeypatch):
         lambda name: parse_circuit_file(registry._FILE_BY_NAME[name]))
     with pytest.raises(CalibrationNotRunError, match="calibration"):
         load_calibrated("raw")
+    # a shipped name, as the CLI resolves it, is refused the same way
+    with pytest.raises(CalibrationNotRunError, match="calibration"):
+        load_builtin("raw")
 
 
 def test_resolve_circuit_path_and_name(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 
 from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
                      PhysicalityError, Trajectory, TrajectoryTooShortError,
-                     UsageError, apply_generator, assemble_generator,
-                     detect_divergence, empty_state, evolve,
+                     UnsupportedFormError, UsageError, apply_generator,
+                     assemble_generator, detect_divergence, empty_state,
+                     evolve,
                      laplacian_hamiltonian, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
                      resistance, reverse_circuit, solve_ness_by_evolution,
@@ -68,6 +69,15 @@ def test_direct_wire2_closed_form(delta):
     res = solve_ness_direct(assemble_generator(make_wire(2), delta))
     expected = np.array([[1.0 + delta, -0.5j], [0.5j, 0.5]])
     assert np.abs(res.rho_ness - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_direct_refuses_explicit_bath_form(delta):
+    # at delta = 0 the coherent path would return the bath sites empty,
+    # not clamped at their pinned populations
+    g = assemble_generator(make_wire(3), delta, form=EXPLICIT_BATH)
+    with pytest.raises(UnsupportedFormError, match="reduced form"):
+        solve_ness_direct(g)
 
 
 def test_direct_insulators_diverge():
