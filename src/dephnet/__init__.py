@@ -30,7 +30,7 @@ from .calibrate import (CalibrationTarget, additivity_pair_search,
 from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
                           entropy_trace, find_conductance_peak,
                           find_ratio_crossing, funnel_ratio,
-                          rectification_sweep, series_crossing,
+                          rectification_sweep, series_crossings,
                           sweep_branch_count)
 from .registry import (builtin_names, load_builtin, load_calibrated,
                        make_additivity_pair, make_triangle_funnel,
@@ -62,7 +62,7 @@ __all__ = [
     "parse_circuit_text", "parse_config", "parse_delta_grid",
     "pentagon_family", "real_linear_system", "rectification_sweep",
     "relative_entropy_coherence", "render_chart", "resistance",
-    "resolve_circuit", "reverse_circuit", "series_crossing",
+    "resolve_circuit", "reverse_circuit", "series_crossings",
     "solve_ness_by_evolution", "solve_ness_direct", "sweep_branch_count",
     "voltage", "write_circuit_file", "write_records", "write_table",
 ]

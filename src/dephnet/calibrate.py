@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .experiments import (_ratio_flips, _resistance_at, funnel_ratio,
-                          series_crossing)
+                          series_crossings)
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
 from .registry import load_builtin
 
@@ -82,7 +82,7 @@ def _single_crossing(c: Circuit) -> float | None:
     series = list(zip(_CROSSING_GRID, ratios))
     if len(_ratio_flips(series)) != 1:
         return None
-    return series_crossing(series, c, tol=1e-5)
+    return series_crossings(series, c)[0]
 
 
 def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:

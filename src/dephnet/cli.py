@@ -8,7 +8,7 @@ that selected the builtin circuits.
 Exit codes are a stable scripting contract: 0 for success (including
 sweeps that record divergent rows as data), 2 when a requested single
 steady state is a physical divergence verdict, 1 for usage mistakes,
-numerical failures, and inconclusive runs.
+file-system errors, numerical failures, and inconclusive runs.
 """
 from __future__ import annotations
 
@@ -23,12 +23,12 @@ import numpy as np
 from .calibrate import (CalibrationTarget, additivity_pair_search,
                         calibrate_topology, funnel_family, funnel_shortlist,
                         pentagon_family)
-from .errors import CircuitFileError, DephnetError, UsageError
-from .experiments import (BRANCH_DELTAS, CROSSING_TOL, DEFAULT_M_MAX,
-                          ENTROPY_T_END, LOG_GRID, _check_bisection,
-                          _ratio_flips, dephasing_sweep, entropy_trace,
-                          rectification_sweep, series_crossing,
-                          sweep_branch_count)
+from .errors import (CircuitFileError, DephnetError, NoSignChangeError,
+                     UsageError)
+from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
+                          LOG_GRID, _ratio_flips, dephasing_sweep,
+                          entropy_trace, rectification_sweep,
+                          series_crossings, sweep_branch_count)
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit
 from .observables import (conductance, current_out, relative_entropy_coherence,
@@ -62,8 +62,6 @@ class RunConfig:
     max_n: int = 6
     full: bool = False
     find_crossing: bool = False
-    bracket: tuple[float, float] | None = None
-    crossing_tol: float | None = None
 
 
 def parse_delta_grid(text: str) -> tuple[float, ...]:
@@ -100,24 +98,14 @@ def parse_delta_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_bracket(text: str) -> tuple[float, float]:
-    """``lo,hi``: a grid of two dephasing strengths with lo < hi."""
-    bracket = parse_delta_grid(text)
-    if len(bracket) != 2 or not bracket[0] < bracket[1]:
-        raise UsageError(f"bracket {text!r} is not LO,HI with LO < HI")
-    return bracket
-
-
-def _option_type(parse):
-    """argparse type of a parser that raises UsageError. argparse
-    reports an ArgumentTypeError with its own message, and any other
-    ValueError, UsageError included, as a bare "invalid value"."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    return convert
+def _grid_type(text: str) -> tuple[float, ...]:
+    """parse_delta_grid as an argparse type. argparse reports an
+    ArgumentTypeError with its own message, and any other ValueError,
+    UsageError included, as a bare "invalid value"."""
+    try:
+        return parse_delta_grid(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 #: argparse keywords of every option, keyed by its RunConfig field; the
@@ -127,7 +115,7 @@ _OPTIONS = {
                     help="builtin circuit name (%s) or a .circuit file path"
                          % ", ".join(builtin_names())),
     "delta": dict(type=float, help="pure-dephasing rate on every site"),
-    "delta_grid": dict(type=_option_type(parse_delta_grid),
+    "delta_grid": dict(type=_grid_type,
                        help="dephasing grid: log:a:b:n, lin:a:b:n, or "
                             "x1,x2,..."),
     "solver": dict(choices=("direct", "evolution"),
@@ -144,14 +132,10 @@ _OPTIONS = {
     "m_max": dict(type=int, help="largest branch count"),
     "branch_length": dict(type=int, help="sites per branch"),
     "find_crossing": dict(action="store_true",
-                          help="bisect for the dephasing strength where the "
-                               "forward/reverse ratio crosses 1"),
-    "bracket": dict(type=_option_type(_parse_bracket), metavar="LO,HI",
-                    help="search bracket for --find-crossing, in place of "
-                         "the first sign change on the grid"),
-    "crossing_tol": dict(type=float,
-                         help="bracket width at which bisection stops "
-                              "(default %g)" % CROSSING_TOL),
+                          help="find every dephasing strength where the "
+                               "forward/reverse ratio crosses 1, bisecting "
+                               "each sign change on the grid to the 6 "
+                               "printed decimals"),
     "out": dict(metavar="CSV", help="CSV output path"),
     "plot": dict(action="store_true",
                  help="also write an SVG chart next to the CSV"),
@@ -211,12 +195,11 @@ def _config_tokens(path: str, options: list[str]) -> list[str]:
     file reader, that name one of `options`, as `--flag=value` tokens;
     a boolean key is its flag or nothing."""
     try:
-        fields = read_fields(Path(path).read_text(encoding="utf-8"), path)[0]
+        values = read_fields(Path(path).read_text(encoding="utf-8"), path)[0]
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except CircuitFileError as exc:
         raise UsageError(str(exc)) from exc
-    values = {key.replace("-", "_"): value for key, value in fields.items()}
     unknown = set(values) - set(_OPTIONS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -366,13 +349,6 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
 
 def _cmd_rectify(cfg: RunConfig) -> int:
     c = resolve_circuit(cfg.circuit) if cfg.circuit else None
-    # the bisection settings are checked before the sweep, the slow
-    # part; the bracket's own values were checked while parsing
-    tol = CROSSING_TOL if cfg.crossing_tol is None else cfg.crossing_tol
-    if cfg.find_crossing:
-        _check_bisection(None, tol)
-    elif cfg.bracket is not None or cfg.crossing_tol is not None:
-        raise UsageError("--bracket and --crossing-tol need --find-crossing")
     records, series = rectification_sweep(cfg.delta_grid, circuit=c)
     path = Path(cfg.out)
     write_records(records, path)
@@ -387,8 +363,13 @@ def _cmd_rectify(cfg: RunConfig) -> int:
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
     if not cfg.find_crossing:
         return 0
-    crossing = series_crossing(series, c, cfg.bracket, tol)
-    print(f"crossing  {crossing:.6f}")
+    crossings = series_crossings(series, c)
+    if not crossings:
+        raise NoSignChangeError("the ratio does not cross 1 between grid "
+                                "points where it is defined; widen or refine "
+                                "--delta-grid")
+    for crossing in crossings:
+        print(f"crossing  {crossing:.6f}")
     return 0
 
 
@@ -464,7 +445,7 @@ _COMMANDS = {
         "resistance of one circuit across a dephasing grid"),
     "rectify": (
         _cmd_rectify,
-        "circuit delta_grid find_crossing bracket crossing_tol out plot",
+        "circuit delta_grid find_crossing out plot",
         {"delta_grid": LOG_GRID, "out": "rectification.csv"},
         "forward versus reverse resistance across a dephasing grid"),
     "entropy-trace": (
@@ -483,7 +464,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DephnetError as exc:
+    except (DephnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,5 @@
 """Scripted parameter sweeps: branch counts, dephasing grids, the
-one-extra-edge pair, and the rectification crossing.
+one-extra-edge pair, and the rectification crossings.
 
 Sweep points are solved one after another by the direct solver; the
 emitted records are sorted by (branch count as a number, circuit label,
@@ -7,6 +7,11 @@ delta, direction), whatever order the points were given in, so a branch
 sweep lists m = 1, 2, ..., 10 and not the label parallel10x1 first. A
 point the direct solver refuses raises its UnphysicalSolutionError,
 which ends the sweep, ratio or search that asked for it.
+
+A rectification sweep's grid is also the crossing search's bracket:
+series_crossings bisects each sign change of the forward/reverse ratio
+minus 1 between neighbouring grid points until its ends agree to the 6
+decimals that are printed (CROSSING_TOL).
 """
 from __future__ import annotations
 
@@ -29,8 +34,9 @@ BRANCH_DELTAS = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 #: sharp small-delta features and the classical tail.
 LOG_GRID = tuple(np.logspace(-3.0, math.log10(50.0), 40))
 DEFAULT_M_MAX = 10
-#: Bracket width at which the crossing bisection stops by default.
-CROSSING_TOL = 1e-4
+#: The crossing bisection stops once both bracket ends round alike to
+#: this step: the crossing is printed to 6 decimals.
+CROSSING_TOL = 1e-6
 #: Model time of the coherence traces, long enough to pass the peak.
 ENTROPY_T_END = 25.0
 
@@ -82,15 +88,6 @@ def _ratio_flips(series: Sequence[tuple[float, float]],
     finite = [(d, r) for d, r in series if math.isfinite(r)]
     return [(d0, d1) for (d0, r0), (d1, r1) in zip(finite, finite[1:])
             if (r0 - 1.0) * (r1 - 1.0) < 0]
-
-
-def _check_bisection(bracket: tuple[float, float] | None, tol: float) -> None:
-    """Raise UsageError unless tol > 0 and, if given, lo < hi."""
-    if not tol > 0:
-        raise UsageError(f"bisection tolerance must be positive, got {tol}")
-    if bracket is not None and not bracket[0] < bracket[1]:
-        raise UsageError(f"bracket must satisfy lo < hi, got "
-                         f"{bracket[0]:g}, {bracket[1]:g}")
 
 
 def _measure(c: Circuit, delta: float, direction: str = "forward",
@@ -191,17 +188,24 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
                         tol: float = CROSSING_TOL,
                         ratio_fn: Callable[[float], float] | None = None,
                         ) -> float:
-    """Bisect the bracket down to width <= tol, or until no float lies
-    strictly between its ends, and return its midpoint.
+    """Bisect the bracket until it is at most tol wide and both ends
+    round to the same multiple of tol, or until no float lies strictly
+    between them, and return its midpoint. The midpoint then rounds to
+    a multiple of tol as the crossing does: a width of tol alone leaves
+    the last digit open where the crossing is near a rounding boundary.
 
     The function whose root is sought is ratio(delta) - 1; by default
     the ratio of the calibrated funnel. Raises NoSignChangeError if the
     bracket endpoints are on the same side of 1, or if the ratio is not
-    finite at an endpoint or a midpoint, where its side of 1 is unknown.
+    finite at an endpoint or a midpoint, where its side of 1 is unknown,
+    and UsageError unless tol > 0 and lo < hi.
     """
     fn = ratio_fn if ratio_fn is not None else funnel_ratio
     lo, hi = float(bracket[0]), float(bracket[1])
-    _check_bisection((lo, hi), tol)
+    if not tol > 0:
+        raise UsageError(f"bisection tolerance must be positive, got {tol}")
+    if not lo < hi:
+        raise UsageError(f"bracket must satisfy lo < hi, got {lo:g}, {hi:g}")
 
     def excess(d: float) -> float:
         ratio = fn(d)
@@ -221,7 +225,8 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
         raise NoSignChangeError(
             f"ratio - 1 keeps its sign over [{lo}, {hi}]: "
             f"{f_lo:.3e} .. {f_hi:.3e}")
-    while hi - lo > tol:
+    # the width test first: it keeps lo / tol below 2^53
+    while hi - lo > tol or round(lo / tol) != round(hi / tol):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # the ends are adjacent floats
             return mid
@@ -235,28 +240,23 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
     return 0.5 * (lo + hi)
 
 
-def series_crossing(series: Sequence[tuple[float, float]],
-                    circuit: Circuit | None = None,
-                    bracket: tuple[float, float] | None = None,
-                    tol: float = CROSSING_TOL) -> float:
-    """Where the ratio of `circuit` (by default the calibrated funnel)
-    crosses 1, bisected from `bracket` or else from the first sign
-    change of its (delta, ratio) series. Ratios the series holds, such
-    as the bracket ends it gave, are read from it and not solved again.
+def series_crossings(series: Sequence[tuple[float, float]],
+                     circuit: Circuit | None = None) -> list[float]:
+    """Every delta where the ratio of `circuit` (by default the
+    calibrated funnel) crosses 1: one bisection to CROSSING_TOL per sign
+    change of its (delta, ratio) series, which is in delta order, and
+    the crossings in that order; empty if the series does not cross 1.
+    Ratios the series holds, such as the bracket ends, are read from it
+    and not solved again.
 
-    Raises NoSignChangeError if no bracket is given and the series does
-    not cross 1, or as find_ratio_crossing does.
+    Raises NoSignChangeError as find_ratio_crossing does.
     """
-    if bracket is None:
-        flips = _ratio_flips(series)
-        if not flips:
-            raise NoSignChangeError("the ratio does not cross 1 on the grid; "
-                                    "give an explicit --bracket")
-        bracket = flips[0]
     known = dict(series)
-    return find_ratio_crossing(
-        bracket, tol,
-        lambda d: known[d] if d in known else funnel_ratio(d, circuit))
+
+    def ratio(d: float) -> float:
+        return known[d] if d in known else funnel_ratio(d, circuit)
+    return [find_ratio_crossing(flip, CROSSING_TOL, ratio)
+            for flip in _ratio_flips(series)]
 
 
 def entropy_trace(c: Circuit, delta: float, t_end: float,

@@ -60,21 +60,25 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
     """S(rho || sigma) with sigma the dephased (diagonal) counterpart.
 
     Computed from the eigenvalues of rho and the diagonal of rho:
-    S = sum(lam ln lam) - sum(d ln d). Zero iff rho is already diagonal;
-    small negative values from rounding (>= -1e-9 max(1, tr rho)) are
-    clipped to 0.
+    S = sum(lam ln lam) - sum(d ln d). Zero iff rho is already diagonal.
+    Hermiticity, eigenvalues and S are judged relative to
+    scale = max(1, tr rho), as the sums grow with the trace: small
+    negative values from rounding (S >= -1e-9 scale) are clipped to 0.
     """
     rho = np.asarray(rho, dtype=complex)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > HERMITICITY_TOL:
-        raise PhysicalityError(f"state is not Hermitian (deviation {herm:.3e})")
-    lam = np.linalg.eigvalsh(rho)
-    if lam.min() < MIN_EIGENVALUE_TOL:
-        raise PhysicalityError(
-            f"negative eigenvalue {lam.min():.3e} beyond tolerance")
     diag = np.diag(rho).real
+    scale = max(1.0, float(diag.sum()))
+    herm = float(np.abs(rho - rho.conj().T).max())
+    if herm > HERMITICITY_TOL * scale:
+        raise PhysicalityError(f"state is not Hermitian (deviation {herm:.3e} "
+                               f"at scale {scale:.3e})")
+    lam = np.linalg.eigvalsh(rho)
+    if lam.min() < MIN_EIGENVALUE_TOL * scale:
+        raise PhysicalityError(
+            f"negative eigenvalue {lam.min():.3e} beyond tolerance at scale "
+            f"{scale:.3e}")
     entropy = _sum_x_ln_x(lam) - _sum_x_ln_x(diag)
-    if entropy < ENTROPY_CLIP * max(1.0, float(diag.sum())):
+    if entropy < ENTROPY_CLIP * scale:
         raise PhysicalityError(
             f"relative entropy {entropy:.3e} below the noise allowance; "
             "eigendecomposition inconsistent")

@@ -12,8 +12,9 @@ insensitive, with ``#`` starting a comment anywhere on a line:
     sink: 2
 
 `read_fields` is the one reader of that format: blank lines are
-skipped, a line without a colon or a repeated key is an error that
-names the line. The CLI reads its config files with it too.
+skipped, keys are read lowercased with '-' as '_', and a line without a
+colon or a repeated key (so `delta-grid` after `delta_grid`) is an
+error that names the line. The CLI reads its config files with it too.
 
 The calibrated topologies ship as files with their calibration
 provenance embedded as comments. Every file-backed builtin, by name
@@ -43,9 +44,9 @@ _WIRE_RE = re.compile(r"^wire(\d+)$")
 
 
 def read_fields(text: str, origin: str) -> tuple[dict[str, str], list[str]]:
-    """The `key: value` fields of a text, keys lowercased, and its
-    comments. CircuitFileError names `origin` and the line of a line
-    without a colon or of a repeated key."""
+    """The `key: value` fields of a text, keys lowercased with '-' read
+    as '_', and its comments. CircuitFileError names `origin` and the
+    line of a line without a colon or of a repeated key."""
     fields: dict[str, str] = {}
     comments: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -60,7 +61,7 @@ def read_fields(text: str, origin: str) -> tuple[dict[str, str], list[str]]:
         if not sep:
             raise CircuitFileError(
                 f"{origin}:{lineno}: expected 'key: value', got {raw!r}")
-        key = key.strip().lower()
+        key = key.strip().lower().replace("-", "_")
         if key in fields:
             raise CircuitFileError(f"{origin}:{lineno}: duplicate field {key!r}")
         fields[key] = value.strip()

@@ -427,8 +427,10 @@ def _accept(g: Generator, rho: np.ndarray, residual: float, eta: float,
             f"direct solution is not stationary: backward error {eta:.3e}")
     sink_pop = rho[g.circuit.sink, g.circuit.sink].real
     expected = SOURCE_FLUX / GAMMA_BATH
+    norm = max(1.0, scale)
     try:
-        _check_physical(rho[None], lambda _i: "in direct NESS")
+        _check_physical(rho[None] / norm, lambda _i: f"in direct NESS, "
+                        f"relative to its scale {norm:.3e}")
     except PhysicalityError as exc:
         raise UnphysicalSolutionError(
             f"stationary system solvable (residual {residual:.3e}) but the "

@@ -1,10 +1,12 @@
-import math
 from pathlib import Path
 
 import pytest
 
-from dephnet import UsageError, main, parse_config, parse_delta_grid
+from dephnet import (UsageError, find_ratio_crossing, funnel_ratio,
+                     funnel_shortlist, main, parse_config, parse_delta_grid,
+                     rectification_sweep, write_circuit_file)
 from dephnet.cli import RunConfig
+from dephnet.experiments import _ratio_flips
 
 
 # --- flag parsing -----------------------------------------------------------
@@ -50,15 +52,6 @@ def test_parse_delta_grid_linear_and_list():
 def test_parse_delta_grid_rejects(text):
     with pytest.raises(UsageError):
         parse_delta_grid(text)
-
-
-def test_parse_bracket_is_a_pair_of_floats(tmp_path):
-    cfg = parse_config(["rectify", "--bracket", "0.1,0.5"])
-    assert cfg.bracket == (0.1, 0.5)
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("bracket: 0, 0.2\n")
-    assert parse_config(["rectify", "--config", str(cfgfile)]).bracket == (0.0, 0.2)
-    assert parse_config(["rectify"]).bracket is None
 
 
 def test_unknown_flag_is_usage_error():
@@ -187,7 +180,10 @@ def test_config_inline_comment(tmp_path):
 @pytest.mark.parametrize("text, line, message", [
     ("circuit: wire2\ndelta: 0.5\nDelta: 2\n", 3, "duplicate field 'delta'"),
     ("circuit: wire2\n\ndelta 0.5\n", 3, "expected 'key: value'"),
-], ids=["repeated-key", "no-colon"])
+    # one key in both spellings: neither silently wins
+    ("delta-grid: 0.1,0.5\ndelta_grid: 0.2,0.3\n", 2,
+     "duplicate field 'delta_grid'"),
+], ids=["repeated-key", "no-colon", "dash-and-underscore"])
 def test_config_bad_line_names_file_and_line(tmp_path, capsys, text, line,
                                              message):
     cfgfile = tmp_path / "run.conf"
@@ -211,8 +207,8 @@ _FLAGS = {
     "sweep-branches": ["--m-max", "--branch-length", "--delta-grid", "--out",
                        "--plot"],
     "sweep-dephasing": ["--circuit", "--delta-grid", "--out", "--plot"],
-    "rectify": ["--circuit", "--delta-grid", "--find-crossing", "--bracket",
-                "--crossing-tol", "--out", "--plot"],
+    "rectify": ["--circuit", "--delta-grid", "--find-crossing", "--out",
+                "--plot"],
     "entropy-trace": ["--circuit", "--delta", "--t-end", "--samples", "--out",
                       "--plot"],
     "calibrate": ["--search", "--max-n", "--full"],
@@ -271,6 +267,19 @@ def test_unknown_circuit_exits_one(capsys):
     code = main(["ness", "--circuit", "nosuch", "--delta", "0"])
     assert code == 1
     assert "nosuch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-dephasing", "--circuit", "wire2", "--delta-grid", "1", "--out",
+      "absent/x.csv"], "No such file or directory"),
+    (["ness", "--circuit", ".", "--delta", "1"], "Is a directory"),
+], ids=["missing-output-dir", "directory-as-circuit"])
+def test_file_system_error_exits_one(argv, message, tmp_path, monkeypatch,
+                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_bad_grid_exits_one(capsys):
@@ -377,38 +386,71 @@ def test_rectify_reports_bracket(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "rectification.csv").exists()
 
 
+# the funnel's ratio crosses 1 once, at delta* = 0.2251197207579...
+FUNNEL_CROSSING_LINE = "crossing  0.225120"
+
+
 def test_rectify_find_crossing_with_bracket(tmp_path, monkeypatch, capsys):
+    # a grid of two points is the bracket of the bisection
     monkeypatch.chdir(tmp_path)
-    code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing",
-                 "--bracket", "0.1,0.5", "--crossing-tol", "1e-3"])
+    code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing"])
     out = capsys.readouterr().out
     assert code == 0
-    crossing = float(out.split("crossing")[-1])
-    assert math.isclose(crossing, 0.2251, abs_tol=2e-3)
+    assert out.splitlines()[-1] == FUNNEL_CROSSING_LINE
+
+
+def test_rectify_default_grid_prints_crossing_to_six_decimals(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["rectify", "--find-crossing"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("crossing")] == [
+        FUNNEL_CROSSING_LINE]
+
+
+def test_rectify_prints_every_crossing_in_delta_order(
+        tmp_path, monkeypatch, capsys):
+    # kite-lead's ratio crosses 1 twice; each printed crossing lies
+    # within CROSSING_TOL of a far finer bisection on its own sign change
+    kite = {c.label: c for c in funnel_shortlist()}["kite-lead"]
+    write_circuit_file(kite, tmp_path / "kite.circuit")
+    monkeypatch.chdir(tmp_path)
+    grid = "log:0.01:10:40"
+    assert main(["rectify", "--circuit", "kite.circuit", "--delta-grid", grid,
+                 "--find-crossing"]) == 0
+    printed = [float(line.split()[1])
+               for line in capsys.readouterr().out.splitlines()
+               if line.startswith("crossing")]
+    _, series = rectification_sweep(parse_delta_grid(grid), circuit=kite)
+    flips = _ratio_flips(series)
+    assert len(flips) == 2 and printed == sorted(printed)
+    for crossing, flip in zip(printed, flips):
+        fine = find_ratio_crossing(flip, 1e-12,
+                                   lambda d: funnel_ratio(d, kite))
+        assert abs(crossing - fine) <= 1e-6, (crossing, fine)
 
 
 def test_rectify_no_sign_change_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["rectify", "--delta-grid", "0.01,0.05", "--find-crossing"])
     assert code == 1
-    assert "--bracket" in capsys.readouterr().err
+    assert "--delta-grid" in capsys.readouterr().err
 
 
 def test_rectify_refuses_crossing_where_ratio_is_undefined(
         tmp_path, monkeypatch, capsys):
     # the funnel insulates both ways at delta = 0, so the ratio there is
-    # undefined and the bracket [0, 0.2] gives no crossing
+    # undefined and brackets no crossing
     monkeypatch.chdir(tmp_path)
-    code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing",
-                 "--bracket", "0,0.2"])
+    code = main(["rectify", "--delta-grid", "0,0.2", "--find-crossing"])
     captured = capsys.readouterr()
     assert code == 1
     assert "crossing " not in captured.out
-    assert "undefined" in captured.err
+    assert "where it is defined" in captured.err
     # a one-site wire has reverse R = 0: the ratio is undefined, not a
     # division error
     code = main(["rectify", "--circuit", "wire1", "--delta-grid", "0.1,1",
-                 "--find-crossing", "--bracket", "0.1,1"])
+                 "--find-crossing"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
@@ -434,15 +476,26 @@ def test_rectify_solves_each_point_once(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags", [["--crossing-tol", "0"],
                                    ["--bracket", "0.5,0.1"],
-                                   ["--bracket", "x"]])
+                                   ["--bracket", "x"],
+                                   ["--bracket", "0.1,0.5"],
+                                   ["--crossing-tol", "1e-3"],
+                                   ["--config", "bracket: 0.1,0.5\n"],
+                                   ["--config", "crossing-tol: 1e-3\n"]])
 def test_rectify_rejects_bisection_settings_before_sweeping(
         tmp_path, monkeypatch, capsys, flags):
+    # the grid is the bracket and the tolerance is fixed: --bracket,
+    # --crossing-tol and their config keys are unknown, whatever their
+    # value, and refused before any solve
     monkeypatch.chdir(tmp_path)
+    if flags[0] == "--config":
+        (tmp_path / "run.cfg").write_text(flags[1])
+        flags = ["--config", "run.cfg"]
     code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing",
                  *flags])
     captured = capsys.readouterr()
     assert code == 1
-    assert "usage error" in captured.err
+    assert captured.err.startswith(("usage error: unrecognized arguments: --",
+                                    "usage error: unknown config keys: "))
     assert "wrote" not in captured.out
     assert not (tmp_path / "rectification.csv").exists()
 
@@ -458,9 +511,8 @@ def test_rectify_rejects_bisection_settings_before_sweeping(
         "config-tol"])
 def test_rectify_rejects_bisection_settings_without_find_crossing(
         tmp_path, monkeypatch, capsys, flags, config):
-    # the bisection settings act only with --find-crossing; given without
-    # it, from a flag or a config file, they are a usage mistake, found
-    # before any solve
+    # the removed bisection settings are refused without --find-crossing
+    # too, from a flag or a config file, before any solve
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
@@ -473,23 +525,18 @@ def test_rectify_rejects_bisection_settings_without_find_crossing(
     assert not (tmp_path / "rectification.csv").exists()
 
 
-def test_rectify_help_states_tolerance_default(capsys):
-    with pytest.raises(SystemExit):
-        main(["rectify", "--help"])
-    assert "(default 0.0001)" in " ".join(capsys.readouterr().out.split())
-
-
 @pytest.mark.parametrize("bracket", ["1,0.5", "0.2,0.2", "x", "0.1,0.2,0.3",
                                      "-1,0.5", "0.1,inf"])
 def test_rectify_rejects_malformed_bracket_without_find_crossing(
         tmp_path, monkeypatch, capsys, bracket):
-    # --bracket is parsed with the other flags, so a bad one is refused
-    # even when no crossing is searched for
+    # a bad --bracket is refused as unknown, like a good one, even when
+    # no crossing is searched for
     monkeypatch.chdir(tmp_path)
     code = main(["rectify", "--delta-grid", "0.1,0.5", "--bracket", bracket])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("usage error: argument --bracket")
+    assert captured.err.startswith(
+        "usage error: unrecognized arguments: --bracket")
     assert "wrote" not in captured.out
     assert not (tmp_path / "rectification.csv").exists()
 

@@ -44,7 +44,7 @@ ORACLE_CIRCUITS = (
     # componentwise condition number alone by up to 10^10
     + [(Circuit(build_graph(5, [(0, 1), (0, 3), (1, 2), (1, 4)]), 3, 0),
         True)])
-ORACLE_EXPONENTS = (-15, -12, -9, -6, -3, 0, 2, 4, 6, 8, 10, 12, 14)
+ORACLE_EXPONENTS = (-15, -12, -9, -6, -3, 0, 2, 4, 6, 8, 10, 12, 14, 16)
 
 
 @pytest.mark.parametrize(

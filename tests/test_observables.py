@@ -8,7 +8,8 @@ from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                      IndeterminateResultError, PhysicalityError,
                      SteadyStateResult, assemble_generator, conductance,
                      current_out, make_additivity_pair, make_parallel_circuit,
-                     make_pentagon, make_wire, relative_entropy_coherence,
+                     make_pentagon, make_triangle_funnel, make_wire,
+                     relative_entropy_coherence,
                      resistance, solve_ness_direct, voltage)
 from conftest import random_density_matrix
 
@@ -83,10 +84,11 @@ def test_entropy_tolerates_tiny_negative_eigenvalues():
 
 @pytest.mark.parametrize("c, delta", [
     (make_additivity_pair()[0], 1e8), (make_pentagon(), 1e10),
-    (make_parallel_circuit(4), 1e12)])
+    (make_parallel_circuit(4), 1e12), (make_triangle_funnel(), 1e16),
+    (make_parallel_circuit(3), 1e16)])
 def test_entropy_noise_allowance_grows_with_the_trace(c, delta):
     # at strong dephasing the populations reach delta R_eff; both sums
-    # of S, and their rounding, grow with the trace
+    # of S, the eigenvalues, and their rounding grow with the trace
     res = solve_ness_direct(assemble_generator(c, delta))
     assert np.trace(res.rho_ness).real > 1e8
     assert relative_entropy_coherence(res.rho_ness) >= 0.0
