@@ -1,5 +1,6 @@
 """Measured quantities: current, voltage, resistance, conductance, and
-the relative-entropy gauge for coherence.
+the relative-entropy gauge for coherence, summed as non-negative terms
+so that it keeps its digits at strong dephasing.
 
 The injected current SOURCE_FLUX is the unit of current (see
 generator), so resistance is numerically the source-sink population
@@ -16,13 +17,6 @@ from .generator import GAMMA_BATH, SOURCE_FLUX
 from .graphs import Circuit
 from .steady_state import (DIVERGED, HERMITICITY_TOL, MAX_TIME_EXCEEDED,
                            MIN_EIGENVALUE_TOL, SteadyStateResult)
-
-#: Eigenvalues below this are treated as exact zeros (0 ln 0 = 0).
-EIGENVALUE_FLOOR = 1e-12
-#: Numerical noise allowance before clipping the entropy to zero, per
-#: particle: the two sums whose difference is S grow like tr(rho), and
-#: so does their rounding.
-ENTROPY_CLIP = -1e-9
 
 
 def current_out(rho: np.ndarray, c: Circuit) -> float:
@@ -59,11 +53,19 @@ def conductance(res: SteadyStateResult, c: Circuit) -> float:
 def relative_entropy_coherence(rho: np.ndarray) -> float:
     """S(rho || sigma) with sigma the dephased (diagonal) counterpart.
 
-    Computed from the eigenvalues of rho and the diagonal of rho:
-    S = sum(lam ln lam) - sum(d ln d). Zero iff rho is already diagonal.
-    Hermiticity, eigenvalues and S are judged relative to
-    scale = max(1, tr rho), as the sums grow with the trace: small
-    negative values from rounding (S >= -1e-9 scale) are clipped to 0.
+    Computed in the Bregman form from one eigendecomposition
+    rho = U diag(lam) U^+ and the populations p = diag(rho):
+
+        S = sum_{i,a} |U_ia|^2 p_i h(lam_a / p_i),  h(t) = t ln t - t + 1,
+
+    which equals sum(lam ln lam) - sum(p ln p) but sums terms that are
+    all >= 0, so nothing cancels when S is small against tr rho (strong
+    dephasing). t is formed before h is taken, as the difference
+    ln lam - ln p cancels; h(0) = 1, each h is clamped at 0 against
+    rounding, and a site with p_i <= 0 adds nothing. Zero iff rho is
+    already diagonal. Hermiticity and eigenvalues are judged relative
+    to scale = max(1, tr rho); small negative eigenvalues from rounding
+    count as 0.
     """
     rho = np.asarray(rho, dtype=complex)
     diag = np.diag(rho).real
@@ -72,20 +74,15 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
     if herm > HERMITICITY_TOL * scale:
         raise PhysicalityError(f"state is not Hermitian (deviation {herm:.3e} "
                                f"at scale {scale:.3e})")
-    lam = np.linalg.eigvalsh(rho)
+    lam, u = np.linalg.eigh(rho)
     if lam.min() < MIN_EIGENVALUE_TOL * scale:
         raise PhysicalityError(
             f"negative eigenvalue {lam.min():.3e} beyond tolerance at scale "
             f"{scale:.3e}")
-    entropy = _sum_x_ln_x(lam) - _sum_x_ln_x(diag)
-    if entropy < ENTROPY_CLIP * scale:
-        raise PhysicalityError(
-            f"relative entropy {entropy:.3e} below the noise allowance; "
-            "eigendecomposition inconsistent")
-    return max(entropy, 0.0)
-
-
-def _sum_x_ln_x(values: np.ndarray) -> float:
-    kept = values[values > EIGENVALUE_FLOOR]
-    return float(np.sum(kept * np.log(kept)))
-
+    occupied = diag > 0
+    p = diag[occupied, None]
+    t = np.maximum(lam, 0.0) / p
+    # t is a float, so t - 1 is exact for t in [1/2, 2] (Sterbenz) and
+    # ln t there is as accurate as log1p(t - 1)
+    h = np.maximum(t * np.log(np.where(t > 0, t, 1.0)) - (t - 1.0), 0.0)
+    return float(np.sum(np.abs(u[occupied]) ** 2 * p * h))

@@ -390,7 +390,8 @@ def test_rectify_reports_bracket(tmp_path, monkeypatch, capsys):
 FUNNEL_CROSSING_LINE = "crossing  0.225120"
 
 
-def test_rectify_find_crossing_with_bracket(tmp_path, monkeypatch, capsys):
+def test_rectify_find_crossing_on_a_two_point_grid(tmp_path, monkeypatch,
+                                                    capsys):
     # a grid of two points is the bracket of the bisection
     monkeypatch.chdir(tmp_path)
     code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing"])
@@ -527,7 +528,7 @@ def test_rectify_rejects_bisection_settings_without_find_crossing(
 
 @pytest.mark.parametrize("bracket", ["1,0.5", "0.2,0.2", "x", "0.1,0.2,0.3",
                                      "-1,0.5", "0.1,inf"])
-def test_rectify_rejects_malformed_bracket_without_find_crossing(
+def test_rectify_refuses_a_removed_flag_whatever_its_value(
         tmp_path, monkeypatch, capsys, bracket):
     # a bad --bracket is refused as unknown, like a good one, even when
     # no crossing is searched for

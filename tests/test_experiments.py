@@ -7,7 +7,8 @@ from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      UnphysicalSolutionError, UsageError,
                      additivity_experiment, dephasing_sweep, entropy_trace,
                      find_conductance_peak, find_ratio_crossing,
-                     funnel_ratio, make_parallel_circuit, make_pentagon,
+                     funnel_ratio, make_additivity_pair,
+                     make_parallel_circuit, make_pentagon,
                      make_wire, rectification_sweep, sweep_branch_count)
 from dephnet.experiments import ENTROPY_T_END
 
@@ -174,6 +175,16 @@ def test_entropy_trace_starts_at_zero():
     assert values[5:].min() > 0.0  # coherence builds up
     with pytest.raises(UsageError):
         entropy_trace(make_wire(2), 0.0, -1.0)
+
+
+def test_additivity_pair_entropy_traces_are_finite_and_nonnegative():
+    # the traces start from the empty device, so their early states have
+    # eigenvalues and populations far below their largest ones
+    for c in make_additivity_pair():
+        times, values = entropy_trace(c, 0.0, ENTROPY_T_END)
+        assert values[0] == 0.0
+        assert np.isfinite(values).all() and values.min() >= 0.0
+        assert values[-1] > 0.0
 
 
 def test_strong_dephasing_suppresses_ness_coherence():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                      relative_entropy_coherence,
                      resistance, solve_ness_direct, voltage)
 from conftest import random_density_matrix
+from exact_oracle import exact_state
 
 
 def _result(status, rho=None):
@@ -86,9 +88,47 @@ def test_entropy_tolerates_tiny_negative_eigenvalues():
     (make_additivity_pair()[0], 1e8), (make_pentagon(), 1e10),
     (make_parallel_circuit(4), 1e12), (make_triangle_funnel(), 1e16),
     (make_parallel_circuit(3), 1e16)])
-def test_entropy_noise_allowance_grows_with_the_trace(c, delta):
-    # at strong dephasing the populations reach delta R_eff; both sums
-    # of S, the eigenvalues, and their rounding grow with the trace
+def test_entropy_nonnegative_on_states_with_a_large_trace(c, delta):
+    # at strong dephasing the populations reach delta R_eff while S falls
+    # like 1/delta; every term of the Bregman sum is >= 0 at any trace
     res = solve_ness_direct(assemble_generator(c, delta))
     assert np.trace(res.rho_ness).real > 1e8
-    assert relative_entropy_coherence(res.rho_ness) >= 0.0
+    s = relative_entropy_coherence(res.rho_ness)
+    assert math.isfinite(s) and s >= 0.0
+
+
+def _exact_coherence(c, delta: float, digits: int = 40):
+    """S of the exact rational steady state to about `digits` significant
+    digits: sum(lam ln lam) - sum(p ln p) from mpmath eigenvalues, with
+    20 guard digits for the cancellation of the two sums, which costs
+    log10(tr rho / S), about 16 digits at delta = 1e8."""
+    x, y = exact_state(c, delta)
+    n = len(x)
+    with mpmath.workdps(digits + 20):
+        rho = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                rho[i, j] = mpmath.mpc(
+                    mpmath.mpf(x[i][j].numerator) / x[i][j].denominator,
+                    mpmath.mpf(y[i][j].numerator) / y[i][j].denominator)
+        lam = mpmath.eighe(rho, eigvals_only=True)
+        s = (mpmath.fsum(v * mpmath.log(v) for v in lam if v > 0)
+             - mpmath.fsum(rho[i, i].real * mpmath.log(rho[i, i].real)
+                           for i in range(n) if rho[i, i].real > 0))
+        return float(s)
+
+
+#: Largest relative error of S against the exact state, by delta: S
+#: falls like 1/delta while the state's rounding grows like delta eps.
+COHERENCE_RTOL = {1.0: 1e-13, 1e4: 1e-11, 1e6: 2e-9, 1e8: 1e-7}
+
+
+@pytest.mark.parametrize("c", [
+    make_triangle_funnel(), make_additivity_pair()[1], make_pentagon(),
+    make_parallel_circuit(3)], ids=lambda c: c.label)
+def test_entropy_matches_exact_reference(c):
+    for delta, rtol in COHERENCE_RTOL.items():
+        exact = _exact_coherence(c, delta)
+        s = relative_entropy_coherence(
+            solve_ness_direct(assemble_generator(c, delta)).rho_ness)
+        assert s == pytest.approx(exact, rel=rtol), delta
