@@ -24,9 +24,8 @@ from .steady_state import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                            evolve, solve_ness_by_evolution, solve_ness_direct)
 from .observables import (conductance, current_out, relative_entropy_coherence,
                           resistance, voltage)
-from .calibrate import (CalibrationTarget, additivity_pair_search,
-                        calibrate_topology, funnel_family, funnel_shortlist,
-                        pentagon_family)
+from .calibrate import (additivity_pair_search, calibrate_topology,
+                        funnel_family, funnel_shortlist, pentagon_family)
 from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
                           entropy_trace, find_conductance_peak,
                           find_ratio_crossing, funnel_ratio,
@@ -42,9 +41,9 @@ from .cli import RunConfig, main, parse_config, parse_delta_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxesSpec", "CalibrationError", "CalibrationNotRunError",
-    "CalibrationTarget", "Circuit", "CircuitFileError", "CONVERGED",
-    "DephnetError", "DimensionMismatchError", "DIVERGED", "EXPLICIT_BATH",
+    "AxesSpec", "CalibrationError", "CalibrationNotRunError", "Circuit",
+    "CircuitFileError", "CONVERGED", "DephnetError", "DimensionMismatchError",
+    "DIVERGED", "EXPLICIT_BATH",
     "Generator", "Graph", "GraphConstructionError", "IndeterminateResultError",
     "MAX_TIME_EXCEEDED", "NoSignChangeError", "PhysicalityError", "REDUCED",
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",

@@ -3,18 +3,20 @@ reproduce published transport numbers.
 
 The shipped devices (additivity pair, pentagon sink, triangle funnel)
 were frozen from searches over bounded families (n <= 8, at most 14
-edges); this module keeps those searches reproducible. Candidates are
-evaluated one after another and matches are returned in a canonical
-sorted order, so results never depend on the order of the family.
+edges); this module keeps those searches reproducible. Each search is a
+predicate over one candidate (`insulating_at_zero`,
+`rectifies_as_published`) checked against the published numbers kept
+here beside it; `calibrate_topology` keeps the candidates it accepts,
+one after another, and returns them in a canonical sorted order, so
+results never depend on the order of the family.
 
 networkx is imported inside the three functions that walk the graph
 atlas, so importing the package does not load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,34 +40,15 @@ ADDITIVITY_R_TOL = 0.01
 #: have R_A = R_B = 1.76, and rounding alone must not decide them.
 ADDITIVITY_EDGE_SLACK = 1e-9
 
-#: Ratio magnitudes this close to 1 across the whole probe grid mean the
-#: two directions are related by a graph symmetry; any sign change is
-#: rounding noise, not rectification.
-SYMMETRY_NOISE = 1e-9
+#: The funnel's published numbers: its forward/reverse ratio crosses 1
+#: once in (0, 1), at 0.2259 +/- 0.005, and is 1 +/- 0.01 at delta = 100,
+#: where transport is classical.
+FUNNEL_CROSSING = 0.2259
+FUNNEL_CROSSING_TOL = 0.005
+FUNNEL_CLASSICAL_DELTA = 100.0
+FUNNEL_CLASSICAL_TOL = 0.01
 
 _CROSSING_GRID = np.logspace(-3.0, 0.0, 25)
-
-
-@dataclass(frozen=True)
-class CalibrationTarget:
-    """One published number to match.
-
-    observable is one of:
-      ``resistance``      R at `delta` equals value +/- tolerance
-      ``divergence``      the device is insulating at `delta`
-      ``ratio-at``        forward/reverse R ratio at `delta`
-      ``ratio-crossing``  the ratio crosses 1 exactly once in (0, 1),
-                          at a strength within value +/- tolerance
-                          (`delta` is ignored)
-    """
-
-    delta: float
-    observable: str
-    value: float | None
-    tolerance: float
-
-
-_KNOWN_OBSERVABLES = {"resistance", "divergence", "ratio-at", "ratio-crossing"}
 
 
 def _canonical_key(c: Circuit):
@@ -77,7 +60,7 @@ def _single_crossing(c: Circuit) -> float | None:
     """Location of the ratio's sign change if there is exactly one in
     (0, 1); None otherwise."""
     ratios = [funnel_ratio(d, c) for d in _CROSSING_GRID]
-    if not all(isfinite(r) and abs(r - 1.0) >= SYMMETRY_NOISE for r in ratios):
+    if not all(isfinite(r) for r in ratios):
         return None
     series = list(zip(_CROSSING_GRID, ratios))
     if len(_ratio_flips(series)) != 1:
@@ -85,71 +68,36 @@ def _single_crossing(c: Circuit) -> float | None:
     return series_crossings(series, c)[0]
 
 
-def _meets(c: Circuit, target: CalibrationTarget) -> tuple[bool, bool]:
-    """(matches, solvable) for one candidate against one target; an
-    insulating device leaves a finite target unsolvable."""
-    if target.observable == "resistance":
-        r = _resistance_at(c, target.delta)
-        if not isfinite(r):
-            return False, False
-        return abs(r - target.value) <= target.tolerance, True
-    if target.observable == "divergence":
-        r = _resistance_at(c, target.delta)
-        return r == inf, True
-    if target.observable == "ratio-at":
-        ratio = funnel_ratio(target.delta, c)
-        if not isfinite(ratio):
-            return False, False
-        return abs(ratio - target.value) <= target.tolerance, True
+def insulating_at_zero(c: Circuit) -> bool:
+    """True if c has no steady state without dephasing (R = inf at
+    delta = 0), as every pentagon sink placement."""
+    return _resistance_at(c, 0.0) == inf
+
+
+def rectifies_as_published(c: Circuit) -> bool:
+    """True if c's ratio crosses 1 once in (0, 1), within
+    FUNNEL_CROSSING_TOL of FUNNEL_CROSSING, and is within
+    FUNNEL_CLASSICAL_TOL of 1 at FUNNEL_CLASSICAL_DELTA; the second
+    pair of solves is made only when the crossing matches."""
     crossing = _single_crossing(c)
-    if crossing is None:
-        return False, True
-    return abs(crossing - target.value) <= target.tolerance, True
-
-
-def _as_target(t) -> CalibrationTarget:
-    if isinstance(t, CalibrationTarget):
-        target = t
-    else:
-        target = CalibrationTarget(*t)
-    if target.observable not in _KNOWN_OBSERVABLES:
-        raise CalibrationError(f"target references unknown observable "
-                               f"{target.observable!r}")
-    return target
+    return (crossing is not None
+            and abs(crossing - FUNNEL_CROSSING) <= FUNNEL_CROSSING_TOL
+            and abs(funnel_ratio(FUNNEL_CLASSICAL_DELTA, c) - 1.0)
+            <= FUNNEL_CLASSICAL_TOL)
 
 
 def calibrate_topology(family: Iterable[Circuit],
-                       targets: Sequence) -> list[Circuit]:
-    """Return every candidate meeting all targets, in canonical order.
+                       matches: Callable[[Circuit], bool]) -> list[Circuit]:
+    """Every candidate of the family that `matches` accepts, tried in
+    family order and returned in canonical order.
 
-    Raises CalibrationError for an empty family, a malformed target, or
-    a target that every single candidate fails by being insulating (for
-    a finite observable: an unsolvable target for this family), and
+    Raises CalibrationError for an empty family, and
     UnphysicalSolutionError where the direct solver refuses a probe.
     """
     candidates = list(family)
     if not candidates:
         raise CalibrationError("candidate family is empty")
-    targets = [_as_target(t) for t in targets]
-    if not targets:
-        raise CalibrationError("no calibration targets given")
-
-    def evaluate(c: Circuit):
-        solvable_any = False
-        for target in targets:
-            ok, solvable = _meets(c, target)
-            solvable_any = solvable_any or solvable
-            if not ok:
-                return False, solvable_any
-        return True, True
-
-    outcomes = [evaluate(c) for c in candidates]
-    if not any(solvable for _, solvable in outcomes):
-        raise CalibrationError(
-            "unsolvable target: every candidate in the family is insulating "
-            "at the probed dephasing strength")
-    matches = [c for c, (ok, _) in zip(candidates, outcomes) if ok]
-    return sorted(matches, key=_canonical_key)
+    return sorted(filter(matches, candidates), key=_canonical_key)
 
 
 # ---------------------------------------------------------------------------

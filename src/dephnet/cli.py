@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import (CalibrationTarget, additivity_pair_search,
-                        calibrate_topology, funnel_family, funnel_shortlist,
-                        pentagon_family)
+from .calibrate import (additivity_pair_search, calibrate_topology,
+                        funnel_family, funnel_shortlist, insulating_at_zero,
+                        pentagon_family, rectifies_as_published)
 from .errors import (CircuitFileError, DephnetError, NoSignChangeError,
                      UsageError)
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
@@ -366,8 +366,8 @@ def _cmd_rectify(cfg: RunConfig) -> int:
     crossings = series_crossings(series, c)
     if not crossings:
         raise NoSignChangeError("the ratio does not cross 1 between grid "
-                                "points where it is defined; widen or refine "
-                                "--delta-grid")
+                                "points where it is defined and not within "
+                                "rounding of 1; widen or refine --delta-grid")
     for crossing in crossings:
         print(f"crossing  {crossing:.6f}")
     return 0
@@ -397,9 +397,7 @@ def _print_circuit(c: Circuit, prefix: str = "  ") -> None:
 def _cmd_calibrate(cfg: RunConfig) -> int:
     search = _require(cfg, "search")
     if search == "pentagon":
-        matches = calibrate_topology(
-            pentagon_family(),
-            [CalibrationTarget(0.0, "divergence", None, 0.0)])
+        matches = calibrate_topology(pentagon_family(), insulating_at_zero)
         print(f"{len(matches)} sink placements are insulating at delta=0:")
         for c in matches:
             _print_circuit(c)
@@ -418,10 +416,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
                   "eight sites")
         return 0
     family = funnel_family() if cfg.full else funnel_shortlist()
-    matches = calibrate_topology(family, [
-        CalibrationTarget(0.0, "ratio-crossing", 0.2259, 0.005),
-        CalibrationTarget(100.0, "ratio-at", 1.0, 0.01),
-    ])
+    matches = calibrate_topology(family, rectifies_as_published)
     print(f"{len(matches)} candidates match the rectification targets:")
     for c in matches:
         _print_circuit(c)

@@ -24,7 +24,8 @@ class CalibrationNotRunError(DephnetError, RuntimeError):
 
 
 class CalibrationError(DephnetError, ValueError):
-    """Empty candidate family or a target that no candidate can satisfy."""
+    """An empty candidate family, or a graph enumeration past the
+    7-site atlas."""
 
 
 class DimensionMismatchError(DephnetError, ValueError):

@@ -11,7 +11,9 @@ which ends the sweep, ratio or search that asked for it.
 A rectification sweep's grid is also the crossing search's bracket:
 series_crossings bisects each sign change of the forward/reverse ratio
 minus 1 between neighbouring grid points until its ends agree to the 6
-decimals that are printed (CROSSING_TOL).
+decimals that are printed (CROSSING_TOL). A grid point whose ratio lies
+within SYMMETRY_NOISE of 1 has no side of 1 and brackets nothing, so a
+device whose two directions a symmetry swaps shows no crossing.
 """
 from __future__ import annotations
 
@@ -37,6 +39,9 @@ DEFAULT_M_MAX = 10
 #: The crossing bisection stops once both bracket ends round alike to
 #: this step: the crossing is printed to 6 decimals.
 CROSSING_TOL = 1e-6
+#: A ratio this close to 1 is rounding noise about an exact 1, as where
+#: a graph symmetry swaps the two directions; its side of 1 means nothing.
+SYMMETRY_NOISE = 1e-9
 #: Model time of the coherence traces, long enough to pass the peak.
 ENTROPY_T_END = 25.0
 
@@ -82,11 +87,12 @@ def _ratio(r_forward: float, r_reverse: float) -> float:
 
 def _ratio_flips(series: Sequence[tuple[float, float]],
                  ) -> list[tuple[float, float]]:
-    """(delta, delta') of neighbouring finite points of a (delta, ratio)
-    series between which ratio - 1 changes sign; non-finite points are
-    skipped."""
-    finite = [(d, r) for d, r in series if math.isfinite(r)]
-    return [(d0, d1) for (d0, r0), (d1, r1) in zip(finite, finite[1:])
+    """(delta, delta') of neighbouring points of a (delta, ratio) series
+    between which ratio - 1 changes sign; a point where the ratio is not
+    finite or within SYMMETRY_NOISE of 1 is skipped."""
+    sided = [(d, r) for d, r in series
+             if math.isfinite(r) and abs(r - 1.0) >= SYMMETRY_NOISE]
+    return [(d0, d1) for (d0, r0), (d1, r1) in zip(sided, sided[1:])
             if (r0 - 1.0) * (r1 - 1.0) < 0]
 
 

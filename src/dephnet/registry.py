@@ -160,13 +160,20 @@ def load_calibrated(name: str) -> Circuit:
 
 
 def resolve_circuit(spec: str) -> Circuit:
-    """CLI-facing resolution: a path to a circuit file, or a builtin name."""
+    """CLI-facing resolution: a circuit file if the spec ends in
+    .circuit or names a file, else a builtin name. A directory is read
+    as a path only where it names no builtin, so `funnel/` beside the
+    command does not shadow the funnel."""
     path = Path(spec)
-    if path.suffix == ".circuit" or path.exists():
-        if not path.exists():
-            raise CircuitFileError(f"circuit file not found: {spec}")
-        return parse_circuit_file(path)[0]
-    return load_builtin(spec)
+    if path.suffix != ".circuit" and not path.is_file():
+        try:
+            return load_builtin(spec)
+        except UnknownCircuitError:
+            if not path.exists():
+                raise
+    elif not path.exists():
+        raise CircuitFileError(f"circuit file not found: {spec}")
+    return parse_circuit_file(path)[0]
 
 
 def make_additivity_pair() -> tuple[Circuit, Circuit]:

@@ -2,38 +2,21 @@ import math
 
 import pytest
 
-from dephnet import (CalibrationError, CalibrationTarget, Circuit,
-                     UnphysicalSolutionError, additivity_pair_search,
-                     build_graph, calibrate_topology, funnel_shortlist,
-                     make_parallel_circuit, make_pentagon, make_wire,
-                     pentagon_family)
-from dephnet.calibrate import (_canonical_key, _in_additivity_window,
-                               _single_crossing)
-from dephnet.experiments import _resistance_at
+from dephnet import (CalibrationError, Circuit, UnphysicalSolutionError,
+                     additivity_pair_search, build_graph, calibrate_topology,
+                     funnel_shortlist, make_parallel_circuit, make_pentagon,
+                     make_wire, pentagon_family)
+from dephnet.calibrate import (FUNNEL_CLASSICAL_DELTA, FUNNEL_CLASSICAL_TOL,
+                               FUNNEL_CROSSING, FUNNEL_CROSSING_TOL,
+                               _canonical_key, _in_additivity_window,
+                               _single_crossing, insulating_at_zero,
+                               rectifies_as_published)
+from dephnet.experiments import _resistance_at, funnel_ratio
 
 
 def test_empty_family_is_error():
     with pytest.raises(CalibrationError, match="empty"):
-        calibrate_topology([], [CalibrationTarget(0.0, "resistance", 1.0, 0.1)])
-
-
-def test_no_targets_is_error():
-    with pytest.raises(CalibrationError, match="target"):
-        calibrate_topology([make_wire(2)], [])
-
-
-def test_unknown_observable_is_error():
-    with pytest.raises(CalibrationError, match="unknown observable"):
-        calibrate_topology([make_wire(2)],
-                           [CalibrationTarget(0.0, "charisma", 1.0, 0.1)])
-
-
-def test_unsolvable_target_is_error():
-    # every pentagon sink placement is insulating at delta = 0, so a
-    # finite-resistance target there cannot be probed at all
-    with pytest.raises(CalibrationError, match="unsolvable"):
-        calibrate_topology(pentagon_family(),
-                           [CalibrationTarget(0.0, "resistance", 1.75, 0.01)])
+        calibrate_topology([], insulating_at_zero)
 
 
 def test_conditioning_limit_is_not_insulating():
@@ -41,34 +24,32 @@ def test_conditioning_limit_is_not_insulating():
     assert _resistance_at(make_wire(2), 1e8) == 1e8 + 0.5
     assert calibrate_topology(
         [make_wire(2), make_wire(3)],
-        [CalibrationTarget(1e8, "divergence", None, 0.0)]) == []
+        lambda c: _resistance_at(c, 1e8) == math.inf) == []
     # two parallel branches at 1e-15 are past the solver's error
     # estimate: a refusal is an error, not a divergence verdict
     with pytest.raises(UnphysicalSolutionError, match="significant digit"):
         calibrate_topology([make_wire(2), make_parallel_circuit(2)],
-                           [CalibrationTarget(1e-15, "divergence", None, 0.0)])
+                           lambda c: _resistance_at(c, 1e-15) == math.inf)
 
 
 def test_resistance_target_matches_wire():
     # R(wire2, delta) = (1 + 2 delta)/2 = 1.5 at delta = 1
     matches = calibrate_topology(
         [make_wire(2), make_wire(3)],
-        [CalibrationTarget(1.0, "resistance", 1.5, 1e-6)])
+        lambda c: abs(_resistance_at(c, 1.0) - 1.5) <= 1e-6)
     assert matches == [make_wire(2)]
 
 
 def test_divergence_target_keeps_all_pentagons():
-    matches = calibrate_topology(
-        pentagon_family() + [make_wire(2)],
-        [CalibrationTarget(0.0, "divergence", None, 0.0)])
+    matches = calibrate_topology(pentagon_family() + [make_wire(2)],
+                                 insulating_at_zero)
     assert len(matches) == 4
     assert make_wire(2) not in matches
 
 
 def test_matches_come_in_canonical_order():
     family = [make_wire(4), make_wire(2), make_wire(3)]
-    matches = calibrate_topology(
-        family, [CalibrationTarget(0.0, "resistance", 0.0, 10.0)])
+    matches = calibrate_topology(family, lambda c: True)
     keys = [_canonical_key(c) for c in matches]
     assert keys == sorted(keys)
     assert matches[0] == make_wire(2)  # fewest sites first
@@ -115,11 +96,7 @@ def test_additivity_edge_pairs_are_in_window(source, sink):
 
 
 def test_funnel_shortlist_calibration_selects_frozen_device():
-    targets = [
-        CalibrationTarget(0.0, "ratio-crossing", 0.2259, 0.005),
-        CalibrationTarget(100.0, "ratio-at", 1.0, 0.01),
-    ]
-    matches = calibrate_topology(funnel_shortlist(), targets)
+    matches = calibrate_topology(funnel_shortlist(), rectifies_as_published)
     labels = {c.label for c in matches}
     assert "triangle" in labels
     # the runner-ups from the exhaustive search match too: the target
@@ -129,6 +106,10 @@ def test_funnel_shortlist_calibration_selects_frozen_device():
     # decoys fall to the rejection rules
     assert all(c.label not in ("kite-lead", "wire3", "pentagon")
                for c in matches)
+    for c in matches:
+        assert abs(_single_crossing(c) - FUNNEL_CROSSING) <= FUNNEL_CROSSING_TOL
+        assert (abs(funnel_ratio(FUNNEL_CLASSICAL_DELTA, c) - 1.0)
+                <= FUNNEL_CLASSICAL_TOL)
 
 
 def test_single_crossing_rejects_symmetric_and_recrossing_devices():

@@ -457,6 +457,28 @@ def test_rectify_refuses_crossing_where_ratio_is_undefined(
     assert captured.err.startswith("error:")
 
 
+def test_ratio_flips_skip_rounding_noise_about_one():
+    # a symmetry pins the ratio at 1; its last-bit wobble is no flip
+    series = [(0.1, 1.0 + 4e-16), (0.2, 1.0 - 4e-16), (0.3, 1.0 + 4e-16),
+              (0.4, 1.0 - 4e-16)]
+    assert _ratio_flips(series) == []
+    # a noise point between two sided points is skipped, not a bracket end
+    assert _ratio_flips([(0.1, 0.9), (0.2, 1.0 + 4e-16), (0.3, 1.1)]) == [
+        (0.1, 0.3)]
+
+
+def test_rectify_symmetric_device_reports_no_crossing(
+        tmp_path, monkeypatch, capsys):
+    # a reflection of the pentagon swaps source and sink, so its ratio
+    # is 1 to rounding on the whole default grid
+    monkeypatch.chdir(tmp_path)
+    code = main(["rectify", "--circuit", "pentagon", "--find-crossing"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "crossing" not in captured.out
+    assert "rounding of 1" in captured.err
+
+
 def test_rectify_solves_each_point_once(tmp_path, monkeypatch, capsys):
     # the bisection reads its bracket ends from the sweep's ratio series
     import dephnet.experiments as experiments
@@ -551,6 +573,14 @@ def test_entropy_trace_writes_csv(tmp_path, capsys):
     assert lines[0] == "t,coherence"
     assert len(lines) == 6
     capsys.readouterr()
+
+
+def test_directory_named_like_builtin_does_not_shadow_it(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "funnel").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["ness", "--circuit", "funnel", "--delta", "1"]) == 0
+    assert "status    converged" in capsys.readouterr().out
 
 
 def test_calibrate_pentagon_lists_matches(capsys):
