@@ -31,10 +31,10 @@ from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
                           find_ratio_crossing, funnel_ratio,
                           rectification_sweep, series_crossings,
                           sweep_branch_count)
-from .registry import (builtin_names, load_builtin, load_calibrated,
-                       make_additivity_pair, make_triangle_funnel,
-                       parse_circuit_file, parse_circuit_text,
-                       resolve_circuit, write_circuit_file)
+from .registry import (builtin_names, load_builtin, make_additivity_pair,
+                       make_triangle_funnel, parse_circuit_file,
+                       parse_circuit_text, resolve_circuit,
+                       write_circuit_file)
 from .output import AxesSpec, render_chart, write_records, write_table
 from .cli import RunConfig, main, parse_config, parse_delta_grid
 
@@ -55,7 +55,7 @@ __all__ = [
     "dephasing_sweep", "detect_divergence", "empty_state",
     "entropy_trace", "evolve", "find_conductance_peak", "find_ratio_crossing",
     "funnel_family", "funnel_ratio", "funnel_shortlist",
-    "laplacian_hamiltonian", "load_builtin", "load_calibrated", "main",
+    "laplacian_hamiltonian", "load_builtin", "main",
     "make_additivity_pair", "make_parallel_circuit", "make_pentagon",
     "make_triangle_funnel", "make_wire", "parse_circuit_file",
     "parse_circuit_text", "parse_config", "parse_delta_grid",

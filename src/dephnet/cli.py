@@ -26,16 +26,17 @@ from .calibrate import (additivity_pair_search, calibrate_topology,
 from .errors import (CircuitFileError, DephnetError, NoSignChangeError,
                      UsageError)
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
-                          LOG_GRID, _ratio_flips, dephasing_sweep,
-                          entropy_trace, rectification_sweep,
+                          LOG_GRID, _ratio_flips, _ratio_pinned,
+                          dephasing_sweep, entropy_trace, rectification_sweep,
                           series_crossings, sweep_branch_count)
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit
 from .observables import (conductance, current_out, relative_entropy_coherence,
                           resistance, voltage)
-from .output import AxesSpec, render_chart, write_records, write_table
+from .output import (AxesSpec, _finite_points, render_chart, write_records,
+                     write_table)
 from .registry import builtin_names, read_fields, resolve_circuit
-from .steady_state import (CONVERGED, DIVERGED, evolve,
+from .steady_state import (CONVERGED, DIVERGED, WINDOW, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
 
 
@@ -123,7 +124,8 @@ _OPTIONS = {
                         "long-time integration"),
     "tol": dict(type=float, help="residual at which the evolution solver "
                                  "declares convergence"),
-    "t_max": dict(type=float, help="model-time budget of the evolution solver"),
+    "t_max": dict(type=float, help="model-time budget of the evolution solver, "
+                                   f"rounded up to whole windows of {WINDOW:g}"),
     "t_end": dict(type=float, help="model time to integrate to"),
     "samples": dict(type=int, help="sample count of the trajectory or trace"),
     "initial": dict(choices=("empty", "uniform", "source"),
@@ -248,6 +250,10 @@ def _maybe_chart(cfg: RunConfig, rows, axes: AxesSpec, csv_path: Path) -> None:
     chart = csv_path.with_suffix(".svg")
     if render_chart(rows, axes, chart):
         print(f"chart  {chart}")
+    elif any(_finite_points(rows, axes)):
+        print("chart  omitted: no finite point is positive on its log axes")
+    else:
+        print("chart  omitted: no point is finite on both axes")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +370,9 @@ def _cmd_rectify(cfg: RunConfig) -> int:
     if not cfg.find_crossing:
         return 0
     crossings = series_crossings(series, c)
+    if not crossings and _ratio_pinned(series):
+        raise NoSignChangeError("the ratio stays within rounding of 1 "
+                                "wherever it is defined")
     if not crossings:
         raise NoSignChangeError("the ratio does not cross 1 between grid "
                                 "points where it is defined and not within "

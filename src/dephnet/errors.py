@@ -62,7 +62,7 @@ class NoSignChangeError(DephnetError, ValueError):
 
 
 class TrajectoryTooShortError(DephnetError, ValueError):
-    """Divergence detection needs at least two analysis windows."""
+    """A window given to divergence detection has fewer than two samples."""
 
 
 class UsageError(DephnetError, ValueError):

@@ -96,6 +96,14 @@ def _ratio_flips(series: Sequence[tuple[float, float]],
             if (r0 - 1.0) * (r1 - 1.0) < 0]
 
 
+def _ratio_pinned(series: Sequence[tuple[float, float]]) -> bool:
+    """True iff the (delta, ratio) series has a finite ratio and every
+    finite ratio lies within SYMMETRY_NOISE of 1, as where a symmetry
+    swaps the two directions: no grid would show a crossing."""
+    finite = [r for _, r in series if math.isfinite(r)]
+    return bool(finite) and all(abs(r - 1.0) < SYMMETRY_NOISE for r in finite)
+
+
 def _measure(c: Circuit, delta: float, direction: str = "forward",
              branches: int | None = None) -> SweepRecord:
     point = dict(circuit_label=c.label or "circuit", delta=float(delta),

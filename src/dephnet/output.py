@@ -9,7 +9,6 @@ structure.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -80,30 +79,34 @@ def _get(row, field):
     return getattr(row, field)
 
 
-def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
-    """Write a line chart; one series per value of axes.series_field,
-    in ascending order of that value.
-
-    Non-finite points (diverged rows) are dropped; if nothing plottable
-    remains, a warning is issued and no file is written. Returns True
-    iff the chart was written.
-    """
-    groups: dict = {}
+def _finite_points(records: Sequence, axes: AxesSpec):
+    """Yield (series key, x, y) of every row whose x and y are finite; a
+    y of None, as a missing coherence, is not."""
     for row in records:
         key = _get(row, axes.series_field) if axes.series_field else ""
         x = float(_get(row, axes.x_field))
         y_raw = _get(row, axes.y_field)
         y = math.nan if y_raw is None else float(y_raw)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
+        if math.isfinite(x) and math.isfinite(y):
+            yield key, x, y
+
+
+def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
+    """Write a line chart; one series per value of axes.series_field,
+    in ascending order of that value.
+
+    Non-finite points (diverged rows) are dropped, and so are points at
+    or below 0 on a log axis; if nothing plottable remains, no file is
+    written. Returns True iff the chart was written.
+    """
+    groups: dict = {}
+    for key, x, y in _finite_points(records, axes):
         if axes.log_x and x <= 0 or axes.log_y and y <= 0:
             continue
         groups.setdefault(key, []).append((x, y))
-    groups = {k: sorted(v) for k, v in groups.items() if v}
     if not groups:
-        warnings.warn("no plottable points (all series diverged); "
-                      "chart omitted")
         return False
+    groups = {k: sorted(v) for k, v in groups.items()}
 
     tx = math.log10 if axes.log_x else float
     ty = math.log10 if axes.log_y else float

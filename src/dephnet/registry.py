@@ -18,9 +18,9 @@ error that names the line. The CLI reads its config files with it too.
 
 The calibrated topologies ship as files with their calibration
 provenance embedded as comments. Every file-backed builtin, by name
-through `load_builtin` or by constructor, is loaded by
-`load_calibrated`, which looks for the ``calibration-status:
-validated`` marker among the comments and refuses to build without it.
+or by constructor, is loaded by `load_builtin`, which looks for the
+``calibration-status: validated`` marker among the comments and
+refuses to build without it.
 """
 from __future__ import annotations
 
@@ -134,23 +134,15 @@ def _read_builtin(name: str) -> tuple[Circuit, list[str]]:
 
 def load_builtin(name: str) -> Circuit:
     """Resolve a builtin circuit name: the wireN family, or a shipped
-    file by load_calibrated. Unknown names are an error, never silently
-    empty."""
+    file, which must carry a completed-calibration record. Unknown names
+    are an error, never silently empty."""
     key = _ALIASES.get(name, name)
     wire = _WIRE_RE.match(key)
     if wire:
         return make_wire(int(wire.group(1)))
-    if key in _FILE_BY_NAME:
-        return load_calibrated(name)
-    raise UnknownCircuitError(
-        f"unknown builtin circuit {name!r}; known: {', '.join(builtin_names())}")
-
-
-def load_calibrated(name: str) -> Circuit:
-    """Load a builtin that must carry a completed-calibration record."""
-    key = _ALIASES.get(name, name)
     if key not in _FILE_BY_NAME:
-        raise UnknownCircuitError(f"no calibrated circuit named {name!r}")
+        raise UnknownCircuitError(f"unknown builtin circuit {name!r}; "
+                                  f"known: {', '.join(builtin_names())}")
     circuit, comments = _read_builtin(key)
     if not any(CALIBRATION_MARKER in comment for comment in comments):
         raise CalibrationNotRunError(
@@ -184,8 +176,8 @@ def make_additivity_pair() -> tuple[Circuit, Circuit]:
     resistive device at any tested delta > 0. Refuses to construct the
     pair if the shipped definition files lack a calibration record.
     """
-    a = load_calibrated("additivity-a")
-    b = load_calibrated("additivity-b")
+    a = load_builtin("additivity-a")
+    b = load_builtin("additivity-b")
     if len(b.graph.edges) != len(a.graph.edges) + 1:
         raise GraphConstructionError("pair must differ by exactly one edge")
     if (a.source, a.sink) != (b.source, b.sink):
@@ -203,5 +195,5 @@ def make_triangle_funnel(direction: str = "forward") -> Circuit:
     if direction not in ("forward", "reverse"):
         raise GraphConstructionError(
             f"direction must be 'forward' or 'reverse', got {direction!r}")
-    c = load_calibrated("triangle")
+    c = load_builtin("triangle")
     return c if direction == "forward" else reverse_circuit(c)

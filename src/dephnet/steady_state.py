@@ -7,7 +7,8 @@ solve_ness_direct). Both solvers report the same three-way
 verdict: ``converged`` (a physical NESS was found), ``diverged`` (the
 device is insulating and piles up particles forever), or
 ``max-time-exceeded`` (evolution hit its cutoff without either
-verdict).
+verdict). The evolution solver runs whole windows of span WINDOW and
+judges divergence on its last two (see detect_divergence).
 
 scipy is imported where it is called, by the matrix exponential that
 both forms of evolve and the evolution solver propagate, so a direct
@@ -44,7 +45,7 @@ CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_TIME_EXCEEDED = "max-time-exceeded"
 
-#: Trailing-window trace slope (particles per unit time) above which a
+#: Last-window trace slope (particles per unit time) above which a
 #: trajectory counts as growing without saturation.
 SLOPE_MIN = 0.01
 
@@ -69,8 +70,8 @@ UNDAMPED_TOL = 1e-9
 EIGENBASIS_ERROR_TOL = 1e-8
 
 #: Time span of one evolution window, and the samples taken in it: the
-#: evolution solver checks stationarity once per window, and
-#: detect_divergence compares the last two windows.
+#: evolution solver runs whole windows only, checks stationarity at the
+#: end of each, and detect_divergence compares the last two.
 WINDOW = 20.0
 SAMPLES_PER_WINDOW = 81
 
@@ -449,56 +450,46 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
     """Evolve the reduced form from rho0 (empty device by default) until
     stationary.
 
-    The real system of real_linear_system is built once, and every
-    window of span WINDOW is sampled at SAMPLES_PER_WINDOW points by the
-    same exact propagator (a shorter last window gets its own): its
+    The evolution runs in whole windows of span WINDOW while the model
+    time is below t_max, so a t_max that is not a multiple of WINDOW
+    rounds up to one, and elapsed_model_time is the time reached. The
+    real system of real_linear_system is built once, and one exact
+    propagator samples every window at SAMPLES_PER_WINDOW points: its
     first 9 samples one fine step at a time, the other 72 as 8 blocks of
     9, each block one matrix product with the 9-step propagator (see
     _advance). Each window's samples are checked for physicality as in
     evolve, Cholesky first.
-    Convergence is declared when the max-norm of drho/dt falls to `tol`;
-    divergence when the trailing trace slope keeps growing past
-    SLOPE_MIN with a non-decreasing derivative norm (see
-    detect_divergence); otherwise the t_max cutoff yields
-    ``max-time-exceeded``. Only the samples detect_divergence reads, the
-    trailing two windows, are kept.
+    Convergence is declared when the max-norm of drho/dt at the end of a
+    window falls to `tol`; divergence when detect_divergence finds the
+    last window growing past SLOPE_MIN with a derivative norm no smaller
+    than in the window before it; otherwise the t_max cutoff yields
+    ``max-time-exceeded``. Only the previous window is kept.
     """
     if not tol > 0:
         raise UsageError(f"stationarity tolerance must be positive, got {tol}")
     if not 0 < t_max < np.inf:
         raise UsageError(f"t_max must be positive and finite, got {t_max}")
     y = _initial_coords(g, empty_state(g) if rho0 is None else rho0)
-    a, b = real_linear_system(g)
     unpack = _hermitian_coords(g.dim)[1]
     steps = SAMPLES_PER_WINDOW - 1
-    propagators = {}
-    t = 0.0
-    times, states = np.array([0.0]), unpack(y)[None]
+    step = _propagator(*real_linear_system(g), WINDOW / steps, steps)
+    offsets = np.linspace(0.0, WINDOW, SAMPLES_PER_WINDOW)
+    t, previous = 0.0, None
     while t < t_max:
-        span = min(WINDOW, t_max - t)
-        if span not in propagators:
-            propagators[span] = _propagator(a, b, span / steps, steps)
-        ys = _advance(*propagators[span], y, steps)
-        window_times = np.linspace(0.0, span, SAMPLES_PER_WINDOW) + t
-        window_states = unpack(ys)
-        _check_physical(window_states, lambda i: f"at t={window_times[i]:.6g}")
-        y, rho = ys[-1], window_states[-1]
-        t += span
+        ys = _advance(*step, y, steps)
+        window = Trajectory(offsets + t, unpack(ys))
+        _check_physical(window.states, lambda i: f"at t={window.times[i]:.6g}")
+        y, rho = ys[-1], window.states[-1]
+        t += WINDOW
         residual = float(np.abs(apply_generator(g, rho)).max())
         if residual <= tol:
             # a copy, so the result does not keep the window stack alive
             return SteadyStateResult(CONVERGED, rho.copy(), residual,
                                      "evolution", elapsed_model_time=t)
-        times = np.concatenate([times, window_times[1:]])
-        states = np.concatenate([states, window_states[1:]])
-        # detect_divergence reads the samples from t - 2 window on; the
-        # one before them only adds an interval it leaves out
-        first = max(int(np.searchsorted(times, t - 2 * WINDOW)) - 1, 0)
-        times, states = times[first:], states[first:]
-        if t >= 2 * WINDOW and detect_divergence(Trajectory(times, states)):
+        if previous is not None and detect_divergence(previous, window):
             return SteadyStateResult(DIVERGED, None, residual, "evolution",
                                      elapsed_model_time=t)
-    residual = float(np.abs(apply_generator(g, unpack(y))).max())
+        previous = window
     return SteadyStateResult(MAX_TIME_EXCEEDED, None, residual, "evolution",
                              elapsed_model_time=t)
 
@@ -509,39 +500,29 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
-def detect_divergence(traj: Trajectory) -> bool:
-    """True iff the trajectory is growing without saturation.
+def _largest_rate(window: Trajectory) -> float:
+    """Largest finite-difference max-norm of drho/dt over the window."""
+    steps = np.abs(np.diff(np.asarray(window.states), axis=0))
+    return float((steps.max(axis=(-2, -1)) / np.diff(window.times)).max())
 
-    Two conditions, both over trailing windows of time span WINDOW:
-    the least-squares slope of the total particle number over the last
-    window exceeds SLOPE_MIN, and the max-norm of drho/dt (estimated by
-    finite differences) did not decrease from the previous window to the
-    last one. The second condition guards against slow transients that
-    still carry a large trace slope while relaxing.
+
+def detect_divergence(previous: Trajectory, last: Trajectory) -> bool:
+    """True iff the last of two consecutive windows, such as the two of
+    span WINDOW that the evolution solver ends on, grows without
+    saturation.
+
+    Two conditions: the least-squares slope of the total particle
+    number against time over `last` exceeds SLOPE_MIN, and the largest
+    max-norm of drho/dt (estimated by finite differences between
+    neighbouring samples) over `last` is at least that over `previous`,
+    less a relative 1e-9. The second condition guards against slow
+    transients that still carry a large trace slope while relaxing. A
+    window of fewer than two samples raises TrajectoryTooShortError.
     """
-    times = np.asarray(traj.times)
-    if times[-1] - times[0] < 2 * WINDOW:
-        raise TrajectoryTooShortError(
-            f"trajectory spans {times[-1] - times[0]:.3g} time units, "
-            f"need at least two windows of {WINDOW:.3g}")
-    t_end = times[-1]
-    last = times >= t_end - WINDOW
-    if times[last][0] == t_end:
-        raise TrajectoryTooShortError("too few samples per analysis window")
-    if _slope(times[last], traj.trace_series[last]) <= SLOPE_MIN:
+    for window in (previous, last):
+        if len(window.times) < 2:
+            raise TrajectoryTooShortError(
+                f"a window needs at least two samples, got {len(window.times)}")
+    if _slope(last.times, last.trace_series) <= SLOPE_MIN:
         return False
-
-    # finite-difference derivative norm, attributed to interval midpoints
-    # (intervals whose time does not advance are skipped)
-    dt = np.diff(times)
-    forward = dt > 0
-    steps = np.abs(np.diff(np.asarray(traj.states), axis=0))
-    norms = steps.max(axis=(-2, -1))[forward] / dt[forward]
-    mids = 0.5 * (times[:-1] + times[1:])[forward]
-    in_last = mids >= t_end - WINDOW
-    in_prev = (mids >= t_end - 2 * WINDOW) & (mids < t_end - WINDOW)
-    if not in_last.any() or not in_prev.any():
-        raise TrajectoryTooShortError("too few samples per analysis window")
-    last_norm = norms[in_last].max()
-    prev_norm = norms[in_prev].max()
-    return bool(last_norm >= prev_norm * (1.0 - 1e-9))
+    return _largest_rate(last) >= _largest_rate(previous) * (1.0 - 1e-9)

@@ -477,6 +477,25 @@ def test_rectify_symmetric_device_reports_no_crossing(
     assert code == 1
     assert "crossing" not in captured.out
     assert "rounding of 1" in captured.err
+    # no grid would help, so none is suggested
+    assert "--delta-grid" not in captured.err
+
+
+def test_plot_without_plottable_point_names_the_cause(
+        tmp_path, monkeypatch, capsys):
+    # wire1's R is 0 at every delta, which a log axis cannot show, and
+    # its reverse R is 0 too, which leaves its ratio undefined everywhere
+    monkeypatch.chdir(tmp_path)
+    for argv, line in (
+            (["sweep-dephasing", "--circuit", "wire1", "--plot"],
+             "chart  omitted: no finite point is positive on its log axes"),
+            (["rectify", "--circuit", "wire1", "--plot"],
+             "chart  omitted: no point is finite on both axes")):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert line in captured.out.splitlines()
+        assert captured.err == ""
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_rectify_solves_each_point_once(tmp_path, monkeypatch, capsys):

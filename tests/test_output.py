@@ -116,12 +116,12 @@ def test_chart_single_point_gets_marker(tmp_path):
     assert "<polyline" not in svg
 
 
-def test_chart_all_diverged_warns_and_omits(tmp_path):
+def test_chart_all_diverged_omits(tmp_path):
+    # no warning either: the caller names the cause
     path = tmp_path / "nothing.svg"
-    with pytest.warns(UserWarning, match="chart omitted"):
-        written = render_chart([_diverged(), _diverged(delta=1.0)],
-                               AxesSpec(x_field="delta", y_field="R"), path)
-    assert not written
+    written = render_chart([_diverged(), _diverged(delta=1.0)],
+                           AxesSpec(x_field="delta", y_field="R"), path)
+    assert written is False
     assert not path.exists()
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from dephnet import (CalibrationNotRunError, Circuit, CircuitFileError,
                      UnknownCircuitError, build_graph, load_builtin,
-                     load_calibrated, make_wire, parse_circuit_file,
-                     parse_circuit_text, resolve_circuit, write_circuit_file)
+                     make_wire, parse_circuit_file, parse_circuit_text,
+                     resolve_circuit, write_circuit_file)
 from dephnet.registry import builtin_names, format_circuit
 
 GOOD = """
@@ -82,10 +82,10 @@ def test_builtin_unknown_name_is_error():
 
 def test_builtin_calibrated_circuits_load():
     for name in ("pentagon", "additivity-a", "additivity-b", "triangle"):
-        c = load_calibrated(name)
+        c = load_builtin(name)
         assert c.graph.n >= 5
     # the alias reaches the same device
-    assert load_calibrated("funnel") == load_calibrated("triangle")
+    assert load_builtin("funnel") == load_builtin("triangle")
 
 
 def test_calibration_marker_enforced(tmp_path, monkeypatch):
@@ -98,9 +98,7 @@ def test_calibration_marker_enforced(tmp_path, monkeypatch):
     monkeypatch.setattr(
         registry, "_read_builtin",
         lambda name: parse_circuit_file(registry._FILE_BY_NAME[name]))
-    with pytest.raises(CalibrationNotRunError, match="calibration"):
-        load_calibrated("raw")
-    # a shipped name, as the CLI resolves it, is refused the same way
+    # a shipped name, as the CLI resolves it, is refused
     with pytest.raises(CalibrationNotRunError, match="calibration"):
         load_builtin("raw")
 

@@ -243,38 +243,69 @@ def _synthetic(times, state_fn):
     return Trajectory(times=times, states=[state_fn(t) for t in times])
 
 
-def test_detect_divergence_on_linear_growth():
+def _last_two_windows(state_fn):
+    """The last two windows of span WINDOW of a series sampled from 0 to
+    100 at the evolution solver's spacing, as (previous, last)."""
     times = np.linspace(0.0, 100.0, 401)
-    traj = _synthetic(times, lambda t: np.array([[0.2 * t]], dtype=complex))
-    assert detect_divergence(traj)
+    k = SAMPLES_PER_WINDOW
+    previous, last = times[-2 * k + 1:-k + 1], times[-k:]
+    assert previous[-1] - previous[0] == last[-1] - last[0] == WINDOW
+    return _synthetic(previous, state_fn), _synthetic(last, state_fn)
+
+
+def test_detect_divergence_on_linear_growth():
+    windows = _last_two_windows(lambda t: np.array([[0.2 * t]], dtype=complex))
+    assert detect_divergence(*windows)
 
 
 def test_detect_divergence_false_for_constant():
-    times = np.linspace(0.0, 100.0, 401)
-    traj = _synthetic(times, lambda t: np.array([[1.0]], dtype=complex))
-    assert not detect_divergence(traj)
+    windows = _last_two_windows(lambda t: np.array([[1.0]], dtype=complex))
+    assert not detect_divergence(*windows)
 
 
 def test_detect_divergence_false_for_saturating():
-    times = np.linspace(0.0, 100.0, 401)
-    traj = _synthetic(times,
-                      lambda t: np.array([[3.0 * (1 - np.exp(-t / 30.0))]],
-                                         dtype=complex))
-    assert not detect_divergence(traj)
+    windows = _last_two_windows(
+        lambda t: np.array([[3.0 * (1 - np.exp(-t / 30.0))]], dtype=complex))
+    assert not detect_divergence(*windows)
 
 
-def test_detect_divergence_needs_two_windows():
-    times = np.linspace(0.0, 10.0, 41)
-    traj = _synthetic(times, lambda t: np.array([[t]], dtype=complex))
-    with pytest.raises(TrajectoryTooShortError):
-        detect_divergence(traj)
+def test_detect_divergence_needs_two_samples_per_window():
+    # one sample leaves no slope to fit and no derivative to estimate
+    growth = lambda t: np.array([[t]], dtype=complex)  # noqa: E731
+    full = _synthetic(np.linspace(0.0, WINDOW, SAMPLES_PER_WINDOW), growth)
+    single = _synthetic([WINDOW], growth)
+    for windows in ((single, full), (full, single)):
+        with pytest.raises(TrajectoryTooShortError, match="two samples"):
+            detect_divergence(*windows)
 
 
-def test_detect_divergence_needs_two_times_in_last_window():
-    # one sample in the last window leaves no slope to fit
-    traj = _synthetic([0.0, 25.0, 50.0], lambda t: np.array([[t]], dtype=complex))
-    with pytest.raises(TrajectoryTooShortError):
-        detect_divergence(traj)
+def test_evolution_budget_rounds_up_to_whole_windows():
+    # 65 runs the 4 windows that 80 runs, so the pentagon's verdict is
+    # taken on two whole windows, as with the default budget
+    res = solve_ness_by_evolution(assemble_generator(make_pentagon(), 0.0),
+                                  t_max=65.0)
+    assert (res.status, res.elapsed_model_time) == (DIVERGED, 80.0)
+    res = solve_ness_by_evolution(assemble_generator(make_wire(2), 0.0),
+                                  tol=1e-17, t_max=45.0)
+    assert (res.status, res.elapsed_model_time) == (MAX_TIME_EXCEEDED, 60.0)
+
+
+def test_evolution_short_budget_never_contradicts_direct():
+    # a budget of a few windows may end a solve early, but any verdict
+    # it reaches is the direct solver's
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(20):
+        c = random_connected_circuit(rng, max_n=6)
+        for delta in (0.0, 0.1, 1.0):
+            g = assemble_generator(c, delta)
+            expected = solve_ness_direct(g).status
+            for t_max in (45.0, 130.5):
+                status = solve_ness_by_evolution(g, t_max=t_max).status
+                assert status in (expected, MAX_TIME_EXCEEDED), \
+                    (c, delta, t_max)
+                seen.add(status)
+    assert seen == {CONVERGED, DIVERGED, MAX_TIME_EXCEEDED}
 
 
 def test_direct_ness_is_physical_state():
