@@ -370,6 +370,9 @@ def _cmd_rectify(cfg: RunConfig) -> int:
     if not cfg.find_crossing:
         return 0
     crossings = series_crossings(series, c)
+    if not crossings and not any(math.isfinite(r) for _, r in series):
+        raise NoSignChangeError("the ratio is undefined at every grid point: "
+                                "a direction insulates, or the reverse R is 0")
     if not crossings and _ratio_pinned(series):
         raise NoSignChangeError("the ratio stays within rounding of 1 "
                                 "wherever it is defined")

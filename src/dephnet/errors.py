@@ -62,7 +62,8 @@ class NoSignChangeError(DephnetError, ValueError):
 
 
 class TrajectoryTooShortError(DephnetError, ValueError):
-    """A window given to divergence detection has fewer than two samples."""
+    """A window given to divergence detection lacks two samples at
+    strictly increasing times."""
 
 
 class UsageError(DephnetError, ValueError):

@@ -97,34 +97,25 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
 
     Non-finite points (diverged rows) are dropped, and so are points at
     or below 0 on a log axis; if nothing plottable remains, no file is
-    written. Returns True iff the chart was written.
+    written. A guideline the y axis cannot show (at or below 0 on a log
+    axis, or not finite) is left out. Returns True iff the chart was
+    written.
     """
     groups: dict = {}
-    for key, x, y in _finite_points(records, axes):
-        if axes.log_x and x <= 0 or axes.log_y and y <= 0:
-            continue
-        groups.setdefault(key, []).append((x, y))
+    # in order of the raw (x, y): log10 may round two x values together
+    points = sorted(_finite_points(records, axes), key=lambda p: p[1:])
+    for key, x, y in points:
+        x, y = _scaled(x, axes.log_x), _scaled(y, axes.log_y)
+        if x is not None and y is not None:
+            groups.setdefault(key, []).append((x, y))
     if not groups:
         return False
-    groups = {k: sorted(v) for k, v in groups.items()}
-
-    tx = math.log10 if axes.log_x else float
-    ty = math.log10 if axes.log_y else float
-    xs = [tx(x) for pts in groups.values() for x, _ in pts]
-    ys = [ty(y) for pts in groups.values() for _, y in pts]
-    if axes.guideline_y is not None and (not axes.log_y or axes.guideline_y > 0):
-        ys.append(ty(axes.guideline_y))
-    x_lo, x_hi = _pad_range(min(xs), max(xs))
-    y_lo, y_hi = _pad_range(min(ys), max(ys))
-
-    def sx(x):
-        frac = (tx(x) - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
-
-    def sy(y):
-        frac = (ty(y) - y_lo) / (y_hi - y_lo)
-        return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
-
+    guide = _scaled(axes.guideline_y, axes.log_y)
+    x_lo, x_hi = _pad_range([x for pts in groups.values() for x, _ in pts])
+    y_lo, y_hi = _pad_range([y for pts in groups.values() for _, y in pts]
+                            + ([] if guide is None else [guide]))
+    sx = _pixel_map(x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R)
+    sy = _pixel_map(y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -134,18 +125,44 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
         parts.append(f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
                      f'font-size="15" font-family="sans-serif">'
                      f'{_escape(axes.title)}</text>')
-    parts.extend(_axis_elements(x_lo, x_hi, y_lo, y_hi, axes, sx, sy))
-
-    if axes.guideline_y is not None and y_lo <= ty(axes.guideline_y) <= y_hi:
-        gy = sy(axes.guideline_y)
+    parts += [
+        f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
+        f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
+        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" '
+        f'x2="{_MARGIN_L}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
+    ]
+    for px, label in _ticks(x_lo, x_hi, axes.log_x, sx):
+        parts.append(f'<line x1="{px:.2f}" y1="{_HEIGHT - _MARGIN_B}" '
+                     f'x2="{px:.2f}" y2="{_HEIGHT - _MARGIN_B + 5}" '
+                     f'stroke="black"/>')
+        parts.append(f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" '
+                     f'text-anchor="middle" font-size="11" '
+                     f'font-family="sans-serif">{label}</text>')
+    for py, label in _ticks(y_lo, y_hi, axes.log_y, sy):
+        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" '
+                     f'x2="{_MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" '
+                     f'text-anchor="end" font-size="11" '
+                     f'font-family="sans-serif">{label}</text>')
+    if axes.x_label:
+        parts.append(f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.2f}" '
+                     f'y="{_HEIGHT - 14}" text-anchor="middle" font-size="13" '
+                     f'font-family="sans-serif">{_escape(axes.x_label)}</text>')
+    if axes.y_label:
+        cy = (_MARGIN_T + _HEIGHT - _MARGIN_B) / 2
+        parts.append(f'<text x="18" y="{cy:.2f}" text-anchor="middle" '
+                     f'font-size="13" font-family="sans-serif" '
+                     f'transform="rotate(-90 18 {cy:.2f})">'
+                     f'{_escape(axes.y_label)}</text>')
+    if guide is not None:
+        gy = sy(guide)
         parts.append(f'<line x1="{_MARGIN_L}" y1="{gy:.2f}" '
                      f'x2="{_WIDTH - _MARGIN_R}" y2="{gy:.2f}" '
                      f'stroke="#888888" stroke-dasharray="5,4" '
                      f'class="guideline"/>')
 
-    for idx, key in enumerate(sorted(groups)):
+    for idx, (key, pts) in enumerate(sorted(groups.items())):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = groups[key]
         if len(pts) >= 2:
             coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
             parts.append(f'<polyline points="{coords}" fill="none" '
@@ -166,62 +183,32 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
     return True
 
 
-def _pad_range(lo: float, hi: float) -> tuple[float, float]:
-    if hi <= lo:
-        pad = max(abs(lo), 1.0) * 0.05
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
+def _scaled(value: float | None, log_scale: bool) -> float | None:
+    """value on its axis's scale (log10 on a log axis), or None where
+    the axis cannot show it."""
+    if value is None or not math.isfinite(value) or log_scale and value <= 0:
+        return None
+    return math.log10(value) if log_scale else value
+
+
+def _pad_range(values: list[float]) -> tuple[float, float]:
+    lo, hi = min(values), max(values)
+    pad = (max(abs(lo), 1.0) if hi <= lo else hi - lo) * 0.05
     return lo - pad, hi + pad
 
 
-def _axis_elements(x_lo, x_hi, y_lo, y_hi, axes: AxesSpec, sx, sy) -> list[str]:
-    parts = [
-        f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
-        f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" '
-        f'x2="{_MARGIN_L}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
-    ]
-    for value, label in _ticks(x_lo, x_hi, axes.log_x):
-        px = _MARGIN_L + (value - x_lo) / (x_hi - x_lo) * (
-            _WIDTH - _MARGIN_L - _MARGIN_R)
-        parts.append(f'<line x1="{px:.2f}" y1="{_HEIGHT - _MARGIN_B}" '
-                     f'x2="{px:.2f}" y2="{_HEIGHT - _MARGIN_B + 5}" '
-                     f'stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" '
-                     f'text-anchor="middle" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
-    for value, label in _ticks(y_lo, y_hi, axes.log_y):
-        py = _HEIGHT - _MARGIN_B - (value - y_lo) / (y_hi - y_lo) * (
-            _HEIGHT - _MARGIN_T - _MARGIN_B)
-        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" '
-                     f'x2="{_MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" '
-                     f'text-anchor="end" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
-    if axes.x_label:
-        parts.append(f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.2f}" '
-                     f'y="{_HEIGHT - 14}" text-anchor="middle" font-size="13" '
-                     f'font-family="sans-serif">{_escape(axes.x_label)}</text>')
-    if axes.y_label:
-        cy = (_MARGIN_T + _HEIGHT - _MARGIN_B) / 2
-        parts.append(f'<text x="18" y="{cy:.2f}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif" '
-                     f'transform="rotate(-90 18 {cy:.2f})">'
-                     f'{_escape(axes.y_label)}</text>')
-    return parts
+def _pixel_map(lo: float, hi: float, start: float, end: float):
+    """The linear map of the axis range [lo, hi] onto pixels [start, end]."""
+    return lambda v: start + (v - lo) / (hi - lo) * (end - start)
 
 
-def _ticks(lo: float, hi: float, log_scale: bool) -> list[tuple[float, str]]:
-    if log_scale:
-        first = math.ceil(lo)
-        last = math.floor(hi)
-        decades = range(first, last + 1)
-        if len(list(decades)) >= 2:
-            return [(float(d), _sig(10.0 ** d)) for d in range(first, last + 1)]
-    values = np.linspace(lo, hi, 5)
-    if log_scale:
-        return [(float(v), _sig(10.0 ** v)) for v in values]
-    return [(float(v), _sig(v)) for v in values]
+def _ticks(lo: float, hi: float, log_scale: bool, to_pixel) -> list:
+    """(pixel, label) of each tick: every decade on a log axis that spans
+    two, else five evenly spaced values."""
+    values = (range(math.ceil(lo), math.floor(hi) + 1)
+              if log_scale and math.floor(hi) - math.ceil(lo) >= 1
+              else np.linspace(lo, hi, 5))
+    return [(to_pixel(v), _sig(10.0 ** v if log_scale else v)) for v in values]
 
 
 def _sig(x: float) -> str:

@@ -517,12 +517,15 @@ def detect_divergence(previous: Trajectory, last: Trajectory) -> bool:
     neighbouring samples) over `last` is at least that over `previous`,
     less a relative 1e-9. The second condition guards against slow
     transients that still carry a large trace slope while relaxing. A
-    window of fewer than two samples raises TrajectoryTooShortError.
+    window without two samples at strictly increasing times raises
+    TrajectoryTooShortError.
     """
     for window in (previous, last):
-        if len(window.times) < 2:
+        times = window.times
+        if len(times) < 2 or not (times[1:] > times[:-1]).all():
             raise TrajectoryTooShortError(
-                f"a window needs at least two samples, got {len(window.times)}")
+                "a window needs at least two samples at strictly increasing "
+                "times")
     if _slope(last.times, last.trace_series) <= SLOPE_MIN:
         return False
     return _largest_rate(last) >= _largest_rate(previous) * (1.0 - 1e-9)

@@ -455,6 +455,9 @@ def test_rectify_refuses_crossing_where_ratio_is_undefined(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+    # and no grid can define it, so no grid advice is given
+    assert "undefined at every grid point" in captured.err
+    assert "--delta-grid" not in captured.err
 
 
 def test_ratio_flips_skip_rounding_noise_about_one():

@@ -117,3 +117,30 @@ def test_additivity_edge_pairs_sit_exactly_on_the_window_edge(source, sink):
             assert abs(r - edge) <= 100 * Fraction(delta), (delta, float(r))
         r = resistance(solve_ness_direct(assemble_generator(c, 0.0)), c)
         assert _in_additivity_window(r), r
+
+
+#: the weak-dephasing limits lim delta R as delta -> 0, with a bound C on
+#: the slope (delta R - limit) / delta read off the exact values at
+#: WEAK_DELTA: pentagon 0.815 (near 22/27), funnel forward 1.52 and
+#: reverse 5.19
+WEAK_DELTA = 2.0 ** -23
+WEAK_LIMITS = [(make_pentagon(), Fraction(5, 36), 1),
+               (_FUNNEL, Fraction(1, 2), 2),
+               (reverse_circuit(_FUNNEL), Fraction(1, 4), 6)]
+
+
+@pytest.mark.parametrize("c, limit, slope", WEAK_LIMITS,
+                         ids=["pentagon", "funnel-forward", "funnel-reverse"])
+def test_weak_dephasing_limit_of_delta_r(c, limit, slope):
+    delta = Fraction(WEAK_DELTA)
+    exact = exact_resistance(c, WEAK_DELTA)
+    assert 0 < (delta * exact - limit) / delta <= slope
+    res = solve_ness_direct(assemble_generator(c, WEAK_DELTA))
+    assert abs(Fraction(resistance(res, c)) - exact) <= 1e-12 * exact
+
+
+def test_funnel_ratio_tends_to_two_at_weak_dephasing():
+    # measured 35.45 delta from 2
+    ratio = (exact_resistance(_FUNNEL, WEAK_DELTA)
+             / exact_resistance(reverse_circuit(_FUNNEL), WEAK_DELTA))
+    assert abs(ratio - 2) <= 40 * Fraction(WEAK_DELTA)

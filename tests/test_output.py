@@ -162,3 +162,35 @@ def test_chart_escapes_labels(tmp_path):
                           title="R < 1 & more"), path)
     text = path.read_text()
     assert "R &lt; 1 &amp; more" in text
+
+
+@pytest.mark.parametrize("guideline", [0.0, -1.0])
+def test_chart_leaves_out_guideline_a_log_axis_cannot_show(tmp_path, guideline):
+    records = [_converged(label="pentagon", delta=d, r=d)
+               for d in (0.1, 1.0, 10.0)]
+    drawn, plain = tmp_path / "guide.svg", tmp_path / "plain.svg"
+    assert render_chart(records, AxesSpec(x_field="delta", y_field="R",
+                                          log_y=True, guideline_y=guideline),
+                        drawn)
+    assert render_chart(records, AxesSpec(x_field="delta", y_field="R",
+                                          log_y=True), plain)
+    assert 'class="guideline"' not in drawn.read_text()
+    assert drawn.read_bytes() == plain.read_bytes()
+
+
+def test_chart_ticks_and_guideline_share_the_points_map(tmp_path):
+    rows = [{"delta": d, "ratio": r}
+            for d, r in ((0.1, 1.4), (1.0, 1.0), (10.0, 0.8))]
+    path = tmp_path / "map.svg"
+    assert render_chart(rows, AxesSpec(x_field="delta", y_field="ratio",
+                                       log_x=True, guideline_y=1.0), path)
+    svg = path.read_text()
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+    px, py = points[1].split(",")  # the point at delta = 1, ratio = 1
+    tick_x = re.search(r'<text x="([\d.]+)" y="\d+" text-anchor="middle" '
+                       r'font-size="11" font-family="sans-serif">1</text>',
+                       svg).group(1)
+    guide_y = re.search(r'<line x1="\d+" y1="([\d.]+)" x2="\d+" y2="\1" '
+                        r'[^>]*class="guideline"/>', svg).group(1)
+    assert tick_x == px
+    assert guide_y == py

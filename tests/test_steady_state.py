@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +278,17 @@ def test_detect_divergence_needs_two_samples_per_window():
     for windows in ((single, full), (full, single)):
         with pytest.raises(TrajectoryTooShortError, match="two samples"):
             detect_divergence(*windows)
+    # a repeated or a decreasing time leaves no rate to estimate: refused,
+    # not a 0/0 warning or a silent False
+    repeated = _synthetic([0.0, 1.0, 1.0], growth)
+    decreasing = _synthetic([3.0, 2.0, 1.0], growth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (repeated, decreasing):
+            for windows in ((bad, full), (full, bad)):
+                with pytest.raises(TrajectoryTooShortError,
+                                   match="strictly increasing"):
+                    detect_divergence(*windows)
 
 
 def test_evolution_budget_rounds_up_to_whole_windows():
