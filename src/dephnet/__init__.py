@@ -26,10 +26,9 @@ from .observables import (conductance, current_out, relative_entropy_coherence,
                           resistance, voltage)
 from .calibrate import (additivity_pair_search, calibrate_topology,
                         funnel_family, funnel_shortlist, pentagon_family)
-from .experiments import (SweepRecord, additivity_experiment, dephasing_sweep,
-                          entropy_trace, find_conductance_peak,
-                          find_ratio_crossing, funnel_ratio,
-                          rectification_sweep, series_crossings,
+from .experiments import (SweepRecord, dephasing_sweep, entropy_trace,
+                          find_conductance_peak, find_ratio_crossing,
+                          funnel_ratio, rectification_sweep, series_crossings,
                           sweep_branch_count)
 from .registry import (builtin_names, load_builtin, make_additivity_pair,
                        make_triangle_funnel, parse_circuit_file,
@@ -49,7 +48,7 @@ __all__ = [
     "RunConfig", "SteadyStateResult", "SweepRecord", "Trajectory",
     "TrajectoryTooShortError", "UnknownCircuitError",
     "UnphysicalSolutionError", "UnsupportedFormError", "UsageError",
-    "additivity_experiment", "additivity_pair_search", "apply_generator",
+    "additivity_pair_search", "apply_generator",
     "assemble_generator", "build_graph", "builtin_names",
     "calibrate_topology", "clamp_bath", "conductance", "current_out",
     "dephasing_sweep", "detect_divergence", "empty_state",

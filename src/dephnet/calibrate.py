@@ -140,10 +140,8 @@ def additivity_pair_search(max_n: int = 6):
     found = []
     for graph in _connected_atlas(2, max_n, MAX_EDGES - 1):
         n = graph.n
-        r_a = {(s, k): None for s in range(n) for k in range(n) if s != k}
-        for (s, k) in list(r_a):
-            r_a[(s, k)] = _resistance_at(Circuit(graph, s, k),
-                                         ADDITIVITY_DELTA)
+        r_a = {(s, k): _resistance_at(Circuit(graph, s, k), ADDITIVITY_DELTA)
+               for s in range(n) for k in range(n) if s != k}
         non_edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if graph.adjacency[i, j] == 0]
         for extra in non_edges:
@@ -188,10 +186,8 @@ def funnel_family():
     import networkx as nx
 
     for graph in _connected_atlas(3, 7, MAX_EDGES):
-        g = nx.from_numpy_array(np.asarray(graph.adjacency))
-        if nx.number_of_selfloops(g) or not _has_triangle(graph):
-            continue
-        if graph.n > 2 and not nx.is_biconnected(g):
+        if not _has_triangle(graph) or not nx.is_biconnected(
+                nx.from_numpy_array(np.asarray(graph.adjacency))):
             continue
         for s in range(graph.n):
             for k in range(graph.n):

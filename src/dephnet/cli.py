@@ -149,6 +149,16 @@ _OPTIONS = {
                       "instead of the documented shortlist (slow)"),
 }
 
+#: options that take effect only where another option has one value:
+#: key -> (that option, its value). A flag given elsewhere is a usage
+#: error; a config-file value is left unused, as for other commands.
+_APPLIES_ONLY_WITH = {
+    "tol": ("solver", "evolution"),
+    "t_max": ("solver", "evolution"),
+    "max_n": ("search", "additivity"),
+    "full": ("search", "funnel"),
+}
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -219,7 +229,9 @@ def _config_tokens(path: str, options: list[str]) -> list[str]:
 
 def parse_config(argv) -> RunConfig:
     """Parse flags plus an optional `key: value` config file. Flags win
-    over the file, and the file over the command's defaults."""
+    over the file, and the file over the command's defaults. A flag the
+    resolved run would ignore (see _APPLIES_ONLY_WITH) raises
+    UsageError."""
     parser, subparsers = _build_parser()
     given = vars(parser.parse_args(argv))
     command = given.pop("command")
@@ -234,7 +246,13 @@ def parse_config(argv) -> RunConfig:
             from_file = vars(subparsers[command].parse_args(tokens))
         except UsageError as exc:
             raise UsageError(f"config file {path}: {exc}") from exc
-    return RunConfig(command=command, **{**defaults, **from_file, **given})
+    cfg = RunConfig(command=command, **{**defaults, **from_file, **given})
+    for key in (k for k in given if k in _APPLIES_ONLY_WITH):
+        other, value = _APPLIES_ONLY_WITH[key]
+        if getattr(cfg, other) != value:
+            raise UsageError(f"{_flag(key)} applies only with "
+                             f"{_flag(other)} {value}")
+    return cfg
 
 
 def _require(cfg: RunConfig, name: str):

@@ -1,5 +1,5 @@
-"""Scripted parameter sweeps: branch counts, dephasing grids, the
-one-extra-edge pair, and the rectification crossings.
+"""Scripted parameter sweeps: branch counts, dephasing grids, and the
+rectification crossings.
 
 Sweep points are solved one after another by the direct solver; the
 emitted records are sorted by (branch count as a number, circuit label,
@@ -27,7 +27,7 @@ from .errors import NoSignChangeError, UsageError
 from .generator import assemble_generator, empty_state
 from .graphs import Circuit, make_parallel_circuit, reverse_circuit
 from .observables import conductance, relative_entropy_coherence, resistance
-from .registry import make_additivity_pair, make_triangle_funnel
+from .registry import make_triangle_funnel
 from .steady_state import CONVERGED, evolve, solve_ness_direct
 
 #: Dephasing strengths for branch-count sweeps.
@@ -146,20 +146,6 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
     if best == 1 or best == m_max:
         return None
     return best
-
-
-def additivity_experiment(deltas: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 5.0),
-                          ) -> tuple[list[SweepRecord], dict]:
-    """Records for devices A and B across deltas, plus coherence-vs-time
-    traces at delta = 0 from the empty initial state, up to ENTROPY_T_END."""
-    a, b = make_additivity_pair()
-    points = [(c, d, "forward", None) for d in deltas for c in (a, b)]
-    records = _run_points(points)
-    traces = {}
-    for c in (a, b):
-        times, values = entropy_trace(c, 0.0, ENTROPY_T_END)
-        traces[c.label] = (times, values)
-    return records, traces
 
 
 def dephasing_sweep(c: Circuit, deltas: Sequence[float] = (0.0,) + LOG_GRID,

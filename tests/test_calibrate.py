@@ -1,16 +1,19 @@
 import math
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from dephnet import (CalibrationError, Circuit, UnphysicalSolutionError,
                      additivity_pair_search, build_graph, calibrate_topology,
-                     funnel_shortlist, make_parallel_circuit, make_pentagon,
-                     make_wire, pentagon_family)
+                     funnel_family, funnel_shortlist, make_additivity_pair,
+                     make_parallel_circuit, make_pentagon, make_wire,
+                     pentagon_family)
 from dephnet.calibrate import (FUNNEL_CLASSICAL_DELTA, FUNNEL_CLASSICAL_TOL,
                                FUNNEL_CROSSING, FUNNEL_CROSSING_TOL,
-                               _canonical_key, _in_additivity_window,
-                               _single_crossing, insulating_at_zero,
-                               rectifies_as_published)
+                               _canonical_key, _extra_edge_degenerate,
+                               _in_additivity_window, _single_crossing,
+                               insulating_at_zero, rectifies_as_published)
 from dephnet.experiments import _resistance_at, funnel_ratio
 
 
@@ -93,6 +96,29 @@ def test_additivity_edge_pairs_are_in_window(source, sink):
     assert r_b == pytest.approx(1.76, abs=1e-12)
     assert r_a == pytest.approx(1.76, abs=1e-12)
     assert _in_additivity_window(r_a) and _in_additivity_window(r_b)
+
+
+def test_shipped_pair_extra_edge_is_not_degenerate():
+    a, b = make_additivity_pair()
+    assert set(b.graph.edges) - set(a.graph.edges) == {(5, 6)}
+    assert _extra_edge_degenerate(b, (5, 6)) is False
+
+
+def test_funnel_family_is_every_biconnected_triangle_bearing_circuit():
+    # the candidates of `calibrate --search funnel --full`: per site
+    # count, and every (source, sink) ordering of each graph once
+    counts, pairs = Counter(), {}
+    for c in funnel_family():
+        counts[c.graph.n] += 1
+        pairs.setdefault((c.graph.n, c.graph.edges), set()).add(
+            (c.source, c.sink))
+    assert counts == {3: 6, 4: 24, 5: 160, 6: 1470, 7: 15750}
+    assert sum(map(len, pairs.values())) == sum(counts.values())
+    for (n, edges), orderings in pairs.items():
+        g = nx.Graph(edges)
+        assert g.number_of_nodes() == n and nx.is_biconnected(g)
+        assert any(nx.triangles(g).values())
+        assert len(orderings) == n * (n - 1)
 
 
 def test_funnel_shortlist_calibration_selects_frozen_device():

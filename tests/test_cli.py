@@ -148,6 +148,44 @@ def test_config_ignores_keys_of_other_commands(tmp_path):
     assert cfg == RunConfig(command="ness", circuit="wire3")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["calibrate", "--search", "pentagon", "--full"],
+     "--full applies only with --search funnel"),
+    (["calibrate", "--search", "funnel", "--max-n", "3"],
+     "--max-n applies only with --search additivity"),
+    (["ness", "--circuit", "wire2", "--delta", "1", "--tol", "5"],
+     "--tol applies only with --solver evolution"),
+    (["ness", "--circuit", "wire2", "--delta", "1", "--t-max", "1"],
+     "--t-max applies only with --solver evolution"),
+], ids=["full-pentagon", "max-n-funnel", "tol-direct", "t-max-direct"])
+def test_flag_the_run_would_ignore_is_usage_error(argv, flags, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {flags}\n"
+
+
+def test_flags_that_apply_are_accepted(tmp_path):
+    cfg = parse_config(["ness", "--circuit", "wire2", "--delta", "1",
+                        "--solver", "evolution", "--tol", "1e-9"])
+    assert (cfg.solver, cfg.tol) == ("evolution", 1e-9)
+    cfg = parse_config(["calibrate", "--search", "additivity", "--max-n", "5"])
+    assert cfg.max_n == 5
+    # the resolved run decides, wherever the governing option comes from
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("solver: evolution\n")
+    cfg = parse_config(["ness", "--config", str(cfgfile), "--circuit",
+                        "wire2", "--delta", "1", "--t-max", "40"])
+    assert (cfg.solver, cfg.t_max) == ("evolution", 40.0)
+
+
+def test_config_value_the_run_would_ignore_stays_unused(tmp_path, capsys):
+    # a config file holds defaults for several runs
+    cfgfile = tmp_path / "run.conf"
+    cfgfile.write_text("max-n: 5\nfull: yes\n")
+    assert main(["calibrate", "--config", str(cfgfile),
+                 "--search", "pentagon"]) == 0
+    assert "4 sink placements" in capsys.readouterr().out
+
+
 def test_config_false_boolean_leaves_flag_off(tmp_path):
     cfgfile = tmp_path / "run.conf"
     cfgfile.write_text("plot: no\nfind-crossing: off\n")
@@ -335,6 +373,29 @@ def test_evolve_writes_trajectory(tmp_path, capsys):
     assert lines[0] == "t,trace,source_pop,sink_pop,coherence"
     assert len(lines) == 12
     assert "sink pop" in capsys.readouterr().out
+
+
+def test_ness_evolution_out_of_time_is_inconclusive(capsys):
+    # the budget rounds up to one window of 20, too short for 1e-9
+    code = main(["ness", "--circuit", "wire2", "--delta", "1",
+                 "--solver", "evolution", "--t-max", "0.5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status    max-time-exceeded\n" in out
+    assert out.endswith("verdict   inconclusive within the time budget\n")
+
+
+@pytest.mark.parametrize("initial, source_pop", [("uniform", 1 / 3),
+                                                 ("source", 1.0)])
+def test_evolve_initial_states(initial, source_pop, tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--circuit", "wire3", "--delta", "1", "--t-end",
+                 "1", "--samples", "3", "--initial", initial,
+                 "--out", str(out)]) == 0
+    first = [float(x) for x in out.read_text().splitlines()[1].split(",")]
+    assert first[0] == 0.0
+    assert first[1] == pytest.approx(1.0, abs=1e-15)
+    assert first[2] == pytest.approx(source_pop, abs=1e-15)
 
 
 def test_sweep_branches_writes_csv_and_chart(tmp_path, monkeypatch, capsys):
@@ -628,3 +689,8 @@ def test_calibrate_additivity_reports_no_usable_pair(capsys):
     assert lines[0] == "1 pairs matched up to n=5 (0 non-degenerate)"
     assert lines[-1] == ("no usable pair at this size; the shipped pair "
                          "needed eight sites")
+
+
+def test_calibrate_additivity_past_the_atlas_exits_one(capsys):
+    assert main(["calibrate", "--search", "additivity", "--max-n", "8"]) == 1
+    assert "atlas enumeration covers up to 7 sites" in capsys.readouterr().err

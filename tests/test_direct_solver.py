@@ -210,3 +210,15 @@ def test_exceptional_point_of_k_raises(hopping, ok):
     res = solve_ness_direct(g)
     assert res.status == CONVERGED
     assert resistance(res, c) == pytest.approx(_sylvester_r(k, 0, 1), rel=1e-9)
+
+
+def test_singular_eigenbasis_is_refused_as_exceptional_point(monkeypatch):
+    # an eigenvector matrix numpy cannot invert counts as cond = inf, and
+    # the conditioning test refuses it with its own message
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(UnphysicalSolutionError,
+                       match="condition number inf.*exceptional point"):
+        solve_ness_direct(assemble_generator(make_wire(2), 0.0))

@@ -5,7 +5,7 @@ import pytest
 
 from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      UnphysicalSolutionError, UsageError,
-                     additivity_experiment, dephasing_sweep, entropy_trace,
+                     dephasing_sweep, entropy_trace,
                      find_conductance_peak, find_ratio_crossing,
                      funnel_ratio, make_additivity_pair,
                      make_parallel_circuit, make_pentagon,
@@ -79,18 +79,6 @@ def test_dephasing_sweep_keeps_diverged_row():
     assert by_delta[0.5].status == CONVERGED
 
 
-def test_additivity_experiment_shapes():
-    records, traces = additivity_experiment(deltas=(0.0, 5.0))
-    assert len(records) == 4
-    labels = {r.circuit_label for r in records}
-    assert len(labels) == 2
-    assert set(traces) == labels
-    for times, values in traces.values():
-        assert len(times) == 201 and len(values) == 201
-        assert times[-1] == ENTROPY_T_END
-        assert values.min() >= 0.0
-
-
 def test_rectification_series_alignment():
     records, series = rectification_sweep(deltas=(0.1, 0.5))
     assert len(records) == 4
@@ -130,6 +118,18 @@ def test_find_ratio_crossing_validates():
 
 def test_find_ratio_crossing_endpoint_root():
     assert find_ratio_crossing((1.0, 2.0), ratio_fn=lambda d: d) == 1.0
+    assert find_ratio_crossing((0.5, 1.0), ratio_fn=lambda d: d) == 1.0
+
+
+#: The funnel's rectification crossing to 30 digits: the one positive
+#: root of the numerator of R_forward - R_reverse, a polynomial of degree
+#: 34 with integer coefficients.
+FUNNEL_CROSSING_EXACT = 0.225119720757909557176477474398
+
+
+def test_find_ratio_crossing_reaches_the_funnels_exact_root():
+    crossing = find_ratio_crossing(tol=1e-12)
+    assert abs(crossing - FUNNEL_CROSSING_EXACT) <= 1e-12
 
 
 def _call_limited(fn, limit=2000):
@@ -182,6 +182,8 @@ def test_additivity_pair_entropy_traces_are_finite_and_nonnegative():
     # eigenvalues and populations far below their largest ones
     for c in make_additivity_pair():
         times, values = entropy_trace(c, 0.0, ENTROPY_T_END)
+        assert len(times) == len(values) == 201
+        assert times[-1] == ENTROPY_T_END
         assert values[0] == 0.0
         assert np.isfinite(values).all() and values.min() >= 0.0
         assert values[-1] > 0.0

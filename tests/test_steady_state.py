@@ -6,7 +6,8 @@ import pytest
 
 from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
                      PhysicalityError, Trajectory, TrajectoryTooShortError,
-                     UnsupportedFormError, UsageError, apply_generator,
+                     UnphysicalSolutionError, UnsupportedFormError,
+                     UsageError, apply_generator,
                      assemble_generator, detect_divergence, empty_state,
                      evolve,
                      laplacian_hamiltonian, make_parallel_circuit,
@@ -14,8 +15,9 @@ from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
                      resistance, reverse_circuit, solve_ness_by_evolution,
                      solve_ness_direct)
 from dephnet.generator import _hermitian_coords, real_linear_system
-from dephnet.steady_state import (HERMITICITY_TOL, MIN_EIGENVALUE_TOL,
-                                  POPULATION_TOL, SAMPLES_PER_WINDOW, WINDOW,
+from dephnet.steady_state import (BACKWARD_ERROR_TOL, HERMITICITY_TOL,
+                                  MIN_EIGENVALUE_TOL, POPULATION_TOL,
+                                  SAMPLES_PER_WINDOW, WINDOW, _accept,
                                   _advance, _block, _check_physical,
                                   _propagator, _slope)
 from conftest import (SUITE_DELTAS, random_connected_circuit,
@@ -513,3 +515,35 @@ def test_closed_form_slope_matches_polyfit():
         last = x >= x[-1] - WINDOW
         expected = np.polyfit(x[last], y[last], 1)[0]
         assert abs(_slope(x[last], y[last]) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_check_physical_refuses_a_non_hermitian_state():
+    states = np.stack([np.diag([0.5, 0.5]).astype(complex)] * 3)
+    states[1, 0, 1] = 1e-6
+    with pytest.raises(PhysicalityError,
+                       match="Hermiticity deviation 1.000e-06 at sample 1"):
+        _check_physical(states, lambda i: f"at sample {i}")
+
+
+def _accepted_args(rho):
+    return dict(residual=0.0, eta=0.0, cond=1.0,
+                scale=float(np.abs(rho).max()))
+
+
+def test_accept_refuses_a_nonstationary_or_unphysical_state():
+    g = assemble_generator(make_wire(2), 1.0)
+    rho = solve_ness_direct(g).rho_ness
+    assert _accept(g, rho, **_accepted_args(rho)).status == CONVERGED
+    args = dict(_accepted_args(rho), eta=2 * BACKWARD_ERROR_TOL)
+    with pytest.raises(UnphysicalSolutionError, match="backward error"):
+        _accept(g, rho, **args)
+    # populations and the sink stay as they are; the coherence is too
+    # large for a density matrix
+    bad = rho.copy()
+    bad[0, 1], bad[1, 0] = 2.0, 2.0
+    with pytest.raises(UnphysicalSolutionError, match="negative eigenvalue"):
+        _accept(g, bad, **_accepted_args(bad))
+    bad = rho.copy()
+    bad[1, 1] += 0.1
+    with pytest.raises(UnphysicalSolutionError, match="flux balance"):
+        _accept(g, bad, **_accepted_args(bad))
