@@ -23,10 +23,9 @@ import numpy as np
 from .calibrate import (additivity_pair_search, calibrate_topology,
                         funnel_family, funnel_shortlist, insulating_at_zero,
                         pentagon_family, rectifies_as_published)
-from .errors import (CircuitFileError, DephnetError, NoSignChangeError,
-                     UsageError)
+from .errors import CircuitFileError, DephnetError, UsageError
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
-                          LOG_GRID, _ratio_flips, _ratio_pinned,
+                          LOG_GRID, _ratio_flips,
                           dephasing_sweep, entropy_trace, rectification_sweep,
                           series_crossings, sweep_branch_count)
 from .generator import assemble_generator, empty_state
@@ -77,6 +76,9 @@ def parse_delta_grid(text: str) -> tuple[float, ...]:
             start, stop, count = float(rest[0]), float(rest[1]), int(rest[2])
         except ValueError as exc:
             raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
+        # before spacing: numpy warns on an infinite or NaN endpoint
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise UsageError(f"grid endpoints must be finite, got {text!r}")
         if count < 1:
             raise UsageError("grid needs at least one point")
         if kind == "log":
@@ -231,7 +233,8 @@ def parse_config(argv) -> RunConfig:
     """Parse flags plus an optional `key: value` config file. Flags win
     over the file, and the file over the command's defaults. A flag the
     resolved run would ignore (see _APPLIES_ONLY_WITH) raises
-    UsageError."""
+    UsageError, and so does an --out ending in .svg with --plot, whose
+    chart would overwrite the CSV."""
     parser, subparsers = _build_parser()
     given = vars(parser.parse_args(argv))
     command = given.pop("command")
@@ -252,6 +255,10 @@ def parse_config(argv) -> RunConfig:
         if getattr(cfg, other) != value:
             raise UsageError(f"{_flag(key)} applies only with "
                              f"{_flag(other)} {value}")
+    # the chart goes to the CSV path with suffix .svg (see _maybe_chart)
+    if cfg.plot and cfg.out and Path(cfg.out).suffix == ".svg":
+        raise UsageError(f"--out {cfg.out} is where --plot writes the chart; "
+                         f"give the CSV another suffix")
     return cfg
 
 
@@ -387,18 +394,7 @@ def _cmd_rectify(cfg: RunConfig) -> int:
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
     if not cfg.find_crossing:
         return 0
-    crossings = series_crossings(series, c)
-    if not crossings and not any(math.isfinite(r) for _, r in series):
-        raise NoSignChangeError("the ratio is undefined at every grid point: "
-                                "a direction insulates, or the reverse R is 0")
-    if not crossings and _ratio_pinned(series):
-        raise NoSignChangeError("the ratio stays within rounding of 1 "
-                                "wherever it is defined")
-    if not crossings:
-        raise NoSignChangeError("the ratio does not cross 1 between grid "
-                                "points where it is defined and not within "
-                                "rounding of 1; widen or refine --delta-grid")
-    for crossing in crossings:
+    for crossing in series_crossings(series, c):
         print(f"crossing  {crossing:.6f}")
     return 0
 

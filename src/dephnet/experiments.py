@@ -13,7 +13,10 @@ series_crossings bisects each sign change of the forward/reverse ratio
 minus 1 between neighbouring grid points until its ends agree to the 6
 decimals that are printed (CROSSING_TOL). A grid point whose ratio lies
 within SYMMETRY_NOISE of 1 has no side of 1 and brackets nothing, so a
-device whose two directions a symmetry swaps shows no crossing.
+device whose two directions a symmetry swaps shows no crossing. A series
+with no sign change makes series_crossings raise NoSignChangeError with
+the reason: no finite ratio, a ratio pinned at 1, or a grid that
+brackets no crossing.
 """
 from __future__ import annotations
 
@@ -94,14 +97,6 @@ def _ratio_flips(series: Sequence[tuple[float, float]],
              if math.isfinite(r) and abs(r - 1.0) >= SYMMETRY_NOISE]
     return [(d0, d1) for (d0, r0), (d1, r1) in zip(sided, sided[1:])
             if (r0 - 1.0) * (r1 - 1.0) < 0]
-
-
-def _ratio_pinned(series: Sequence[tuple[float, float]]) -> bool:
-    """True iff the (delta, ratio) series has a finite ratio and every
-    finite ratio lies within SYMMETRY_NOISE of 1, as where a symmetry
-    swaps the two directions: no grid would show a crossing."""
-    finite = [r for _, r in series if math.isfinite(r)]
-    return bool(finite) and all(abs(r - 1.0) < SYMMETRY_NOISE for r in finite)
 
 
 def _measure(c: Circuit, delta: float, direction: str = "forward",
@@ -245,18 +240,34 @@ def series_crossings(series: Sequence[tuple[float, float]],
     """Every delta where the ratio of `circuit` (by default the
     calibrated funnel) crosses 1: one bisection to CROSSING_TOL per sign
     change of its (delta, ratio) series, which is in delta order, and
-    the crossings in that order; empty if the series does not cross 1.
-    Ratios the series holds, such as the bracket ends, are read from it
-    and not solved again.
+    the crossings in that order. Ratios the series holds, such as the
+    bracket ends, are read from it and not solved again.
 
-    Raises NoSignChangeError as find_ratio_crossing does.
+    A series without a sign change raises NoSignChangeError, which says
+    why: no ratio is finite (a direction insulates, or the reverse R is
+    0); every finite ratio lies within SYMMETRY_NOISE of 1, as where a
+    symmetry swaps the two directions and no grid would show a
+    crossing; or the grid does not bracket one. A bisection raises it
+    as find_ratio_crossing does.
     """
+    flips = _ratio_flips(series)
+    if not flips:
+        finite = [r for _, r in series if math.isfinite(r)]
+        if not finite:
+            raise NoSignChangeError(
+                "the ratio is undefined at every grid point: a direction "
+                "insulates, or the reverse R is 0")
+        if all(abs(r - 1.0) < SYMMETRY_NOISE for r in finite):
+            raise NoSignChangeError("the ratio stays within rounding of 1 "
+                                    "wherever it is defined")
+        raise NoSignChangeError("the ratio does not cross 1 between grid "
+                                "points where it is defined and not within "
+                                "rounding of 1; widen or refine --delta-grid")
     known = dict(series)
 
     def ratio(d: float) -> float:
         return known[d] if d in known else funnel_ratio(d, circuit)
-    return [find_ratio_crossing(flip, CROSSING_TOL, ratio)
-            for flip in _ratio_flips(series)]
+    return [find_ratio_crossing(flip, CROSSING_TOL, ratio) for flip in flips]
 
 
 def entropy_trace(c: Circuit, delta: float, t_end: float,

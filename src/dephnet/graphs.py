@@ -97,9 +97,12 @@ class Circuit:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated graph from an edge list.
 
-    Raises GraphConstructionError on out-of-range endpoints, duplicate
-    edges, self-loops, or a disconnected result.
+    Raises GraphConstructionError on a site count below 1 (before any
+    allocation), out-of-range endpoints, duplicate edges, self-loops, or
+    a disconnected result.
     """
+    if n < 1:
+        raise GraphConstructionError("site count must be positive")
     adjacency = np.zeros((n, n))
     seen = set()
     for i, j in edges:

@@ -3,6 +3,8 @@ trajectories, and static SVG line charts.
 
 CSV is the data interface: full-precision scientific notation, UTF-8,
 LF endings, byte-identical across repeated runs on the same records.
+write_table is the one CSV writer; write_records hands it the rows of
+sweep records.
 SVG charts are deterministic text as well, so tests can assert on their
 structure.
 """
@@ -18,36 +20,27 @@ import numpy as np
 CSV_HEADER = "circuit,delta,direction,branches,R,G,coherence,status"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
-
-
-def _record_row(rec) -> str:
-    branches = "" if rec.branches is None else str(rec.branches)
-    if math.isfinite(rec.R):
-        r_txt, g_txt = _fmt(rec.R), _fmt(rec.G)
-    else:
-        # divergence is a verdict, not a float overflow: tagged tokens
-        r_txt, g_txt = "inf", "0"
-    coherence = "" if rec.coherence is None else _fmt(rec.coherence)
-    return ",".join([rec.circuit_label, _fmt(rec.delta), rec.direction,
-                     branches, r_txt, g_txt, coherence, rec.status])
+def _cell(value) -> str:
+    """One CSV cell: a float (numpy's included) in full-precision
+    scientific notation, None empty, anything else its str."""
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.16e}"
+    return "" if value is None else str(value)
 
 
 def write_records(records: Sequence, path) -> None:
     """Write sweep records as CSV (records come pre-sorted by their
-    canonical key; order is preserved)."""
-    _write_lines([CSV_HEADER] + [_record_row(r) for r in records], path)
+    canonical key; order is preserved). An insulating row's R is inf and
+    its G 0: divergence is a verdict, not a float overflow."""
+    write_table([(r.circuit_label, r.delta, r.direction, r.branches, r.R,
+                  r.G if math.isfinite(r.R) else 0, r.coherence, r.status)
+                 for r in records], CSV_HEADER.split(","), path)
 
 
 def write_table(rows, columns: Sequence[str], path) -> None:
-    """Write rows of numbers, such as a trajectory's samples, as CSV
-    under a header of column names."""
-    _write_lines([",".join(columns)]
-                 + [",".join(_fmt(v) for v in row) for row in rows], path)
-
-
-def _write_lines(lines: Sequence[str], path) -> None:
+    """Write rows, such as a trajectory's samples, as CSV under a header
+    of column names, one _cell per value."""
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

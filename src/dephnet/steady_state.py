@@ -7,12 +7,16 @@ solve_ness_direct). Both solvers report the same three-way
 verdict: ``converged`` (a physical NESS was found), ``diverged`` (the
 device is insulating and piles up particles forever), or
 ``max-time-exceeded`` (evolution hit its cutoff without either
-verdict). The evolution solver runs whole windows of span WINDOW and
-judges divergence on its last two (see detect_divergence).
+verdict).
 
-scipy is imported where it is called, by the matrix exponential that
-both forms of evolve and the evolution solver propagate, so a direct
-solve runs on numpy alone.
+Time evolution has one propagation loop, _windows: it builds the exact
+propagator of an affine system once and yields checked windows of
+samples. evolve returns its first window, of span t_end; the evolution
+solver runs whole windows of span WINDOW and judges divergence on its
+last two (see detect_divergence).
+
+scipy is imported where it is called, by the matrix exponential of
+that loop, so a direct solve runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -183,28 +187,6 @@ def _initial_coords(g: Generator, rho0) -> np.ndarray:
     return _hermitian_coords(g.dim)[0](rho0)
 
 
-def _block(steps: int) -> int:
-    """Rows per block of _advance: ceil(sqrt(steps + 1)), which balances
-    the fine steps against the block steps."""
-    return math.isqrt(steps) + 1
-
-
-def _propagator(a: np.ndarray, b: np.ndarray, dt: float, steps: int):
-    """Exact steps of dy/dt = a y + b for _advance over `steps` steps:
-    (f, c, f_block, c_block), where y(t + dt) = f y(t) + c are the blocks
-    of e = expm([[a dt, b dt], [0, 0]]) (Moler & Van Loan, 2003) and
-    (f_block, c_block) are those of e^B, B = _block(steps)."""
-    from scipy.linalg import expm
-
-    m = len(b)
-    augmented = np.zeros((m + 1, m + 1))
-    augmented[:m, :m] = a * dt
-    augmented[:m, m] = b * dt
-    e = expm(augmented)
-    e_block = np.linalg.matrix_power(e, _block(steps))
-    return e[:m, :m], e[:m, m], e_block[:m, :m], e_block[:m, m]
-
-
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call. No code of
     the package calls it: both forms of evolve use the exact propagator.
@@ -215,25 +197,46 @@ def solve_ivp(*args, **kwargs):
     return integrate(*args, **kwargs)
 
 
-def _advance(f: np.ndarray, c: np.ndarray, f_block: np.ndarray,
-             c_block: np.ndarray, y0: np.ndarray, steps: int) -> np.ndarray:
-    """(steps + 1, m) samples of y -> f y + c from y0, y0 included, for
-    the propagator _propagator built for the same `steps`.
+def _windows(g: Generator, system: tuple[np.ndarray, np.ndarray],
+             y: np.ndarray, span: float, samples: int):
+    """Consecutive windows of dy/dt = a y + b, system = (a, b), from the
+    real coordinates y at t = 0: each a Trajectory of `samples` >= 2
+    points from t to t + span, checked by _check_physical.
 
-    The first B = _block(steps) rows are stepped one at a time; each
-    later run of B rows is the run B rows earlier advanced by the
-    B-fold step (f_block, c_block), one matrix product per run. A window
-    of 80 steps takes 8 matrix-vector and 8 matrix-matrix products.
+    One step of the sample spacing dt is y -> f y + c, where f and c are
+    the blocks of e = expm([[a dt, b dt], [0, 0]]) (Moler & Van Loan,
+    2003), built once with its B-th power, B = ceil(sqrt(samples)). In
+    each window the first B samples are stepped one at a time; each
+    later run of B samples is the run B samples earlier advanced by the
+    B-fold step, one matrix product per run. A window of 81 samples
+    takes 8 matrix-vector and 8 matrix-matrix products.
     """
-    block = _block(steps)
-    ys = np.empty((steps + 1, len(y0)))
-    ys[0] = y0
-    for i in range(min(block, steps + 1) - 1):
-        ys[i + 1] = f @ ys[i] + c
-    for k in range(block, steps + 1, block):
-        end = min(k + block, steps + 1)
-        ys[k:end] = ys[k - block:end - block] @ f_block.T + c_block
-    return ys
+    from scipy.linalg import expm
+
+    steps, m = samples - 1, len(y)
+    block = math.isqrt(steps) + 1
+    dt = span / steps
+    augmented = np.zeros((m + 1, m + 1))
+    augmented[:m, :m] = system[0] * dt
+    augmented[:m, m] = system[1] * dt
+    e = expm(augmented)
+    e_block = np.linalg.matrix_power(e, block)
+    f, c, f_block, c_block = e[:m, :m], e[:m, m], e_block[:m, :m], e_block[:m, m]
+    unpack = _hermitian_coords(g.dim)[1]
+    offsets = np.linspace(0.0, span, samples)
+    t = 0.0
+    while True:
+        ys = np.empty((samples, m))
+        ys[0] = y
+        for i in range(min(block, samples) - 1):
+            ys[i + 1] = f @ ys[i] + c
+        for k in range(block, samples, block):
+            end = min(k + block, samples)
+            ys[k:end] = ys[k - block:end - block] @ f_block.T + c_block
+        window = Trajectory(offsets + t, unpack(ys))
+        _check_physical(window.states, lambda i: f"at t={window.times[i]:.6g}")
+        yield window
+        y, t = ys[-1], t + span
 
 
 def _trace(states: np.ndarray) -> np.ndarray:
@@ -251,7 +254,8 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     coefficients, dy/dt = a y + b, and is advanced by its exact
     propagator: one step per sample spacing for the first ~sqrt(samples)
     samples, then whole blocks of that many samples at once by the
-    propagator's power (see _advance). The explicit-bath form clamps
+    propagator's power. The trajectory is the first window of
+    _windows, of span t_end. The explicit-bath form clamps
     the bath; that map is affine as well, and its system is probed from
     the map itself once per call (_explicit_linear_system), not taken
     from real_linear_system, then advanced the same way. Its bath rows
@@ -272,14 +276,8 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
         raise UsageError(f"t_end must be positive and finite, got {t_end}")
     if samples < 2:
         raise UsageError(f"samples must be at least 2, got {samples}")
-    unpack = _hermitian_coords(g.dim)[1]
-    t_eval = np.linspace(0.0, t_end, samples)
-    steps = samples - 1
     system = real_linear_system(g) if g.form == REDUCED else _explicit_linear_system(g)
-    ys = _advance(*_propagator(*system, t_end / steps, steps), y0, steps)
-    states = unpack(ys)
-    _check_physical(states, lambda i: f"at t={t_eval[i]:.6g}")
-    return Trajectory(times=t_eval, states=states)
+    return next(_windows(g, system, y0, t_end, samples))
 
 
 def solve_ness_direct(g: Generator) -> SteadyStateResult:
@@ -452,34 +450,30 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
     The evolution runs in whole windows of span WINDOW while the model
     time is below t_max, so a t_max that is not a multiple of WINDOW
     rounds up to one, and elapsed_model_time is the time reached. The
-    real system of real_linear_system is built once, and one exact
+    windows come from _windows, the loop that evolve runs for one
+    window: the real system of real_linear_system is built once (so an
+    explicit-bath generator raises UnsupportedFormError), and one exact
     propagator samples every window at SAMPLES_PER_WINDOW points: its
     first 9 samples one fine step at a time, the other 72 as 8 blocks of
-    9, each block one matrix product with the 9-step propagator (see
-    _advance). Each window's samples are checked for physicality as in
-    evolve, Cholesky first.
-    Convergence is declared when the max-norm of drho/dt at the end of a
-    window falls to `tol`; divergence when detect_divergence finds the
-    last window growing past SLOPE_MIN with a derivative norm no smaller
-    than in the window before it; otherwise the t_max cutoff yields
-    ``max-time-exceeded``. Only the previous window is kept.
+    9, each block one matrix product with the 9-step propagator. Each
+    window's samples are checked for physicality as in evolve, Cholesky
+    first.
+    After each window, in this order: convergence is declared when the
+    max-norm of drho/dt at its end falls to `tol`; divergence when
+    detect_divergence finds it growing past SLOPE_MIN with a derivative
+    norm no smaller than in the window before it; ``max-time-exceeded``
+    once the time reached is t_max or more. Only the previous window is
+    kept.
     """
     if not tol > 0:
         raise UsageError(f"stationarity tolerance must be positive, got {tol}")
     if not 0 < t_max < np.inf:
         raise UsageError(f"t_max must be positive and finite, got {t_max}")
     y = _initial_coords(g, empty_state(g) if rho0 is None else rho0)
-    unpack = _hermitian_coords(g.dim)[1]
-    steps = SAMPLES_PER_WINDOW - 1
-    step = _propagator(*real_linear_system(g), WINDOW / steps, steps)
-    offsets = np.linspace(0.0, WINDOW, SAMPLES_PER_WINDOW)
-    t, previous = 0.0, None
-    while t < t_max:
-        ys = _advance(*step, y, steps)
-        window = Trajectory(offsets + t, unpack(ys))
-        _check_physical(window.states, lambda i: f"at t={window.times[i]:.6g}")
-        y, rho = ys[-1], window.states[-1]
-        t += WINDOW
+    previous = None
+    for window in _windows(g, real_linear_system(g), y, WINDOW,
+                           SAMPLES_PER_WINDOW):
+        rho, t = window.states[-1], float(window.times[-1])
         residual = float(np.abs(apply_generator(g, rho)).max())
         if residual <= tol:
             # a copy, so the result does not keep the window stack alive
@@ -488,9 +482,10 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
         if previous is not None and detect_divergence(previous, window):
             return SteadyStateResult(DIVERGED, None, residual, "evolution",
                                      elapsed_model_time=t)
+        if t >= t_max:
+            return SteadyStateResult(MAX_TIME_EXCEEDED, None, residual,
+                                     "evolution", elapsed_model_time=t)
         previous = window
-    return SteadyStateResult(MAX_TIME_EXCEEDED, None, residual, "evolution",
-                             elapsed_model_time=t)
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -48,10 +48,23 @@ def test_parse_delta_grid_linear_and_list():
     "1,2,-1",             # negative dephasing strength
     "lin:-1:1:3",         # grid reaching below zero
     "1,nan",              # not a number
+    "lin:0:inf:3",        # infinite endpoint, refused before spacing
+    "log:1:1e400:3",      # endpoint that overflows to inf
 ])
 def test_parse_delta_grid_rejects(text):
     with pytest.raises(UsageError):
         parse_delta_grid(text)
+
+
+@pytest.mark.parametrize("grid", ["lin:0:inf:3", "log:1:1e400:3"])
+def test_infinite_grid_endpoint_is_one_usage_error_line(grid, capsys):
+    # the suite turns warnings into errors, so a numpy warning would
+    # surface here as a RuntimeWarning instead of the usage error
+    assert main(["rectify", "--delta-grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: argument --delta-grid: grid "
+                            f"endpoints must be finite, got {grid!r}\n")
 
 
 def test_unknown_flag_is_usage_error():
@@ -184,6 +197,31 @@ def test_config_value_the_run_would_ignore_stays_unused(tmp_path, capsys):
     assert main(["calibrate", "--config", str(cfgfile),
                  "--search", "pentagon"]) == 0
     assert "4 sink placements" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-dephasing", "--circuit", "wire2", "--delta-grid", "1,2"],
+    ["sweep-branches", "--m-max", "2", "--delta-grid", "1"],
+    ["rectify", "--delta-grid", "0.1,1"],
+    ["entropy-trace", "--circuit", "wire2", "--t-end", "1"],
+], ids=["sweep-dephasing", "sweep-branches", "rectify", "entropy-trace"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
+def test_svg_out_with_plot_is_refused_before_solving(argv, from_file, tmp_path,
+                                                     monkeypatch, capsys):
+    # the chart's path is the CSV's with suffix .svg: it would overwrite it
+    monkeypatch.chdir(tmp_path)
+    if from_file:
+        Path("run.conf").write_text("out: r.svg\nplot: true\n")
+        argv = argv + ["--config", "run.conf"]
+    else:
+        argv = argv + ["--out", "r.svg", "--plot"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: --out r.svg is where --plot writes "
+                            "the chart; give the CSV another suffix\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["run.conf"] if from_file else [])
 
 
 def test_config_false_boolean_leaves_flag_off(tmp_path):

@@ -9,7 +9,8 @@ from dephnet import (CONVERGED, DIVERGED, NoSignChangeError, SweepRecord,
                      find_conductance_peak, find_ratio_crossing,
                      funnel_ratio, make_additivity_pair,
                      make_parallel_circuit, make_pentagon,
-                     make_wire, rectification_sweep, sweep_branch_count)
+                     make_wire, rectification_sweep, series_crossings,
+                     sweep_branch_count)
 from dephnet.experiments import ENTROPY_T_END
 
 
@@ -159,6 +160,19 @@ def test_find_ratio_crossing_refuses_undefined_ratio():
     nan_at_mid = _call_limited(lambda d: math.nan if d == 0.5 else 4.0 * d)
     with pytest.raises(NoSignChangeError, match="undefined"):
         find_ratio_crossing((0.1, 0.9), ratio_fn=nan_at_mid)
+
+
+@pytest.mark.parametrize("series, reason", [
+    ([(0.1, math.nan), (1.0, math.nan)], "undefined at every grid point"),
+    ([(0.1, 1.0 + 1e-12), (1.0, math.nan), (2.0, 1.0 - 1e-12)],
+     "within rounding of 1 wherever it is defined"),
+    ([(0.1, 1.5), (1.0, math.nan), (2.0, 1.0 - 1e-12), (3.0, 1.2)],
+     "widen or refine --delta-grid"),
+], ids=["undefined", "pinned", "no-flip"])
+def test_series_crossings_names_why_there_is_no_crossing(series, reason):
+    # raised before any solve: no circuit is given, and none is needed
+    with pytest.raises(NoSignChangeError, match=reason):
+        series_crossings(series)
 
 
 def test_find_ratio_crossing_rejects_nonpositive_tol():

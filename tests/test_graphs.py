@@ -25,6 +25,14 @@ def test_build_graph_rejects(edges, message):
         build_graph(3, edges)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_graph_refuses_site_count_below_one(n):
+    # refused before the n x n adjacency is allocated, which a negative n
+    # would fail with numpy's own ValueError
+    with pytest.raises(GraphConstructionError, match="site count"):
+        build_graph(n, [])
+
+
 def test_graph_validates_raw_adjacency():
     with pytest.raises(GraphConstructionError, match="symmetric"):
         Graph(2, np.array([[0.0, 1.0], [0.0, 0.0]]))

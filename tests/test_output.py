@@ -4,8 +4,9 @@ import warnings
 
 import pytest
 
-from dephnet import AxesSpec, SweepRecord, render_chart, write_records
-from dephnet.experiments import sweep_branch_count
+from dephnet import (AxesSpec, SweepRecord, make_wire, render_chart,
+                     write_records)
+from dephnet.experiments import dephasing_sweep, sweep_branch_count
 from dephnet.output import CSV_HEADER
 
 
@@ -46,6 +47,17 @@ def test_diverged_row_uses_tagged_tokens(tmp_path):
     assert fields[5] == "0"
     assert fields[6] == ""  # no coherence for a diverged device
     assert fields[7] == "diverged"
+
+
+def test_converged_row_with_zero_resistance_writes_infinite_g(tmp_path):
+    # wire1's source is its sink: R = 0 converged, so G = 1/R is inf
+    (rec,) = dephasing_sweep(make_wire(1), [1.0])
+    assert (rec.status, rec.R, rec.G) == ("converged", 0.0, math.inf)
+    path = tmp_path / "wire1.csv"
+    write_records([rec], path)
+    fields = path.read_text().splitlines()[1].split(",")
+    assert fields[4:6] == [f"{0.0:.16e}", "inf"]
+    assert fields[7] == "converged"
 
 
 def test_record_without_verdict_is_refused():

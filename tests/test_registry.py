@@ -35,6 +35,8 @@ def test_parse_basic():
     (lambda t: t.replace("edges: 0-1 1-2", "edges: 0-1"), "connected"),
     (lambda t: t.replace("sink: 2", "sink: 9"), "source and sink"),
     (lambda t: t.replace("label: demo", "label demo"), "expected 'key"),
+    # refused before the graph's n x n adjacency is allocated
+    (lambda t: t.replace("n: 3", "n: -1"), "site count must be positive"),
 ])
 def test_parse_rejects(mutation, message):
     with pytest.raises(CircuitFileError, match=message):

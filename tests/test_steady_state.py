@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
                      PhysicalityError, Trajectory, TrajectoryTooShortError,
@@ -18,8 +19,7 @@ from dephnet.generator import _hermitian_coords, real_linear_system
 from dephnet.steady_state import (BACKWARD_ERROR_TOL, HERMITICITY_TOL,
                                   MIN_EIGENVALUE_TOL, POPULATION_TOL,
                                   SAMPLES_PER_WINDOW, WINDOW, _accept,
-                                  _advance, _block, _check_physical,
-                                  _propagator, _slope)
+                                  _check_physical, _slope)
 from conftest import (SUITE_DELTAS, random_connected_circuit,
                       random_density_matrix)
 
@@ -363,31 +363,39 @@ def test_evolution_verdict_trail_is_pinned(suite_circuits, ness_pairs):
                 (name, delta)
 
 
-def _stable_system(rng, m):
-    """Random dy/dt = a y + b whose spectrum lies in Re z <= -0.1."""
-    a = rng.normal(size=(m, m)) / np.sqrt(m)
-    a -= (np.linalg.eigvals(a).real.max() + 0.1) * np.eye(m)
-    return a, rng.normal(size=m)
+@pytest.mark.parametrize("samples", [2, 9, 10, 81, 201])
+def test_evolve_matches_plain_recurrence(samples):
+    # 81 samples (one window) run in blocks of 9; 2 samples take no
+    # block step, 9 and 81 end on a whole block, 10 and 201 on a partial one
+    rng = np.random.default_rng(samples)
+    cases = [(make_wire(3), 0.0), (make_triangle_funnel(), 0.3),
+             (random_connected_circuit(np.random.default_rng(17)), 1.7)]
+    for c, delta in cases:
+        g = assemble_generator(c, delta)
+        a, b = real_linear_system(g)
+        dt = 4.0 / (samples - 1)
+        m = len(b)
+        augmented = np.zeros((m + 1, m + 1))
+        augmented[:m, :m], augmented[:m, m] = a * dt, b * dt
+        e = scipy.linalg.expm(augmented)
+        f, offset = e[:m, :m], e[:m, m]
+        rho0 = random_density_matrix(rng, c.graph.n, 0.5)
+        pack = _hermitian_coords(g.dim)[0]
+        plain = np.empty((samples, m))
+        plain[0] = pack(rho0)
+        for i in range(samples - 1):
+            plain[i + 1] = f @ plain[i] + offset
+        traj = evolve(g, rho0, 4.0, samples=samples)
+        packed = pack(traj.states)
+        assert packed.shape == plain.shape
+        gap = np.abs(packed - plain).max() / np.abs(plain).max()
+        assert gap <= 1e-12, (c.label, gap)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 8, 9, 80, 200])
-def test_blocked_advance_matches_plain_recurrence(steps):
-    # 80 steps (one window) run in blocks of 9; 0 and 1 take no block
-    # step, 9 and 200 end on a partial block
-    assert _block(SAMPLES_PER_WINDOW - 1) == 9
-    rng = np.random.default_rng(steps)
-    for m in (3, 17, 40):
-        a, b = _stable_system(rng, m)
-        f, c, f_block, c_block = _propagator(a, b, 0.3, steps)
-        y0 = rng.normal(size=m)
-        plain = np.empty((steps + 1, m))
-        plain[0] = y0
-        for i in range(steps):
-            plain[i + 1] = f @ plain[i] + c
-        blocked = _advance(f, c, f_block, c_block, y0, steps)
-        assert blocked.shape == plain.shape
-        gap = np.abs(blocked - plain).max() / np.abs(plain).max()
-        assert gap <= 1e-12, (m, gap)
+def test_evolution_solver_refuses_explicit_bath_form():
+    g = assemble_generator(make_wire(2), 1.0, form=EXPLICIT_BATH)
+    with pytest.raises(UnsupportedFormError, match="reduced form"):
+        solve_ness_by_evolution(g)
 
 
 @pytest.mark.parametrize("circuit, delta, t_end, samples", [
