@@ -1,10 +1,13 @@
 """Steady-state solvers: direct linear solve and time evolution.
 
 The direct solver inverts the real system once at delta > 0 and
-refines the state by one step with that inverse, and diagonalizes the
-n x n operator K = H - i(g/2)|k><k| at delta = 0 (see
-solve_ness_direct). Both solvers report the same three-way
-verdict: ``converged`` (a physical NESS was found), ``diverged`` (the
+refines the state by one step with that inverse; the Im-coherence
+coordinates that dephasing damps faster than hopping moves them are
+eliminated first, so only the Schur complement on the rest is
+inverted. At delta = 0 it diagonalizes the n x n operator
+K = H - i(g/2)|k><k| (see solve_ness_direct). Both solvers report the
+same three-way verdict: ``converged`` (a physical NESS was found),
+``diverged`` (the
 device is insulating and piles up particles forever), or
 ``max-time-exceeded`` (evolution hit its cutoff without either
 verdict).
@@ -128,18 +131,27 @@ def _check_physical(states: np.ndarray, where) -> None:
     """Raise PhysicalityError for the first state of the (k, dim, dim)
     stack that is not a density matrix; where(i) places state i.
 
-    The eigenvalue test first tries a Cholesky factorization of every
-    Hermitian part, shifted by tau = -MIN_EIGENVALUE_TOL / 2 (see
-    _positive_by_cholesky). Only when one fails, or the entries are too
-    large for that test to decide, are the eigenvalues computed, as
-    without the shortcut, so each verdict and message is the same.
+    A state with a NaN or infinite entry is refused first, after the
+    states before it are checked: every comparison with NaN is false,
+    so no later test would catch it. The eigenvalue test first tries a
+    Cholesky factorization of every Hermitian part, shifted by
+    tau = -MIN_EIGENVALUE_TOL / 2 (see _positive_by_cholesky). Only when
+    one fails, or the entries are too large for that test to decide, are
+    the eigenvalues computed, as without the shortcut, so each verdict
+    and message is the same.
     """
+    largest = float(np.abs(states).max())
+    if not largest < np.inf:  # also for NaN
+        i = int(np.argmin(np.isfinite(states).all(axis=(-2, -1))))
+        if i:
+            _check_physical(states[:i], where)
+        raise PhysicalityError(f"NaN or infinite entry {where(i)}")
     adjoint = states.conj().swapaxes(-1, -2)
     herm = np.abs(states - adjoint).max(axis=(-2, -1))
     pops = np.diagonal(states, axis1=-2, axis2=-1).real.min(axis=-1)
     sym = 0.5 * (states + adjoint)
     bad = (herm > HERMITICITY_TOL) | (pops < POPULATION_TOL)
-    if not _positive_by_cholesky(sym):
+    if not _positive_by_cholesky(sym, largest):
         eigs = np.linalg.eigvalsh(sym).min(axis=-1)
         bad |= eigs < MIN_EIGENVALUE_TOL
     if not bad.any():
@@ -152,20 +164,20 @@ def _check_physical(states: np.ndarray, where) -> None:
     raise PhysicalityError(f"negative eigenvalue {eigs[i]:.3e} {where(i)}")
 
 
-def _positive_by_cholesky(sym: np.ndarray) -> bool:
+def _positive_by_cholesky(sym: np.ndarray, largest: float) -> bool:
     """True if every Hermitian matrix of the stack provably has all its
-    eigenvalues above MIN_EIGENVALUE_TOL; False means unknown.
+    eigenvalues above MIN_EIGENVALUE_TOL; False means unknown. largest
+    bounds every |entry| of sym.
 
     Cholesky succeeds on sym + tau I only if sym + tau I + E is positive
     definite for a backward error of norm |E| <= dim^2 eps max|sym|
-    (Higham, 2002, thm 10.5). While that bound stays below tau / 4,
-    success puts every eigenvalue of sym above -5 tau / 4, which is
-    above MIN_EIGENVALUE_TOL = -2 tau.
+    (Higham, 2002, thm 10.5). While dim^2 eps largest stays below
+    tau / 4, success puts every eigenvalue of sym above -5 tau / 4, which
+    is above MIN_EIGENVALUE_TOL = -2 tau.
     """
     tau = -MIN_EIGENVALUE_TOL / 2
     dim = sym.shape[-1]
-    # written so that a NaN or infinite entry also declines
-    if not dim * dim * np.finfo(float).eps * np.abs(sym).max() < tau / 4:
+    if not dim * dim * np.finfo(float).eps * largest < tau / 4:
         return False
     try:
         np.linalg.cholesky(sym + tau * np.eye(dim))
@@ -286,9 +298,18 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     delta > 0: the real system a y + b = 0 of real_linear_system, in
     which the answer is exactly Hermitian, is solved by its explicit
     inverse, y = -a^-1 b, and one step of fixed-precision iterative
-    refinement, y -= a^-1 (a y + b) (Higham, 2002, sec. 12.2). Forming
-    a^-1 costs an LU and N right-hand sides, and the solve holds at most
-    four N x N arrays at once: a, numpy's two LAPACK buffers and a^-1.
+    refinement, y -= a^-1 (a y + b) (Higham, 2002, sec. 12.2). Before
+    a^-1 is formed, every Im-coherence coordinate whose column of a is
+    diagonally dominant is eliminated, as where dephasing (rate
+    2 delta) outpaces hopping; only the Schur complement on the m other
+    coordinates is inverted, and a^-1 is assembled from its blocks (see
+    _permuted_inverse). That takes an LU of size m instead of N, and
+    holds 2 N^2 + 3 m^2 numbers at once. It is taken where that is no
+    more than the plain inverse holds, four N x N arrays (a, numpy's two
+    LAPACK buffers and a^-1). Elsewhere, as where no column is dominated
+    (weak dephasing, and on the small shipped circuits up to
+    delta ~ 0.5 at least), a^-1 is numpy's plain inverse of a, and every
+    result is the same to the last bit as without the elimination.
     With the residual r = a y + b of the refined state,
 
         kappa = | |a^-1| (|a| |y| + |b| + |r| / eps) |_inf / |y|_inf
@@ -340,17 +361,19 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
 
 def _solve_dephased(g: Generator) -> SteadyStateResult:
     """solve_ness_direct at delta > 0: y = -a^-1 b from the explicit
-    inverse, one refinement step y -= a^-1 (a y + b), and from a^-1 the
-    condition number kappa of the refined y."""
+    inverse (see _permuted_inverse), one refinement step
+    y -= a^-1 (a y + b), and from a^-1 the condition number kappa of the
+    refined y."""
     a, b = real_linear_system(g)
     try:
-        inverse = np.linalg.inv(a)
+        order, inverse = _permuted_inverse(a, g.dim)
     except np.linalg.LinAlgError as exc:
         raise UnphysicalSolutionError(
             f"stationary system at delta = {g.delta:g} is exactly singular "
             f"in floating point") from exc
-    y = -(inverse @ b)
-    y -= inverse @ (a @ y + b)
+    y = np.empty_like(b)
+    y[order] = -(inverse @ b[order])
+    y[order] -= inverse @ (a @ y + b)[order]
     defect = np.abs(a @ y + b)
     residual, scale = float(defect.max()), float(np.abs(y).max())
     # a and a^-1 are not needed again: their absolute values are taken
@@ -359,8 +382,8 @@ def _solve_dephased(g: Generator) -> SteadyStateResult:
     eta = residual / (float(abs_a.sum(axis=1).max()) * scale
                       + float(abs_b.max()))
     eps = np.finfo(float).eps
-    cond = float((np.abs(inverse, out=inverse)
-                  @ (abs_a @ np.abs(y) + abs_b + defect / eps)).max()) / scale
+    spread = abs_a @ np.abs(y) + abs_b + defect / eps
+    cond = float((np.abs(inverse, out=inverse) @ spread[order]).max()) / scale
     # written so that an infinite or NaN condition number raises too
     if not FORWARD_ERROR_FACTOR * cond * eps < 1.0:
         raise UnphysicalSolutionError(
@@ -368,6 +391,63 @@ def _solve_dephased(g: Generator) -> SteadyStateResult:
             f"significant digit: the error estimate {FORWARD_ERROR_FACTOR:g} "
             f"kappa eps reaches 1 at kappa = {cond:.3e}")
     return _accept(g, _hermitian_coords(g.dim)[1](y), residual, eta, cond, scale)
+
+
+def _permuted_inverse(a: np.ndarray, n: int):
+    """(order, inverse) with inverse[i, j] = (a^-1)[order[i], order[j]],
+    for the real system a of an n-site device; order is an index array,
+    or slice(None) where the order is a's own.
+
+    In the coordinates of real_linear_system the n(n-1)/2 Im-coherence
+    coordinates Y come last. Their block of a is exactly diagonal,
+    -(2 delta + sink damping), and they couple to the Re coordinates
+    only through [H, .]. Every Y coordinate whose column of a is
+    diagonally dominant, |a_jj| >= sum_{i != j} |a_ij|, is eliminated
+    first. With E those coordinates and K the m others (every Re
+    coordinate and the other Y), a = [[A, B], [C, D]] with D diagonal;
+    the Schur complement S = A - B D^-1 C is inverted, and
+
+        a^-1 = [[S^-1, -S^-1 B D^-1], [-D^-1 C S^-1, D^-1 + D^-1 C S^-1 B D^-1]]
+
+    is written block by block over a copy of a in the order K, E. A
+    dominant pivot grows no column: each column of S has a 1-norm at
+    most that of its column of a (Higham, 2002, ch. 9 and 13). The solve
+    then holds a, a^-1, S^-1 and numpy's two LAPACK buffers for S, that
+    is 2 N^2 + 3 m^2 numbers, so the elimination is taken only where
+    that is at most the plain inverse's 4 N^2 (3 m^2 <= 2 N^2, about a
+    fifth of the N coordinates eliminated; m > N / 2 always). Elsewhere,
+    as where no column is dominated, the inverse is the plain
+    np.linalg.inv(a) with order = slice(None), and every result is the
+    same to the last bit as without the elimination.
+    """
+    split = n * (n + 1) // 2
+    diagonal = np.diagonal(a)[split:]
+    dominated = 2.0 * np.abs(diagonal) >= np.abs(a[:, split:]).sum(axis=0)
+    m = len(a) - int(np.count_nonzero(dominated))
+    if 3 * m * m > 2 * len(a) ** 2:
+        return slice(None), np.linalg.inv(a)
+    # a in the order K, E (each in its own order), overwritten block by
+    # block until it is a^-1; the Re coordinates keep their places, so
+    # only Y columns move, and none where every Y is eliminated
+    if m == split:
+        order, inverse = slice(None), a.copy()
+    else:
+        order = np.concatenate([np.arange(split),
+                                split + np.argsort(dominated, kind="stable")])
+        inverse = a.take(order, axis=0)
+        inverse[:, split:] = inverse.take(order[split:], axis=1)
+    d = diagonal[dominated]
+    s, top = inverse[:m, :m], inverse[:m, m:]
+    low, corner = inverse[m:, :m], inverse[m:, m:]
+    low /= -d[:, None]
+    s += top @ low
+    s[...] = np.linalg.inv(s)
+    top[...] = s @ top
+    top /= -d
+    np.matmul(low, top, out=corner)
+    corner.flat[::len(d) + 1] += 1.0 / d
+    low[...] = low @ s
+    return order, inverse
 
 
 def _solve_coherent(g: Generator) -> SteadyStateResult:
@@ -465,8 +545,9 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
     once the time reached is t_max or more. Only the previous window is
     kept.
     """
-    if not tol > 0:
-        raise UsageError(f"stationarity tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise UsageError(
+            f"stationarity tolerance must be positive and finite, got {tol}")
     if not 0 < t_max < np.inf:
         raise UsageError(f"t_max must be positive and finite, got {t_max}")
     y = _initial_coords(g, empty_state(g) if rho0 is None else rho0)

@@ -382,12 +382,36 @@ def test_missing_required_flag_exits_one(capsys):
     ["evolve", "--circuit", "wire2", "--delta", "1", "--t-end", "1",
      "--samples", "1"],
     ["entropy-trace", "--circuit", "wire2", "--samples", "1"],
+    ["ness", "--circuit", "wire2", "--delta", "1", "--solver", "evolution",
+     "--tol", "inf"],
+    ["ness", "--circuit", "wire2", "--delta", "1", "--solver", "evolution",
+     "--tol", "nan"],
 ], ids=["negative-t-end", "zero-samples", "zero-tol", "nan-delta",
-        "inf-delta", "nan-in-grid", "one-sample-evolve", "one-sample-trace"])
+        "inf-delta", "nan-in-grid", "one-sample-evolve", "one-sample-trace",
+        "inf-tol", "nan-tol"])
 def test_bad_numbers_exit_one(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(("usage error: ", "error: "))
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--circuit", "wire2", "--delta", "1", "--t-end", "1e100",
+     "--samples", "2"],
+    ["entropy-trace", "--circuit", "wire2", "--t-end", "1e300",
+     "--samples", "3"],
+], ids=["evolve", "entropy-trace"])
+def test_overflowing_trajectory_exits_one_without_output(argv, tmp_path,
+                                                         monkeypatch, capsys):
+    # the propagator over such a span overflows to NaN and infinities,
+    # which the physicality check refuses instead of printing "trace nan"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NaN or infinite entry at t=")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ness_prints_readme_block(capsys):

@@ -12,11 +12,12 @@ import scipy.linalg
 
 from dephnet import (CONVERGED, DIVERGED, Circuit, UnphysicalSolutionError,
                      assemble_generator, build_graph, laplacian_hamiltonian,
-                     make_parallel_circuit, make_pentagon,
+                     make_additivity_pair, make_parallel_circuit, make_pentagon,
                      make_triangle_funnel, make_wire, resistance,
                      solve_ness_by_evolution, solve_ness_direct)
 from dephnet.generator import (GAMMA_BATH, REDUCED, SOURCE_FLUX, Generator,
                                _hermitian_coords, real_linear_system)
+from dephnet.steady_state import _permuted_inverse
 from exact_oracle import exact_resistance
 
 
@@ -174,24 +175,118 @@ def test_condition_reported_by_direct_solver_only():
 
 
 def test_dephased_solve_keeps_two_system_sized_arrays():
-    # tracemalloc traces the arrays numpy allocates (here a and a^-1),
-    # but not the work buffers its LAPACK wrappers take with malloc, so
-    # this bound counts only the user-side copies
-    g = assemble_generator(make_parallel_circuit(18), 1.0)
-    size = g.dim ** 2
-    assert size == 400
-    # warm-up: what only a first call allocates (about 3 kB here) stays
-    # out of the measured peak
+    # tracemalloc traces the arrays numpy allocates (here a and a^-1,
+    # and at delta = 20, where every Im-coherence is eliminated, also
+    # the 210 x 210 inverse of the Schur complement), but not the work
+    # buffers its LAPACK wrappers take with malloc, so this bound counts
+    # only the user-side copies
+    for delta in (1.0, 20.0):
+        g = assemble_generator(make_parallel_circuit(18), delta)
+        size = g.dim ** 2
+        assert size == 400
+        # warm-up: what only a first call allocates (about 3 kB here)
+        # stays out of the measured peak
+        solve_ness_direct(g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve_ness_direct(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.status == CONVERGED
+        assert peak <= 2.5 * size * size * 8, (delta, peak / (size * size * 8))
+
+
+def _random_circuit(seed: int, n: int) -> Circuit:
+    """A random labelled tree on n sites plus n // 2 extra edges, with a
+    random source and sink."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    edges = {tuple(sorted((int(perm[i]), int(perm[rng.integers(i)]))))
+             for i in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        edges.add(tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))))
+    source, sink = (int(v) for v in rng.choice(n, 2, replace=False))
+    return Circuit(build_graph(n, sorted(edges)), source, sink)
+
+
+def _inverted_sizes(monkeypatch, g) -> list[int]:
+    """Sizes of the matrices that np.linalg.inv inverts in one direct
+    solve of g."""
+    sizes, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda x: sizes.append(len(x)) or inv(x))
     solve_ness_direct(g)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        res = solve_ness_direct(g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert res.status == CONVERGED
-    assert peak <= 2.5 * size * size * 8, peak / (size * size * 8)
+    monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("c, delta, size", [
+    (make_pentagon(), 0.5, 25),
+    # every one of the 10 Im-coherences: 25 - 10
+    (make_pentagon(), 1e3, 15),
+    (make_pentagon(), 3.0, 15),
+    # 15 of the 28 Im-coherences: 64 - 15
+    (make_parallel_circuit(6), 3.0, 49),
+    # 4 of the 28 leave m = 60, whose inverse would take more memory
+    # than the plain inverse: 3 m^2 > 2 N^2
+    (make_additivity_pair()[0], 3.0, 64),
+], ids=["pentagon@0.5", "pentagon@1e3", "pentagon@3", "parallel6@3",
+        "additivity-a@3"])
+def test_elimination_takes_the_dominated_columns(monkeypatch, c, delta, size):
+    # a Y column is eliminated iff |a_jj| >= sum_{i != j} |a_ij|, where
+    # enough are; what is left is inverted as one matrix
+    assert _inverted_sizes(monkeypatch, assemble_generator(c, delta)) == [size]
+
+
+@pytest.mark.parametrize("c, delta", [
+    (make_pentagon(), 1e3),
+    (make_parallel_circuit(6), 3.0),
+    (_random_circuit(1, 12), 5.0),
+], ids=["pentagon@1e3", "parallel6@3", "random12@5"])
+def test_assembled_blocks_are_the_inverse(monkeypatch, c, delta):
+    # the state and kappa read some blocks only through the refinement
+    # and |a^-1|, so each block is checked here against numpy's inverse
+    g = assemble_generator(c, delta)
+    a, _ = real_linear_system(g)
+    reference = np.linalg.inv(a)
+    assert _inverted_sizes(monkeypatch, g)[0] < len(a)
+    order, inverse = _permuted_inverse(a, g.dim)
+    reference = reference[order][:, order]
+    assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def _plain_inverse_solve(g):
+    """The direct solve at delta > 0 without elimination: rho, residual,
+    backward error and condition from np.linalg.inv(a)."""
+    a, b = real_linear_system(g)
+    inverse = np.linalg.inv(a)
+    y = -(inverse @ b)
+    y -= inverse @ (a @ y + b)
+    defect = np.abs(a @ y + b)
+    residual, scale = float(defect.max()), float(np.abs(y).max())
+    eta = residual / (float(np.abs(a).sum(axis=1).max()) * scale
+                      + float(np.abs(b).max()))
+    spread = np.abs(a) @ np.abs(y) + np.abs(b) + defect / np.finfo(float).eps
+    cond = float((np.abs(inverse) @ spread).max()) / scale
+    return _hermitian_coords(g.dim)[1](y), residual, eta, cond
+
+
+@pytest.mark.parametrize("c, delta", [
+    (make_parallel_circuit(18), 1.0),
+    (_random_circuit(1, 24), 0.5),
+    (make_pentagon(), 0.5),
+], ids=["parallel18@1", "random24@0.5", "pentagon@0.5"])
+def test_nothing_eliminated_is_the_plain_inverse_to_the_last_bit(
+        monkeypatch, c, delta):
+    g = assemble_generator(c, delta)
+    assert _inverted_sizes(monkeypatch, g) == [g.dim ** 2]
+    res = solve_ness_direct(g)
+    rho, residual, eta, cond = _plain_inverse_solve(g)
+    assert np.array_equal(res.rho_ness, rho)
+    assert (res.residual, res.backward_error, res.condition) == (
+        residual, eta, cond)
 
 
 @pytest.mark.parametrize("hopping, ok", [(0.5, False), (0.51, True)])

@@ -45,6 +45,10 @@ ORACLE_CIRCUITS = (
     + [(Circuit(build_graph(5, [(0, 1), (0, 3), (1, 2), (1, 4)]), 3, 0),
         True)])
 ORACLE_EXPONENTS = (-15, -12, -9, -6, -3, 0, 2, 4, 6, 8, 10, 12, 14, 16)
+#: at delta = 3 the direct solver eliminates every Im-coherence
+#: coordinate before its inverse on five of these circuits, part of them
+#: on parallel m = 6 and the two-leaf graph, and none on the other six
+ORACLE_DELTAS = [10.0 ** k for k in ORACLE_EXPONENTS] + [3.0]
 
 
 @pytest.mark.parametrize(
@@ -52,8 +56,7 @@ ORACLE_EXPONENTS = (-15, -12, -9, -6, -3, 0, 2, 4, 6, 8, 10, 12, 14, 16)
     ids=[f"{c.label or 'leaves'}-{c.source}-{c.sink}"
          for c, _ in ORACLE_CIRCUITS])
 def test_direct_solver_error_within_its_estimate(c, dark):
-    for k in ORACLE_EXPONENTS:
-        delta = 10.0 ** k
+    for delta in ORACLE_DELTAS:
         exact = exact_state(c, delta)
         try:
             res = solve_ness_direct(assemble_generator(c, delta))

@@ -219,9 +219,12 @@ def test_evolution_pentagon_diverges_before_cutoff():
 
 
 def test_evolution_rejects_bad_tolerance():
+    # a tolerance that every state meets would end each solve after one
+    # window with a converged verdict
     g = assemble_generator(make_wire(2), 0.0)
-    with pytest.raises(ValueError):
-        solve_ness_by_evolution(g, tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(UsageError, match="tolerance"):
+            solve_ness_by_evolution(g, tol=tol)
 
 
 @pytest.mark.parametrize("t_max", [-5.0, 0.0, float("inf"), float("nan")])
@@ -530,6 +533,22 @@ def test_check_physical_refuses_a_non_hermitian_state():
     states[1, 0, 1] = 1e-6
     with pytest.raises(PhysicalityError,
                        match="Hermiticity deviation 1.000e-06 at sample 1"):
+        _check_physical(states, lambda i: f"at sample {i}")
+
+
+def test_check_physical_refuses_a_non_finite_state():
+    # every comparison with NaN is false, so only this test catches it
+    with pytest.raises(PhysicalityError,
+                       match="^NaN or infinite entry at sample 0$"):
+        _check_physical(np.full((1, 2, 2), np.nan), lambda i: f"at sample {i}")
+    # an earlier state that is not a density matrix is reported first
+    states = np.stack([np.diag([0.5, 0.5]).astype(complex)] * 3)
+    states[2, 0, 0] = np.inf
+    with pytest.raises(PhysicalityError, match="infinite entry at sample 2"):
+        _check_physical(states, lambda i: f"at sample {i}")
+    states[1, 1, 1] = -1.0
+    with pytest.raises(PhysicalityError,
+                       match="negative population -1.000e[+]00 at sample 1"):
         _check_physical(states, lambda i: f"at sample {i}")
 
 
