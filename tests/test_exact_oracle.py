@@ -98,6 +98,16 @@ def test_refinement_clears_the_unfed_dark_block(c, delta, tol):
     assert error <= tol, error
 
 
+def test_partial_elimination_keeps_resistance_exact():
+    # at delta = 3 these two devices, whose R the grid above leaves
+    # unchecked below 1e8, are the ones on which the direct solver
+    # eliminates only part of the Im-coherences before its inverse
+    for c in (make_parallel_circuit(6), _LEAVES):
+        r_exact = exact_resistance(c, 3.0)
+        r = resistance(solve_ness_direct(assemble_generator(c, 3.0)), c)
+        assert abs(Fraction(r) - r_exact) <= 1e-13 * r_exact, (c.label, r)
+
+
 #: The n = 7 pair with R_A = R_B = 1.76 at delta = 0, the closed edge of
 #: the additivity window: A, and B = A + the edge 1-4
 _EDGE_A = [(0, 1), (0, 2), (0, 4), (0, 5), (2, 3), (3, 6), (5, 6)]
