@@ -111,6 +111,9 @@ def _connected_atlas(min_n: int, max_n: int, max_edges: int):
 
     if max_n > 7:
         raise CalibrationError("atlas enumeration covers up to 7 sites")
+    if max_n < min_n:
+        raise CalibrationError(
+            f"atlas enumeration needs max_n >= {min_n}, got {max_n}")
     for g in nx.graph_atlas_g():
         n = g.number_of_nodes()
         if n < min_n or n > max_n:

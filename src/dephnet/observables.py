@@ -63,11 +63,14 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
     dephasing). t is formed before h is taken, as the difference
     ln lam - ln p cancels; h(0) = 1, each h is clamped at 0 against
     rounding, and a site with p_i <= 0 adds nothing. Zero iff rho is
-    already diagonal. Hermiticity and eigenvalues are judged relative
-    to scale = max(1, tr rho); small negative eigenvalues from rounding
-    count as 0.
+    already diagonal. A matrix with a NaN or infinite entry is refused
+    first, as no comparison with NaN fails. Hermiticity and eigenvalues
+    are judged relative to scale = max(1, tr rho); small negative
+    eigenvalues from rounding count as 0.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise PhysicalityError("NaN or infinite entry in the state")
     diag = np.diag(rho).real
     scale = max(1.0, float(diag.sum()))
     herm = float(np.abs(rho - rho.conj().T).max())

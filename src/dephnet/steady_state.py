@@ -18,6 +18,12 @@ samples. evolve returns its first window, of span t_end; the evolution
 solver runs whole windows of span WINDOW and judges divergence on its
 last two (see detect_divergence).
 
+Every state a solver returns or samples is checked for finite entries,
+non-negative populations and positivity (_check_physical). Hermiticity
+is not checked there: the states are exactly Hermitian by construction.
+It is checked where a matrix enters, in the initial state of evolve and
+of the evolution solver (_initial_coords).
+
 scipy is imported where it is called, by the matrix exponential of
 that loop, so a direct solve runs on numpy alone.
 """
@@ -56,6 +62,9 @@ MAX_TIME_EXCEEDED = "max-time-exceeded"
 #: trajectory counts as growing without saturation.
 SLOPE_MIN = 0.01
 
+#: Largest |rho - rho^+| entry accepted where a matrix enters the
+#: package (an initial state, the argument of relative_entropy_coherence);
+#: states the solvers compute are exactly Hermitian and not tested again.
 HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 POPULATION_TOL = -1e-10
@@ -131,14 +140,17 @@ def _check_physical(states: np.ndarray, where) -> None:
     """Raise PhysicalityError for the first state of the (k, dim, dim)
     stack that is not a density matrix; where(i) places state i.
 
-    A state with a NaN or infinite entry is refused first, after the
-    states before it are checked: every comparison with NaN is false,
-    so no later test would catch it. The eigenvalue test first tries a
-    Cholesky factorization of every Hermitian part, shifted by
-    tau = -MIN_EIGENVALUE_TOL / 2 (see _positive_by_cholesky). Only when
-    one fails, or the entries are too large for that test to decide, are
-    the eigenvalues computed, as without the shortcut, so each verdict
-    and message is the same.
+    Every state is exactly Hermitian by construction: unpacked from
+    Hermitian coordinates, or 0.5 (rho + rho^+) at delta = 0. So only
+    finiteness, populations and eigenvalues are checked, and the
+    eigenvalue tests read the lower triangle alone. A state with a NaN
+    or infinite entry is refused first, after the states before it are
+    checked: every comparison with NaN is false, so no later test would
+    catch it. The eigenvalue test first tries a Cholesky factorization
+    of every state, shifted by tau = -MIN_EIGENVALUE_TOL / 2 (see
+    _positive_by_cholesky). Only when one fails, or the entries are too
+    large for that test to decide, are the eigenvalues computed, as
+    without the shortcut, so each verdict and message is the same.
     """
     largest = float(np.abs(states).max())
     if not largest < np.inf:  # also for NaN
@@ -146,41 +158,36 @@ def _check_physical(states: np.ndarray, where) -> None:
         if i:
             _check_physical(states[:i], where)
         raise PhysicalityError(f"NaN or infinite entry {where(i)}")
-    adjoint = states.conj().swapaxes(-1, -2)
-    herm = np.abs(states - adjoint).max(axis=(-2, -1))
     pops = np.diagonal(states, axis1=-2, axis2=-1).real.min(axis=-1)
-    sym = 0.5 * (states + adjoint)
-    bad = (herm > HERMITICITY_TOL) | (pops < POPULATION_TOL)
-    if not _positive_by_cholesky(sym, largest):
-        eigs = np.linalg.eigvalsh(sym).min(axis=-1)
+    bad = pops < POPULATION_TOL
+    if not _positive_by_cholesky(states, largest):
+        eigs = np.linalg.eigvalsh(states).min(axis=-1)
         bad |= eigs < MIN_EIGENVALUE_TOL
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    if herm[i] > HERMITICITY_TOL:
-        raise PhysicalityError(f"Hermiticity deviation {herm[i]:.3e} {where(i)}")
     if pops[i] < POPULATION_TOL:
         raise PhysicalityError(f"negative population {pops[i]:.3e} {where(i)}")
     raise PhysicalityError(f"negative eigenvalue {eigs[i]:.3e} {where(i)}")
 
 
-def _positive_by_cholesky(sym: np.ndarray, largest: float) -> bool:
+def _positive_by_cholesky(states: np.ndarray, largest: float) -> bool:
     """True if every Hermitian matrix of the stack provably has all its
     eigenvalues above MIN_EIGENVALUE_TOL; False means unknown. largest
-    bounds every |entry| of sym.
+    bounds every |entry| of states.
 
-    Cholesky succeeds on sym + tau I only if sym + tau I + E is positive
-    definite for a backward error of norm |E| <= dim^2 eps max|sym|
+    Cholesky succeeds on rho + tau I only if rho + tau I + E is positive
+    definite for a backward error of norm |E| <= dim^2 eps max|rho|
     (Higham, 2002, thm 10.5). While dim^2 eps largest stays below
-    tau / 4, success puts every eigenvalue of sym above -5 tau / 4, which
+    tau / 4, success puts every eigenvalue of rho above -5 tau / 4, which
     is above MIN_EIGENVALUE_TOL = -2 tau.
     """
     tau = -MIN_EIGENVALUE_TOL / 2
-    dim = sym.shape[-1]
+    dim = states.shape[-1]
     if not dim * dim * np.finfo(float).eps * largest < tau / 4:
         return False
     try:
-        np.linalg.cholesky(sym + tau * np.eye(dim))
+        np.linalg.cholesky(states + tau * np.eye(dim))
     except np.linalg.LinAlgError:
         return False
     return True

@@ -71,6 +71,11 @@ def test_additivity_search_empty_below_needed_size():
     assert [t for t in triples if not t[2]] == []
 
 
+def test_additivity_search_refuses_fewer_than_two_sites():
+    with pytest.raises(CalibrationError, match="needs max_n >= 2, got 1"):
+        additivity_pair_search(max_n=1)
+
+
 @pytest.mark.parametrize("r, inside", [
     (1.75, True), (1.74, True), (1.76, True),
     # the n = 7 pairs on the window's edge, as computed by the eigenbasis

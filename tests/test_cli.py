@@ -756,3 +756,8 @@ def test_calibrate_additivity_reports_no_usable_pair(capsys):
 def test_calibrate_additivity_past_the_atlas_exits_one(capsys):
     assert main(["calibrate", "--search", "additivity", "--max-n", "8"]) == 1
     assert "atlas enumeration covers up to 7 sites" in capsys.readouterr().err
+    # below two sites the search has no graph to try
+    for max_n in ("1", "-3"):
+        assert main(["calibrate", "--search", "additivity", "--max-n", max_n]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: atlas enumeration needs max_n >= 2, got {max_n}\n")

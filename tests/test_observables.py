@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -60,6 +61,14 @@ def test_entropy_input_validation():
         relative_entropy_coherence(np.array([[0.5, 0.4], [0.0, 0.5]]))
     with pytest.raises(PhysicalityError, match="eigenvalue"):
         relative_entropy_coherence(np.diag([1.0, -0.5]))
+    # every comparison with NaN is false: an all-NaN matrix would pass
+    # the Hermiticity and eigenvalue tests and give 0.0
+    for rho in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                np.array([[0.5, np.nan], [np.nan, 0.5]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicalityError, match="NaN or infinite entry"):
+                relative_entropy_coherence(rho)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
