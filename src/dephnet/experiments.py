@@ -146,7 +146,8 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
 def dephasing_sweep(c: Circuit, deltas: Sequence[float] = (0.0,) + LOG_GRID,
                     ) -> list[SweepRecord]:
     """R and G of one circuit across a dephasing grid."""
-    if not tuple(deltas):
+    deltas = tuple(deltas)  # read once, so an iterator is not used up
+    if not deltas:
         raise UsageError("dephasing sweep needs at least one delta")
     return _run_points([(c, float(d), "forward", None) for d in deltas])
 
@@ -156,7 +157,10 @@ def rectification_sweep(deltas: Sequence[float] = LOG_GRID,
                         ) -> tuple[list[SweepRecord], list[tuple[float, float]]]:
     """Forward and reverse records for the funnel, plus the ratio series
     R_forward / R_reverse per delta (nan where either direction has no
-    steady state)."""
+    steady state). An empty grid raises UsageError."""
+    deltas = tuple(deltas)  # read once, so an iterator is not used up
+    if not deltas:
+        raise UsageError("rectification sweep needs at least one delta")
     forward = circuit if circuit is not None else make_triangle_funnel("forward")
     backward = reverse_circuit(forward)
     points = [(c, d, direction, None)
@@ -193,12 +197,13 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
     the ratio of the calibrated funnel. Raises NoSignChangeError if the
     bracket endpoints are on the same side of 1, or if the ratio is not
     finite at an endpoint or a midpoint, where its side of 1 is unknown,
-    and UsageError unless tol > 0 and lo < hi.
+    and UsageError unless 0 < tol < inf and lo < hi.
     """
     fn = ratio_fn if ratio_fn is not None else funnel_ratio
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not tol > 0:
-        raise UsageError(f"bisection tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise UsageError(
+            f"bisection tolerance must be positive and finite, got {tol}")
     if not lo < hi:
         raise UsageError(f"bracket must satisfy lo < hi, got {lo:g}, {hi:g}")
 

@@ -78,7 +78,8 @@ def _connected(adjacency: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A graph with designated source and sink sites."""
+    """A graph with designated source and sink sites, given as Python
+    or numpy integers (not bools)."""
 
     graph: Graph
     source: int
@@ -87,6 +88,11 @@ class Circuit:
 
     def __post_init__(self):
         n = self.graph.n
+        for site in (self.source, self.sink):
+            # bool is an int subclass, but True is no site label
+            if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
+                raise GraphConstructionError(
+                    f"source and sink must be integers, got {site!r}")
         if not (0 <= self.source < n and 0 <= self.sink < n):
             raise GraphConstructionError("source and sink must be in [0, n)")
         if self.source == self.sink and n > 1:

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import IndeterminateResultError, PhysicalityError
+from .errors import (DimensionMismatchError, IndeterminateResultError,
+                     PhysicalityError)
 from .generator import GAMMA_BATH, SOURCE_FLUX
 from .graphs import Circuit
 from .steady_state import (DIVERGED, HERMITICITY_TOL, MAX_TIME_EXCEEDED,
@@ -63,12 +64,16 @@ def relative_entropy_coherence(rho: np.ndarray) -> float:
     dephasing). t is formed before h is taken, as the difference
     ln lam - ln p cancels; h(0) = 1, each h is clamped at 0 against
     rounding, and a site with p_i <= 0 adds nothing. Zero iff rho is
-    already diagonal. A matrix with a NaN or infinite entry is refused
-    first, as no comparison with NaN fails. Hermiticity and eigenvalues
-    are judged relative to scale = max(1, tr rho); small negative
-    eigenvalues from rounding count as 0.
+    already diagonal. An input that is not a non-empty square matrix
+    raises DimensionMismatchError; then a matrix with a NaN or infinite
+    entry is refused, as no comparison with NaN fails. Hermiticity and
+    eigenvalues are judged relative to scale = max(1, tr rho); small
+    negative eigenvalues from rounding count as 0.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise DimensionMismatchError(
+            f"state must be a non-empty square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise PhysicalityError("NaN or infinite entry in the state")
     diag = np.diag(rho).real

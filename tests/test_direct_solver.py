@@ -17,7 +17,7 @@ from dephnet import (CONVERGED, DIVERGED, Circuit, UnphysicalSolutionError,
                      solve_ness_by_evolution, solve_ness_direct)
 from dephnet.generator import (GAMMA_BATH, REDUCED, SOURCE_FLUX, Generator,
                                _hermitian_coords, real_linear_system)
-from dephnet.steady_state import _permuted_inverse
+from dephnet.steady_state import _dephased_inverse
 from exact_oracle import exact_resistance
 
 
@@ -224,19 +224,21 @@ def _inverted_sizes(monkeypatch, g) -> list[int]:
 
 @pytest.mark.parametrize("c, delta, size", [
     (make_pentagon(), 0.5, 25),
-    # every one of the 10 Im-coherences: 25 - 10
+    # every one of the 10 Im-coherences is dominated: 25 - 10
     (make_pentagon(), 1e3, 15),
     (make_pentagon(), 3.0, 15),
-    # 15 of the 28 Im-coherences: 64 - 15
-    (make_parallel_circuit(6), 3.0, 49),
+    # 15 of the 28 Im-coherences are dominated, which selects the
+    # elimination, and then all 28 go: 64 - 28
+    (make_parallel_circuit(6), 3.0, 36),
     # 4 of the 28 leave m = 60, whose inverse would take more memory
     # than the plain inverse: 3 m^2 > 2 N^2
     (make_additivity_pair()[0], 3.0, 64),
 ], ids=["pentagon@0.5", "pentagon@1e3", "pentagon@3", "parallel6@3",
         "additivity-a@3"])
 def test_elimination_takes_the_dominated_columns(monkeypatch, c, delta, size):
-    # a Y column is eliminated iff |a_jj| >= sum_{i != j} |a_ij|, where
-    # enough are; what is left is inverted as one matrix
+    # a Y column is dominated iff |a_jj| >= sum_{i != j} |a_ij|; where
+    # enough are, every Y is eliminated, and the Re block that is left is
+    # inverted as one matrix
     assert _inverted_sizes(monkeypatch, assemble_generator(c, delta)) == [size]
 
 
@@ -252,8 +254,7 @@ def test_assembled_blocks_are_the_inverse(monkeypatch, c, delta):
     a, _ = real_linear_system(g)
     reference = np.linalg.inv(a)
     assert _inverted_sizes(monkeypatch, g)[0] < len(a)
-    order, inverse = _permuted_inverse(a, g.dim)
-    reference = reference[order][:, order]
+    inverse = _dephased_inverse(a, g.dim)
     assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
@@ -271,6 +272,51 @@ def _plain_inverse_solve(g):
     spread = np.abs(a) @ np.abs(y) + np.abs(b) + defect / np.finfo(float).eps
     cond = float((np.abs(inverse) @ spread).max()) / scale
     return _hermitian_coords(g.dim)[1](y), residual, eta, cond
+
+
+def _star(n: int, hub_is_source: bool) -> Circuit:
+    """n - 1 leaves on hub 0; the hub is the source or the sink, and
+    leaf 1 the other end."""
+    g = build_graph(n, [(0, leaf) for leaf in range(1, n)])
+    return Circuit(g, 0, 1) if hub_is_source else Circuit(g, 1, 0)
+
+
+def _eliminates_past_undominated_columns(g) -> bool:
+    """Whether the rule selects the elimination, 3 m^2 <= 2 N^2 with m
+    the coordinates other than dominated Y columns, while some Y column
+    is not dominated."""
+    a, _ = real_linear_system(g)
+    split = g.dim * (g.dim + 1) // 2
+    dominated = (2.0 * np.abs(np.diagonal(a)[split:])
+                 >= np.abs(a[:, split:]).sum(axis=0))
+    m = len(a) - int(np.count_nonzero(dominated))
+    return 3 * m * m <= 2 * len(a) ** 2 and not dominated.all()
+
+
+UNDOMINATED_DEVICES = (
+    [_star(n, hub) for n in (7, 11, 21) for hub in (True, False)]
+    + [make_parallel_circuit(m) for m in (6, 12, 18)])
+
+
+@pytest.mark.parametrize(
+    "c", UNDOMINATED_DEVICES,
+    ids=[c.label or f"star{c.graph.n}-{c.source}-{c.sink}"
+         for c in UNDOMINATED_DEVICES])
+def test_undominated_columns_eliminate_as_accurately_as_the_plain_inverse(c):
+    # a Y column that is not dominated has no bound on the growth of its
+    # pivot, so at every grid point where it is eliminated all the same
+    # the state is held to the plain inverse's
+    points = 0
+    for delta in np.geomspace(0.3, 100.0, 25):
+        g = assemble_generator(c, float(delta))
+        if not _eliminates_past_undominated_columns(g):
+            continue
+        points += 1
+        rho = solve_ness_direct(g).rho_ness
+        reference = _plain_inverse_solve(g)[0]
+        error = np.abs(rho - reference).max() / np.abs(reference).max()
+        assert error <= 1e-13, (delta, error)
+    assert points > 0
 
 
 @pytest.mark.parametrize("c, delta", [

@@ -46,8 +46,9 @@ ORACLE_CIRCUITS = (
         True)])
 ORACLE_EXPONENTS = (-15, -12, -9, -6, -3, 0, 2, 4, 6, 8, 10, 12, 14, 16)
 #: at delta = 3 the direct solver eliminates every Im-coherence
-#: coordinate before its inverse on five of these circuits, part of them
-#: on parallel m = 6 and the two-leaf graph, and none on the other six
+#: coordinate before its inverse on seven of these circuits, where every
+#: such column is dominated on five of them but not on parallel m = 6
+#: and the two-leaf graph, and none on the other six
 ORACLE_DELTAS = [10.0 ** k for k in ORACLE_EXPONENTS] + [3.0]
 
 
@@ -98,10 +99,10 @@ def test_refinement_clears_the_unfed_dark_block(c, delta, tol):
     assert error <= tol, error
 
 
-def test_partial_elimination_keeps_resistance_exact():
+def test_elimination_past_undominated_columns_keeps_resistance_exact():
     # at delta = 3 these two devices, whose R the grid above leaves
     # unchecked below 1e8, are the ones on which the direct solver
-    # eliminates only part of the Im-coherences before its inverse
+    # eliminates Im-coherences whose columns are not dominated
     for c in (make_parallel_circuit(6), _LEAVES):
         r_exact = exact_resistance(c, 3.0)
         r = resistance(solve_ness_direct(assemble_generator(c, 3.0)), c)

@@ -80,6 +80,19 @@ def test_dephasing_sweep_keeps_diverged_row():
     assert by_delta[0.5].status == CONVERGED
 
 
+def test_sweeps_refuse_an_empty_grid_and_read_an_iterator_once():
+    # an empty series would later be reported as a ratio undefined at
+    # every grid point
+    with pytest.raises(UsageError, match="at least one delta"):
+        rectification_sweep(())
+    with pytest.raises(UsageError, match="at least one delta"):
+        dephasing_sweep(make_wire(2), iter(()))
+    # the emptiness test must not use up a grid given as an iterator
+    records, series = rectification_sweep(iter((0.1, 0.5)))
+    assert len(records) == 4 and [d for d, _ in series] == [0.1, 0.5]
+    assert len(dephasing_sweep(make_wire(2), iter((1.0, 2.0)))) == 2
+
+
 def test_rectification_series_alignment():
     records, series = rectification_sweep(deltas=(0.1, 0.5))
     assert len(records) == 4
@@ -176,7 +189,9 @@ def test_series_crossings_names_why_there_is_no_crossing(series, reason):
 
 
 def test_find_ratio_crossing_rejects_nonpositive_tol():
-    for tol in (0.0, -1e-4):
+    # an infinite tol would end the bisection at once and return the
+    # bracket's midpoint as the crossing
+    for tol in (0.0, -1e-4, float("inf"), float("nan")):
         with pytest.raises(UsageError, match="tolerance"):
             find_ratio_crossing((0.1, 0.9), tol=tol,
                                 ratio_fn=_call_limited(lambda d: 2.0 * d))
@@ -189,6 +204,9 @@ def test_entropy_trace_starts_at_zero():
     assert values[5:].min() > 0.0  # coherence builds up
     with pytest.raises(UsageError):
         entropy_trace(make_wire(2), 0.0, -1.0)
+    # a non-integer sample count is refused before it reaches math.isqrt
+    with pytest.raises(UsageError, match="integer"):
+        entropy_trace(make_wire(2), 0.0, 4.0, samples=2.5)
 
 
 def test_additivity_pair_entropy_traces_are_finite_and_nonnegative():

@@ -59,6 +59,19 @@ def test_circuit_endpoints_validated():
     assert Circuit(lone, 0, 0).source == 0
 
 
+@pytest.mark.parametrize("source, sink", [(0.0, 1), (0, 1.0), (True, 0),
+                                          (0, np.float64(1.0)), (0, "1")])
+def test_circuit_refuses_a_site_that_is_not_an_integer(source, sink):
+    # a float would fail later in voltage, and True would mean site 1
+    with pytest.raises(GraphConstructionError, match="integers"):
+        Circuit(build_graph(2, [(0, 1)]), source, sink)
+
+
+def test_circuit_accepts_numpy_integer_sites():
+    c = Circuit(build_graph(2, [(0, 1)]), np.int64(0), np.int32(1))
+    assert (c.source, c.sink) == (0, 1)
+
+
 def test_laplacian_wire3():
     h = laplacian_hamiltonian(make_wire(3).graph)
     assert np.array_equal(h, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])

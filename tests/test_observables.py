@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
+                     DimensionMismatchError,
                      IndeterminateResultError, PhysicalityError,
                      SteadyStateResult, assemble_generator, conductance,
                      current_out, make_additivity_pair, make_parallel_circuit,
@@ -57,6 +58,11 @@ def test_entropy_known_value_for_pure_superposition():
 
 
 def test_entropy_input_validation():
+    # not a non-empty square matrix: refused before numpy's own errors
+    # (an empty reduction, a broadcast, a LinAlgError)
+    for rho in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(DimensionMismatchError, match="square matrix"):
+            relative_entropy_coherence(rho)
     with pytest.raises(PhysicalityError, match="Hermitian"):
         relative_entropy_coherence(np.array([[0.5, 0.4], [0.0, 0.5]]))
     with pytest.raises(PhysicalityError, match="eigenvalue"):

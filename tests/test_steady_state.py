@@ -49,6 +49,11 @@ def test_evolve_validates_input():
     for samples in (0, 1):
         with pytest.raises(UsageError, match="at least 2"):
             evolve(g, empty_state(g), 1.0, samples=samples)
+    # refused before math.isqrt sees it
+    for samples in (2.5, 3.0):
+        with pytest.raises(UsageError, match="integer"):
+            evolve(g, empty_state(g), 1.0, samples=samples)
+    assert len(evolve(g, empty_state(g), 1.0, samples=np.int64(3)).times) == 3
     with pytest.raises(PhysicalityError, match="Hermitian"):
         evolve(g, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
@@ -542,8 +547,8 @@ def test_checked_states_are_exactly_hermitian(monkeypatch):
     evolve(g, empty_state(g), 20.0, samples=41)
     solve_ness_by_evolution(assemble_generator(make_wire(3), 1.0))
     # the direct solver eliminates no coherence at 0.5, all at 1e3, and
-    # at 3 none, all or (parallel m = 6, three of the random circuits)
-    # part of them
+    # at 3 none or all, among them (parallel m = 6, three of the random
+    # circuits) some whose columns are not dominated
     circuits = build_suite() + [make_parallel_circuit(6)] + [
         random_connected_circuit(rng, max_n=6) for _ in range(6)]
     for c in circuits:
