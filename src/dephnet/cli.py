@@ -334,9 +334,10 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     g = assemble_generator(c, _require(cfg, "delta"))
     traj = evolve(g, _initial_state(cfg, g, c), _require(cfg, "t_end"),
                   samples=cfg.samples)
-    rows = [(t, trace, rho[c.source, c.source].real, rho[c.sink, c.sink].real,
-             relative_entropy_coherence(rho))
-            for t, trace, rho in zip(traj.times, traj.trace_series, traj.states)]
+    coherence = relative_entropy_coherence(traj.states).tolist()
+    rows = [(t, trace, rho[c.source, c.source].real, rho[c.sink, c.sink].real, s)
+            for t, trace, rho, s in zip(traj.times, traj.trace_series,
+                                        traj.states, coherence)]
     if cfg.out:
         path = Path(cfg.out)
         write_table(rows, ("t", "trace", "source_pop", "sink_pop", "coherence"),

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import NoSignChangeError, UsageError
 from .generator import assemble_generator, empty_state
-from .graphs import Circuit, make_parallel_circuit, reverse_circuit
+from .graphs import (Circuit, _is_integer, make_parallel_circuit,
+                     reverse_circuit)
 from .observables import conductance, relative_entropy_coherence, resistance
 from .registry import make_triangle_funnel
 from .steady_state import CONVERGED, evolve, solve_ness_direct
@@ -117,7 +118,10 @@ def _run_points(points: Sequence[tuple]) -> list[SweepRecord]:
 
 def sweep_branch_count(m_max: int, deltas: Sequence[float] = BRANCH_DELTAS,
                        branch_length: int = 1) -> list[SweepRecord]:
-    """Conductance of the parallel family: one record per (m, delta)."""
+    """Conductance of the parallel family: one record per (m, delta).
+    m_max must be an integer of at least 2, or UsageError is raised."""
+    if not _is_integer(m_max):
+        raise UsageError(f"branch sweep needs an integer m_max, got {m_max!r}")
     if m_max < 2:
         raise UsageError("branch sweep needs m_max >= 2")
     points = [(make_parallel_circuit(m, branch_length), d, "forward", m)
@@ -278,8 +282,7 @@ def series_crossings(series: Sequence[tuple[float, float]],
 def entropy_trace(c: Circuit, delta: float, t_end: float,
                   samples: int = 201) -> tuple[np.ndarray, np.ndarray]:
     """Coherence S(rho(t) || dephased rho(t)) along the evolution from
-    the empty device."""
+    the empty device, taken on the whole trajectory at once."""
     g = assemble_generator(c, delta)
     traj = evolve(g, empty_state(g), t_end, samples=samples)
-    values = np.array([relative_entropy_coherence(rho) for rho in traj.states])
-    return traj.times, values
+    return traj.times, relative_entropy_coherence(traj.states)

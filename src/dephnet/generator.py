@@ -124,40 +124,45 @@ def _apply_reduced(g: Generator, rho: np.ndarray) -> np.ndarray:
 
 
 def clamp_bath(g: Generator, rho: np.ndarray) -> np.ndarray:
-    """Copy of rho with the bath entries pinned.
+    """Copy of rho, or of each state of a (k, dim, dim) stack, with the
+    bath entries pinned.
 
     Input bath population RHO_L, output bath population 0, every bath-row
     and bath-column coherence 0.
     """
     n = g.circuit.graph.n
     out = rho.copy()
-    out[n:, :] = 0.0
-    out[:, n:] = 0.0
-    out[n, n] = RHO_L
+    out[..., n:, :] = 0.0
+    out[..., :, n:] = 0.0
+    out[..., n, n] = RHO_L
     return out
 
 
 def _apply_explicit(g: Generator, rho: np.ndarray) -> np.ndarray:
+    """drho/dt of the explicit-bath form, for one state or for each
+    state of a (k, dim, dim) stack (it acts on the last two axes)."""
     n = g.circuit.graph.n
     s, k = g.circuit.source, g.circuit.sink
     left, right = n, n + 1
     rho = clamp_bath(g, rho)
     d = -1j * (g.H @ rho - rho @ g.H)
     # injection jump sqrt(GAMMA_BATH)|s><L|
-    d[s, s] += GAMMA_BATH * rho[left, left].real
-    d[left, :] -= 0.5 * GAMMA_BATH * rho[left, :]
-    d[:, left] -= 0.5 * GAMMA_BATH * rho[:, left]
+    d[..., s, s] += GAMMA_BATH * rho[..., left, left].real
+    d[..., left, :] -= 0.5 * GAMMA_BATH * rho[..., left, :]
+    d[..., :, left] -= 0.5 * GAMMA_BATH * rho[..., :, left]
     # ejection jump sqrt(GAMMA_BATH)|R><k|
-    d[right, right] += GAMMA_BATH * rho[k, k].real
-    d[k, :] -= 0.5 * GAMMA_BATH * rho[k, :]
-    d[:, k] -= 0.5 * GAMMA_BATH * rho[:, k]
+    d[..., right, right] += GAMMA_BATH * rho[..., k, k].real
+    d[..., k, :] -= 0.5 * GAMMA_BATH * rho[..., k, :]
+    d[..., :, k] -= 0.5 * GAMMA_BATH * rho[..., :, k]
     if g.delta > 0:
-        sys = rho[:n, :n]
-        d[:n, :n] -= 2.0 * g.delta * (sys - np.diag(np.diag(sys)))
+        offdiag = rho[..., :n, :n].copy()
+        sites = np.arange(n)
+        offdiag[..., sites, sites] -= rho[..., sites, sites]
+        d[..., :n, :n] -= 2.0 * g.delta * offdiag
     # the bath populations are held constant, so their rows and columns
     # of the derivative are forced to zero after each evaluation
-    d[n:, :] = 0.0
-    d[:, n:] = 0.0
+    d[..., n:, :] = 0.0
+    d[..., :, n:] = 0.0
     return d
 
 
@@ -166,17 +171,17 @@ def _explicit_linear_system(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     = a y + b in the coordinates of _hermitian_coords.
 
     Probed, not derived: b is the derivative at y = 0 and column i of a
-    is the derivative at the unit vector e_i minus b, dim^2 + 1 calls in
-    all. The bath clamp sets constants and zeroes entries, so the map is
-    affine and the probe exact to rounding; the bath rows of a and b and
-    the bath columns of a are exactly zero. Built from _apply_explicit
-    alone, never from real_linear_system.
+    is the derivative at the unit vector e_i minus b, all dim^2 unit
+    vectors in one call on their stack. The bath clamp sets constants
+    and zeroes entries, so the map is affine and the probe exact to
+    rounding; the bath rows of a and b and the bath columns of a are
+    exactly zero. Built from _apply_explicit alone, never from
+    real_linear_system.
     """
     pack, unpack = _hermitian_coords(g.dim)
     basis = unpack(np.eye(g.dim * g.dim))
     b = pack(_apply_explicit(g, np.zeros((g.dim, g.dim), dtype=complex)))
-    a = np.stack([pack(_apply_explicit(g, e)) for e in basis], axis=1)
-    return a - b[:, None], b
+    return pack(_apply_explicit(g, basis)).T - b[:, None], b
 
 
 def _coordinate_pairs(dim: int):
@@ -201,12 +206,19 @@ def _hermitian_coords(dim: int):
         v = rho[..., ci, cj]
         return np.concatenate([v[..., re].real, v[..., im].imag], axis=-1)
 
+    # flat positions of the diagonal, the upper and the lower triangle
+    diagonal, upper = ci[:dim] * (dim + 1), ci[dim:split] * dim + cj[dim:split]
+    lower = cj[dim:split] * dim + ci[dim:split]
+
     def unpack(y: np.ndarray) -> np.ndarray:
-        rho = np.zeros(y.shape[:-1] + (dim, dim), dtype=complex)
-        rho[..., ci[re], cj[re]] = y[..., re]
-        rho[..., ci[im], cj[im]] += 1j * y[..., im]
-        rho[..., cj[im], ci[im]] = rho[..., ci[im], cj[im]].conj()
-        return rho
+        # every entry is written once; the upper triangle is formed as
+        # Re + 1j Im, the lower one as its conjugate
+        rho = np.empty(y.shape[:-1] + (dim * dim,), dtype=complex)
+        rho[..., diagonal] = y[..., :dim]
+        coherence = y[..., dim:split] + 1j * y[..., im]
+        rho[..., upper] = coherence
+        rho[..., lower] = coherence.conj()
+        return rho.reshape(y.shape[:-1] + (dim, dim))
 
     return pack, unpack
 

@@ -76,6 +76,12 @@ def _connected(adjacency: np.ndarray) -> bool:
     return len(seen) == n
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer. bool is an int subclass, but
+    True is no site label or count."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A graph with designated source and sink sites, given as Python
@@ -89,8 +95,7 @@ class Circuit:
     def __post_init__(self):
         n = self.graph.n
         for site in (self.source, self.sink):
-            # bool is an int subclass, but True is no site label
-            if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
+            if not _is_integer(site):
                 raise GraphConstructionError(
                     f"source and sink must be integers, got {site!r}")
         if not (0 <= self.source < n and 0 <= self.sink < n):
@@ -103,10 +108,12 @@ class Circuit:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated graph from an edge list.
 
-    Raises GraphConstructionError on a site count below 1 (before any
-    allocation), out-of-range endpoints, duplicate edges, self-loops, or
-    a disconnected result.
+    Raises GraphConstructionError on a site count that is not an
+    integer or is below 1 (before any allocation), out-of-range
+    endpoints, duplicate edges, self-loops, or a disconnected result.
     """
+    if not _is_integer(n):
+        raise GraphConstructionError(f"site count must be an integer, got {n!r}")
     if n < 1:
         raise GraphConstructionError("site count must be positive")
     adjacency = np.zeros((n, n))
@@ -141,6 +148,9 @@ def make_wire(length: int) -> Circuit:
     length=1 gives the degenerate single site with source = sink,
     allowed only as a solver smoke test (drho/dt = 1 - 2*rho).
     """
+    if not _is_integer(length):
+        raise GraphConstructionError(
+            f"wire length must be an integer, got {length!r}")
     if length < 1:
         raise GraphConstructionError("wire length must be >= 1")
     edges = [(i, i + 1) for i in range(length - 1)]
@@ -156,6 +166,10 @@ def make_parallel_circuit(branches: int, branch_length: int = 1) -> Circuit:
     to 1, the value at which two branches quadruple the conductance of
     the single branch.
     """
+    for count in (branches, branch_length):
+        if not _is_integer(count):
+            raise GraphConstructionError(
+                f"branch count and length must be integers, got {count!r}")
     if branches < 1:
         raise GraphConstructionError("need at least one branch")
     if branch_length < 1:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +48,14 @@ from .generator import (
     REDUCED,
     SOURCE_FLUX,
     Generator,
+    _apply_reduced,
     _explicit_linear_system,
     _hermitian_coords,
     apply_generator,
     empty_state,
     real_linear_system,
 )
+from .graphs import Circuit
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -84,6 +87,9 @@ UNDAMPED_TOL = 1e-9
 #: At delta = 0: largest accepted cond_1(W)^2 eps, the error scale of a
 #: state computed in the eigenbasis W of K.
 EIGENBASIS_ERROR_TOL = 1e-8
+#: At delta = 0: the prime modulus of the Krylov rank that confirms an
+#: insulating verdict (see _krylov_rank), the Mersenne prime 2^61 - 1.
+KRYLOV_PRIME = 2 ** 61 - 1
 
 #: Time span of one evolution window, and the samples taken in it: the
 #: evolution solver runs whole windows only, checks stationarity at the
@@ -107,6 +113,13 @@ class Trajectory:
     def trace_series(self) -> np.ndarray:
         """Total particle number at each sample."""
         return _trace(np.asarray(self.states))
+
+    @cached_property
+    def largest_rate(self) -> float:
+        """Largest finite-difference max-norm of drho/dt over the
+        samples, computed on first use only: the evolution solver
+        compares each window's with the next one's."""
+        return _largest_rate(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +359,8 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     delta = 0: the equation reduces to K rho - rho K^+ = -i S |s><s| with
     K = H - i(g/2)|k><k|, solved in the eigenbasis of K (see
     _solve_coherent). The device is an insulator (``diverged``) iff an
-    undamped mode of K (real eigenvalue) overlaps the source; undamped
+    undamped mode of K (real eigenvalue) overlaps the source, a verdict
+    that an exact Krylov rank confirms before it is returned; undamped
     modes the source does not feed, such as the antisymmetric modes of
     parallel branches, stay empty, which is the state the dynamics reach
     from the empty device.
@@ -472,6 +486,21 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
     an eigenbasis with cond_1(W)^2 eps > EIGENBASIS_ERROR_TOL (close to an
     exceptional point of K) raises UnphysicalSolutionError; a W that
     numpy cannot invert counts as cond = inf and raises the same way.
+
+    That float test can only err towards "insulating": with cond_1(W)^2
+    eps <= EIGENBASIS_ERROR_TOL a computed |Im lambda| moves by about
+    cond(W) eps |K| (Bauer-Fike), far below the threshold, so a mode it
+    calls damped is damped. But on larger graphs a mode the source feeds
+    can be damped more weakly than UNDAMPED_TOL. So an "insulating"
+    verdict, and only that one, is confirmed by _krylov_rank: the device
+    insulates iff e_s is not in K(H, e_k), whose dimension r leaves
+    exactly n - r modes undamped. Where the rank finds that the device
+    conducts, the n - r modes with the smallest |Im lambda| are left
+    empty and the state is solved as above. A converged verdict still
+    rests on floats: a truly undamped fed mode whose overlap is below
+    UNDAMPED_TOL relative would be left empty, which the backward-error
+    check catches only where it leaves a larger defect; no such case is
+    known.
     """
     sink = g.circuit.sink
     k_op = g.H.copy()
@@ -491,6 +520,14 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
     v = w_inv[:, g.circuit.source]
     undamped = np.abs(lam.imag) <= UNDAMPED_TOL * max(1.0, float(np.abs(lam).max()))
     insulating = bool((np.abs(v[undamped]) > UNDAMPED_TOL * np.abs(v).max()).any())
+    if insulating:
+        rank, fed = _krylov_rank(g.circuit)
+        if fed:
+            # a fed mode is damped more weakly than UNDAMPED_TOL: exactly
+            # n - rank modes are undamped, those with the smallest |Im lambda|
+            undamped = np.zeros(len(lam), dtype=bool)
+            undamped[np.argsort(np.abs(lam.imag), kind="stable")[:len(lam) - rank]] = True
+            insulating = False
     v = np.where(undamped, 0.0, v)
     denom = lam[:, None] - lam.conj()[None, :]
     denom[undamped[:, None] & undamped[None, :]] = 1.0  # numerator is 0
@@ -505,6 +542,54 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
         return SteadyStateResult(DIVERGED, None, residual, "direct",
                                  backward_error=eta, condition=cond)
     return _accept(g, rho, residual, eta, cond, scale)
+
+
+def _krylov_rank(c: Circuit) -> tuple[int, bool]:
+    """(r, fed) for the circuit's Laplacian H: r = dim K(H, e_k), the
+    Krylov space span{e_k, H e_k, ..., H^(n-1) e_k} of the sink, and fed
+    = whether the source vector e_s lies in it.
+
+    H is real symmetric, so the orthogonal complement of K(H, e_k) is
+    spanned by the eigenvectors of H with zero sink amplitude: the n - r
+    undamped modes of K at delta = 0. The device insulates at delta = 0
+    iff e_s is not in K(H, e_k).
+
+    Computed in pure Python integers modulo the prime p = KRYLOV_PRIME:
+    H is applied from adjacency lists, each new Krylov vector is reduced
+    against an echelon basis, the sequence stops at the first that
+    reduces to zero, and then e_s is reduced against that basis.
+    Guarantee: the answer is exact over GF(p), and it equals the
+    rational one unless p divides every nonzero maximal minor of the
+    integer Krylov matrix [e_k, H e_k, ..., H^(n-1) e_k], or of that
+    matrix with e_s appended. One prime is strong evidence, not a proof;
+    no circuit where the two differ is known, and on every circuit of
+    the atlas with n <= 6 the result equals exact rational elimination.
+    """
+    p, n, sink = KRYLOV_PRIME, c.graph.n, c.sink
+    neighbours = [np.flatnonzero(row).tolist() for row in c.graph.adjacency]
+    # (pivot, vector): vector[pivot] = 1 and vector is 0 at every
+    # earlier pivot
+    basis: list[tuple[int, list[int]]] = []
+
+    def reduce(v: list[int]) -> list[int]:
+        for q, b in basis:
+            if v[q]:
+                x = v[q]
+                v = [(vi - x * bi) % p for vi, bi in zip(v, b)]
+        return v
+
+    v = [int(i == sink) for i in range(n)]
+    while True:
+        v = reduce(v)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            break
+        inverse = pow(v[pivot], p - 2, p)
+        v = [x * inverse % p for x in v]
+        basis.append((pivot, v))
+        v = [(len(nb) * v[i] - sum(v[j] for j in nb)) % p
+             for i, nb in enumerate(neighbours)]
+    return len(basis), not any(reduce([int(i == c.source) for i in range(n)]))
 
 
 def _accept(g: Generator, rho: np.ndarray, residual: float, eta: float,
@@ -554,7 +639,10 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
     detect_divergence finds it growing past SLOPE_MIN with a derivative
     norm no smaller than in the window before it; ``max-time-exceeded``
     once the time reached is t_max or more. Only the previous window is
-    kept.
+    kept, with its largest rate if detect_divergence needed it, so that
+    no window's rate is computed twice. The residual is drho/dt of a
+    state the window unpacked, so it is taken without apply_generator's
+    checks of shape and type.
     """
     if not 0 < tol < np.inf:
         raise UsageError(
@@ -566,7 +654,9 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
     for window in _windows(g, real_linear_system(g), y, WINDOW,
                            SAMPLES_PER_WINDOW):
         rho, t = window.states[-1], float(window.times[-1])
-        residual = float(np.abs(apply_generator(g, rho)).max())
+        # rho was unpacked here from real coordinates, so it needs no
+        # validation of its shape or type
+        residual = float(np.abs(_apply_reduced(g, rho)).max())
         if residual <= tol:
             # a copy, so the result does not keep the window stack alive
             return SteadyStateResult(CONVERGED, rho.copy(), residual,
@@ -581,9 +671,11 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x, in closed form."""
-    dx = x - x.mean()
-    return float(dx @ (y - y.mean()) / (dx @ dx))
+    """Least-squares slope of y against x, in closed form. The means are
+    sums over sizes, the arithmetic of ndarray.mean without its call
+    overhead."""
+    dx = x - x.sum() / x.size
+    return float(dx @ (y - y.sum() / y.size) / (dx @ dx))
 
 
 def _largest_rate(window: Trajectory) -> float:
@@ -602,7 +694,8 @@ def detect_divergence(previous: Trajectory, last: Trajectory) -> bool:
     max-norm of drho/dt (estimated by finite differences between
     neighbouring samples) over `last` is at least that over `previous`,
     less a relative 1e-9. The second condition guards against slow
-    transients that still carry a large trace slope while relaxing. A
+    transients that still carry a large trace slope while relaxing; each
+    window's rate is Trajectory.largest_rate, computed on first use. A
     window without two samples at strictly increasing times raises
     TrajectoryTooShortError.
     """
@@ -614,4 +707,4 @@ def detect_divergence(previous: Trajectory, last: Trajectory) -> bool:
                 "times")
     if _slope(last.times, last.trace_series) <= SLOPE_MIN:
         return False
-    return _largest_rate(last) >= _largest_rate(previous) * (1.0 - 1e-9)
+    return last.largest_rate >= previous.largest_rate * (1.0 - 1e-9)

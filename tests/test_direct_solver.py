@@ -17,7 +17,8 @@ from dephnet import (CONVERGED, DIVERGED, Circuit, UnphysicalSolutionError,
                      solve_ness_by_evolution, solve_ness_direct)
 from dephnet.generator import (GAMMA_BATH, REDUCED, SOURCE_FLUX, Generator,
                                _hermitian_coords, real_linear_system)
-from dephnet.steady_state import _dephased_inverse
+from dephnet import steady_state
+from dephnet.steady_state import _dephased_inverse, _krylov_rank
 from exact_oracle import exact_resistance
 
 
@@ -363,3 +364,85 @@ def test_singular_eigenbasis_is_refused_as_exceptional_point(monkeypatch):
     with pytest.raises(UnphysicalSolutionError,
                        match="condition number inf.*exceptional point"):
         solve_ness_direct(assemble_generator(make_wire(2), 0.0))
+
+
+def _fraction_krylov(graph, sink: int) -> tuple[int, list[bool]]:
+    """dim K(H, e_k) and, for every site s, whether e_s lies in K(H, e_k),
+    by exact rational elimination: K is the row space of the Krylov rows
+    e_k, H e_k, ..., H^(n-1) e_k, and e_s lies in it iff every vector of
+    the null space of those rows has a zero entry s."""
+    n = graph.n
+    h = laplacian_hamiltonian(graph).astype(int).tolist()
+    rows, v = [], [Fraction(int(i == sink)) for i in range(n)]
+    for _ in range(n):
+        rows.append(v)
+        v = [sum(h[i][j] * v[j] for j in range(n)) for i in range(n)]
+    pivots, r = [], 0
+    for col in range(n):
+        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    null = []
+    for free in (col for col in range(n) if col not in pivots):
+        z = [Fraction(0)] * n
+        z[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            z[col] = -rows[i][free]
+        null.append(z)
+    return r, [all(z[s] == 0 for z in null) for s in range(n)]
+
+
+def test_krylov_rank_matches_exact_rational_rank_on_the_atlas():
+    # every connected circuit with n <= 6: the modular rank and the
+    # membership of e_s equal exact elimination over the rationals
+    count = fed = 0
+    exact = {}
+    for c in _atlas_circuits(6):
+        key = (c.graph.edges, c.graph.n, c.sink)
+        if key not in exact:
+            exact[key] = _fraction_krylov(c.graph, c.sink)
+        r, members = exact[key]
+        assert _krylov_rank(c) == (r, members[c.source]), c
+        count += 1
+        fed += members[c.source]
+    assert count == 3866 and 0 < fed < count
+
+
+#: Item 1 of the roadmap: a 20-site conductor whose fed mode is damped
+#: more weakly (|Im lambda| ~ 1e-11) than UNDAMPED_TOL.
+WEAKLY_DAMPED_20 = (20, [
+    (0, 1), (0, 2), (0, 6), (0, 7), (0, 8), (0, 15), (0, 19), (1, 4), (1, 5),
+    (1, 6), (2, 3), (2, 10), (2, 13), (3, 6), (3, 7), (3, 9), (3, 12), (3, 16),
+    (4, 13), (5, 8), (5, 9), (6, 11), (6, 12), (6, 17), (7, 8), (7, 10),
+    (8, 15), (9, 10), (9, 17), (10, 11), (10, 14), (10, 19), (11, 19),
+    (13, 14), (13, 15), (14, 17), (14, 18), (16, 19), (17, 18)], 16, 0)
+
+
+def test_weakly_damped_conductor_converges_at_zero_dephasing():
+    n, edges, source, sink = WEAKLY_DAMPED_20
+    c = Circuit(build_graph(n, edges), source, sink)
+    res = solve_ness_direct(assemble_generator(c, 0.0))
+    assert res.status == CONVERGED
+    # R(1e-13) = 81,810.8; exact R(2^-40) = 81,604.3
+    assert resistance(res, c) == pytest.approx(81836, rel=1e-3)
+    assert _krylov_rank(c) == (20, True)
+
+
+def test_converged_zero_dephasing_solve_never_runs_the_rank(monkeypatch):
+    calls = []
+    monkeypatch.setattr(steady_state, "_krylov_rank",
+                        lambda c: calls.append(c) or _krylov_rank(c))
+    for c in (make_parallel_circuit(3), make_wire(4), *make_additivity_pair()):
+        assert solve_ness_direct(assemble_generator(c, 0.0)).status == CONVERGED
+    assert calls == []
+    # an insulator runs it once, and keeps its verdict
+    assert solve_ness_direct(assemble_generator(make_pentagon(), 0.0)).status == DIVERGED
+    assert len(calls) == 1

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from dephnet import (EXPLICIT_BATH, REDUCED, DimensionMismatchError,
                      GraphConstructionError, UnsupportedFormError,
                      apply_generator, assemble_generator, clamp_bath,
-                     empty_state, make_pentagon, make_wire,
-                     real_linear_system)
-from dephnet.generator import (SOURCE_FLUX, _coordinate_pairs,
+                     empty_state, make_pentagon, make_triangle_funnel,
+                     make_wire, real_linear_system)
+from dephnet.generator import (SOURCE_FLUX, _apply_explicit, _coordinate_pairs,
                                _explicit_linear_system, _hermitian_coords)
 from conftest import random_connected_circuit, random_density_matrix
 
@@ -128,3 +128,42 @@ def test_explicit_matches_reduced_on_system_block():
         d_r = apply_generator(g_r, system)
         d_x = apply_generator(g_x, full)
         assert np.abs(d_r - d_x[:3, :3]).max() < 1e-12
+
+
+def _zero_fill_unpack(dim: int, y: np.ndarray) -> np.ndarray:
+    """unpack as it was written before it wrote each entry once: zero
+    fill, then the real parts, then the imaginary parts added, then the
+    lower triangle read back and conjugated."""
+    ci, cj, split = _coordinate_pairs(dim)
+    re, im = slice(0, split), slice(split, None)
+    rho = np.zeros(y.shape[:-1] + (dim, dim), dtype=complex)
+    rho[..., ci[re], cj[re]] = y[..., re]
+    rho[..., ci[im], cj[im]] += 1j * y[..., im]
+    rho[..., cj[im], ci[im]] = rho[..., ci[im], cj[im]].conj()
+    return rho
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 9])
+def test_unpack_equals_zero_fill_reference_to_the_bit(dim):
+    rng = np.random.default_rng(dim)
+    y = rng.normal(size=(7, 3, dim * dim)) * 10.0 ** rng.integers(-8, 8, (7, 3, 1))
+    # signed zeros, which a zero fill and an add treat in their own way
+    y[0] = 0.0
+    y[1] = -0.0
+    y[2, :, ::2] = -0.0
+    unpack = _hermitian_coords(dim)[1]
+    for stack in (y, y[4, 1]):
+        assert unpack(stack).tobytes() == _zero_fill_unpack(dim, stack).tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1, 1.0, 20.0])
+def test_stacked_probe_equals_one_probe_per_basis_state(delta):
+    for c in (make_pentagon(), make_triangle_funnel(), make_wire(2)):
+        g = assemble_generator(c, delta, form=EXPLICIT_BATH)
+        pack, unpack = _hermitian_coords(g.dim)
+        b = pack(_apply_explicit(g, np.zeros((g.dim, g.dim), dtype=complex)))
+        a = np.stack([pack(_apply_explicit(g, e))
+                      for e in unpack(np.eye(g.dim * g.dim))], axis=1)
+        probed = _explicit_linear_system(g)
+        assert probed[0].tobytes() == (a - b[:, None]).tobytes()
+        assert probed[1].tobytes() == b.tobytes()

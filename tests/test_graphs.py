@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dephnet import (Circuit, Graph, GraphConstructionError, build_graph,
-                     laplacian_hamiltonian, make_parallel_circuit,
-                     make_pentagon, make_wire, reverse_circuit)
+from dephnet import (Circuit, Graph, GraphConstructionError, UsageError,
+                     build_graph, find_conductance_peak, laplacian_hamiltonian,
+                     make_parallel_circuit, make_pentagon, make_wire,
+                     reverse_circuit, sweep_branch_count)
 
 
 def test_build_graph_wire_shape():
@@ -126,3 +127,19 @@ def test_reverse_circuit_is_involution():
     assert (r.source, r.sink) == (c.sink, c.source)
     assert reverse_circuit(r) == c
     assert r.graph == c.graph
+
+
+@pytest.mark.parametrize("build, args, error", [
+    (build_graph, (2.5, []), GraphConstructionError),
+    (build_graph, (True, []), GraphConstructionError),
+    (make_wire, (2.5,), GraphConstructionError),
+    (make_parallel_circuit, (2.5,), GraphConstructionError),
+    (sweep_branch_count, (2.5,), UsageError),
+    (find_conductance_peak, (1.0, 4.5), UsageError),
+], ids=["build_graph-float", "build_graph-bool", "make_wire",
+        "make_parallel_circuit", "sweep_branch_count", "find_conductance_peak"])
+def test_non_integer_counts_are_refused_by_type(build, args, error):
+    # a count that is not an integer (bool included) is refused before
+    # numpy or range would raise a raw TypeError
+    with pytest.raises(error, match="integer"):
+        build(*args)

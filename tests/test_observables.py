@@ -14,7 +14,11 @@ from dephnet import (CONVERGED, DIVERGED, MAX_TIME_EXCEEDED,
                      make_pentagon, make_triangle_funnel, make_wire,
                      relative_entropy_coherence,
                      resistance, solve_ness_direct, voltage)
-from conftest import random_density_matrix
+from dephnet.experiments import ENTROPY_T_END, entropy_trace
+from dephnet.generator import empty_state
+from dephnet.observables import _second_order_coherence
+from dephnet.steady_state import evolve
+from conftest import SUITE_DELTAS, build_suite, random_density_matrix
 from exact_oracle import exact_state
 
 
@@ -147,3 +151,104 @@ def test_entropy_matches_exact_reference(c):
         s = relative_entropy_coherence(
             solve_ness_direct(assemble_generator(c, delta)).rho_ness)
         assert s == pytest.approx(exact, rel=rtol), delta
+
+
+def _bregman(rho: np.ndarray) -> float:
+    """The Bregman sum of one state, written out on its own: the value
+    relative_entropy_coherence gave before it took stacks."""
+    diag = np.diag(rho).real
+    lam, u = np.linalg.eigh(rho)
+    occupied = diag > 0
+    p = diag[occupied, None]
+    t = np.maximum(lam, 0.0) / p
+    h = np.maximum(t * np.log(np.where(t > 0, t, 1.0)) - (t - 1.0), 0.0)
+    return float(np.sum(np.abs(u[occupied]) ** 2 * p * h))
+
+
+def test_stack_equals_each_state_on_the_suite_entropy_traces():
+    # every sample of every suite trace: the stack's value is its
+    # state's own value and the Bregman sum, to the bit
+    for c in build_suite():
+        for delta in SUITE_DELTAS:
+            times, values = entropy_trace(c, delta, ENTROPY_T_END)
+            g = assemble_generator(c, delta)
+            states = evolve(g, empty_state(g), ENTROPY_T_END).states
+            assert values.shape == times.shape
+            singles = [relative_entropy_coherence(rho) for rho in states]
+            assert all(type(s) is float for s in singles)
+            assert values.tolist() == singles == [_bregman(rho) for rho in states]
+
+
+def test_stack_skips_unoccupied_sites_as_a_single_state_does():
+    rng = np.random.default_rng(3)
+    rho = random_density_matrix(rng, 4, trace=1.0)
+    rho[1, :] = rho[:, 1] = 0.0  # site 1 empty
+    rho[2, :] = rho[:, 2] = 0.0  # site 2 empty
+    stack = np.stack([rho, np.zeros((4, 4)), random_density_matrix(rng, 4, 2.0)])
+    values = relative_entropy_coherence(stack)
+    assert values.tolist() == [relative_entropy_coherence(r) for r in stack]
+    assert values.tolist() == [_bregman(r) for r in stack]
+    assert values[1] == 0.0 and values[0] > 0.0
+
+
+def test_stack_names_the_state_it_refuses():
+    good = np.diag([0.5, 0.5]).astype(complex)
+    for bad, message in [(np.array([[0.5, 0.4], [0.0, 0.5]]), "Hermitian"),
+                         (np.diag([1.0, -0.5]), "eigenvalue"),
+                         (np.full((2, 2), np.nan), "NaN or infinite")]:
+        with pytest.raises(PhysicalityError,
+                           match=f"{message}.*state 1 of the stack"):
+            relative_entropy_coherence(np.stack([good, bad, good]))
+    for shape in [(0, 2, 2), (2, 2, 3), (1, 1, 2, 2)]:
+        with pytest.raises(DimensionMismatchError, match="square matrix"):
+            relative_entropy_coherence(np.zeros(shape))
+
+
+@pytest.mark.parametrize("delta", [0.1, 1.0, 20.0, 1e3, 1e4, 1e6, 1e8])
+def test_values_up_to_1e8_are_the_bregman_sum(delta):
+    # the strong-dephasing branch is not taken anywhere on the suite up
+    # to delta = 1e8
+    for c in build_suite():
+        res = solve_ness_direct(assemble_generator(c, delta))
+        assert relative_entropy_coherence(res.rho_ness) == _bregman(res.rho_ness)
+    funnel = make_triangle_funnel()
+    rho = solve_ness_direct(assemble_generator(funnel, 1e8)).rho_ness
+    assert f"{relative_entropy_coherence(rho):.12g}".startswith("4.5427172")
+
+
+def _second_order_mp(rho: np.ndarray) -> float:
+    """(1/2) sum_{i != j} |rho_ij|^2 (ln p_i - ln p_j) / (p_i - p_j) of
+    the float state, evaluated in 50-digit arithmetic."""
+    n = len(rho)
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(float(rho[i, i].real)) for i in range(n)]
+        total = mpmath.mpf(0)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    size = mpmath.mpf(float(abs(rho[i, j]))) ** 2
+                    total += size * ((mpmath.log(p[i]) - mpmath.log(p[j]))
+                                     / (p[i] - p[j]))
+        return float(total / 2)
+
+
+@pytest.mark.parametrize("delta", [1e100, 1e300])
+def test_extreme_dephasing_takes_the_second_order_sum(delta):
+    # the Bregman sum gave 0 at 1e100 and 1.2e268 at 1e300; the state is
+    # right, and its expansion in the coherences has converged
+    c = make_wire(2)
+    rho = solve_ness_direct(assemble_generator(c, delta)).rho_ness
+    s = relative_entropy_coherence(rho)
+    assert s == pytest.approx(_second_order_mp(rho), rel=1e-12)
+    # |rho_12|^2 ln(p1 / p2) / (p1 - p2): about 5.8e-99 and 1.7e-298
+    assert s == pytest.approx(0.25 * math.log(2 * delta) / delta, rel=1e-6)
+
+
+def test_second_order_branch_needs_the_whole_expansion_below_rounding():
+    # wire2 has no third-order term; the rest is about 1/delta relative,
+    # so the branch starts near delta ~ 1e16 and not at 1e12
+    c = make_wire(2)
+    for delta, taken in [(1e12, False), (1e14, False), (1e17, True)]:
+        rho = solve_ness_direct(assemble_generator(c, delta)).rho_ness
+        strong = _second_order_coherence(rho[None], np.diag(rho).real[None])
+        assert (not np.isnan(strong[0])) == taken, delta

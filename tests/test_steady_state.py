@@ -596,3 +596,33 @@ def test_accept_refuses_a_nonstationary_or_unphysical_state():
     bad[1, 1] += 0.1
     with pytest.raises(UnphysicalSolutionError, match="flux balance"):
         _accept(g, bad, **_accepted_args(bad))
+
+
+def test_each_window_largest_rate_is_computed_once(monkeypatch):
+    # the solver passes each window to detect_divergence first as the
+    # last window and then as the previous one; its rate is computed on
+    # first use only. The windows are kept alive, so their ids are unique.
+    windows = []
+
+    def spy(window):
+        windows.append(window)
+        return rate(window)
+
+    rate = steady_state._largest_rate
+    monkeypatch.setattr(steady_state, "_largest_rate", spy)
+    for c, delta in [(make_pentagon(), 0.0), (make_wire(3), 0.1),
+                     (make_triangle_funnel(), 1.0)]:
+        solve_ness_by_evolution(assemble_generator(c, delta))
+    # the pentagon's trace grows in every window until it diverges, so
+    # some windows are compared twice
+    assert len(windows) >= 4
+    assert len({id(w) for w in windows}) == len(windows)
+
+
+def test_solver_residual_is_the_generator_defect_of_its_state():
+    # the residual is taken without apply_generator's checks, and is the
+    # same number
+    for c, delta in [(make_wire(3), 1.0), (make_triangle_funnel(), 0.1)]:
+        g = assemble_generator(c, delta)
+        res = solve_ness_by_evolution(g)
+        assert res.residual == float(np.abs(apply_generator(g, res.rho_ness)).max())
