@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,31 +37,6 @@ from .output import (AxesSpec, _finite_points, render_chart, write_records,
 from .registry import builtin_names, read_fields, resolve_circuit
 from .steady_state import (CONVERGED, DIVERGED, WINDOW, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command-line flags over config-file
-    values over the command's defaults."""
-
-    command: str
-    circuit: str | None = None
-    delta: float | None = None
-    delta_grid: tuple[float, ...] | None = None
-    solver: str = "direct"
-    tol: float | None = None
-    t_max: float | None = None
-    t_end: float | None = None
-    samples: int = 201
-    initial: str = "empty"
-    m_max: int = DEFAULT_M_MAX
-    branch_length: int = 1
-    out: str | None = None
-    plot: bool = False
-    search: str | None = None
-    max_n: int = 6
-    full: bool = False
-    find_crossing: bool = False
 
 
 def parse_delta_grid(text: str) -> tuple[float, ...]:
@@ -111,55 +86,71 @@ def _grid_type(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-#: argparse keywords of every option, keyed by its RunConfig field; the
-#: flag is the field name with dashes
-_OPTIONS = {
-    "circuit": dict(metavar="NAME_OR_FILE",
-                    help="builtin circuit name (%s) or a .circuit file path"
-                         % ", ".join(builtin_names())),
-    "delta": dict(type=float, help="pure-dephasing rate on every site"),
-    "delta_grid": dict(type=_grid_type,
-                       help="dephasing grid: log:a:b:n, lin:a:b:n, or "
-                            "x1,x2,..."),
-    "solver": dict(choices=("direct", "evolution"),
-                   help="linear solve of the stationarity condition, or "
-                        "long-time integration"),
-    "tol": dict(type=float, help="residual at which the evolution solver "
-                                 "declares convergence"),
-    "t_max": dict(type=float, help="model-time budget of the evolution solver, "
-                                   f"rounded up to whole windows of {WINDOW:g}"),
-    "t_end": dict(type=float, help="model time to integrate to"),
-    "samples": dict(type=int, help="sample count of the trajectory or trace"),
-    "initial": dict(choices=("empty", "uniform", "source"),
-                    help="initial state: empty network, maximally mixed, "
-                         "or all population on the source"),
-    "m_max": dict(type=int, help="largest branch count"),
-    "branch_length": dict(type=int, help="sites per branch"),
-    "find_crossing": dict(action="store_true",
-                          help="find every dephasing strength where the "
-                               "forward/reverse ratio crosses 1, bisecting "
-                               "each sign change on the grid to the 6 "
-                               "printed decimals"),
-    "out": dict(metavar="CSV", help="CSV output path"),
-    "plot": dict(action="store_true",
-                 help="also write an SVG chart next to the CSV"),
-    "search": dict(choices=("pentagon", "additivity", "funnel"),
-                   help="which selection to reproduce"),
-    "max_n": dict(type=int, help="site budget of the additivity pair search"),
-    "full": dict(action="store_true",
-                 help="funnel search over the whole candidate family "
-                      "instead of the documented shortlist (slow)"),
-}
+def _option(default, only_with=None, **argparse_settings):
+    """A RunConfig field that is also the command-line option --name
+    (the field name with dashes). Its metadata holds the option's
+    argparse keywords and `only_with`, the (option, value) pair for an
+    option that takes effect only where that option has that value:
+    given as a flag elsewhere it is a usage error, and a config-file
+    value is left unused, as for other commands."""
+    return field(default=default, metadata={"argparse": argparse_settings,
+                                            "only_with": only_with})
 
-#: options that take effect only where another option has one value:
-#: key -> (that option, its value). A flag given elsewhere is a usage
-#: error; a config-file value is left unused, as for other commands.
-_APPLIES_ONLY_WITH = {
-    "tol": ("solver", "evolution"),
-    "t_max": ("solver", "evolution"),
-    "max_n": ("search", "additivity"),
-    "full": ("search", "funnel"),
-}
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved invocation: command-line flags over config-file
+    values over the command's defaults. Every field but `command` is an
+    option (see _option)."""
+
+    command: str
+    circuit: str | None = _option(None, metavar="NAME_OR_FILE", help=(
+        "builtin circuit name (%s) or a .circuit file path"
+        % ", ".join(builtin_names())))
+    delta: float | None = _option(None, type=float,
+                                  help="pure-dephasing rate on every site")
+    delta_grid: tuple[float, ...] | None = _option(
+        None, type=_grid_type,
+        help="dephasing grid: log:a:b:n, lin:a:b:n, or x1,x2,...")
+    solver: str = _option("direct", choices=("direct", "evolution"), help=(
+        "linear solve of the stationarity condition, or long-time "
+        "integration"))
+    tol: float | None = _option(
+        None, ("solver", "evolution"), type=float,
+        help="residual at which the evolution solver declares convergence")
+    t_max: float | None = _option(
+        None, ("solver", "evolution"), type=float,
+        help="model-time budget of the evolution solver, rounded up to "
+             f"whole windows of {WINDOW:g}")
+    t_end: float | None = _option(None, type=float,
+                                  help="model time to integrate to")
+    samples: int = _option(201, type=int,
+                           help="sample count of the trajectory or trace")
+    initial: str = _option(
+        "empty", choices=("empty", "uniform", "source"),
+        help="initial state: empty network, maximally mixed, or all "
+             "population on the source")
+    m_max: int = _option(DEFAULT_M_MAX, type=int, help="largest branch count")
+    branch_length: int = _option(1, type=int, help="sites per branch")
+    out: str | None = _option(None, metavar="CSV", help="CSV output path")
+    plot: bool = _option(False, action="store_true",
+                         help="also write an SVG chart next to the CSV")
+    search: str | None = _option(None, help="which selection to reproduce",
+                                 choices=("pentagon", "additivity", "funnel"))
+    max_n: int = _option(6, ("search", "additivity"), type=int, help=(
+        "site budget of the additivity pair search"))
+    full: bool = _option(
+        False, ("search", "funnel"), action="store_true",
+        help="funnel search over the whole candidate family instead of the "
+             "documented shortlist (slow)")
+    find_crossing: bool = _option(False, action="store_true", help=(
+        "find every dephasing strength where the forward/reverse ratio "
+        "crosses 1, bisecting each sign change on the grid to the 6 "
+        "printed decimals"))
+
+
+#: the options, keyed by their RunConfig field
+_OPTION_FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -187,7 +178,6 @@ def _build_parser() -> tuple[_Parser, dict]:
                         help="file of `key: value` defaults; command-line "
                              "flags override it")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    field_defaults = {f.name: f.default for f in fields(RunConfig)}
     for name, (_, options, defaults, text) in _COMMANDS.items():
         # add_parser inherits _Parser, so usage mistakes raise UsageError
         p = sub.add_parser(name, help=text, description=text,
@@ -196,8 +186,8 @@ def _build_parser() -> tuple[_Parser, dict]:
         # the namespace, so a --config before the command still counts
         p.add_argument("--config", metavar="FILE", help=argparse.SUPPRESS)
         for key in options.split():
-            kwargs = dict(_OPTIONS[key])
-            default = defaults.get(key, field_defaults[key])
+            kwargs = dict(_OPTION_FIELDS[key].metadata["argparse"])
+            default = defaults.get(key, _OPTION_FIELDS[key].default)
             if default is not None and not isinstance(default, (bool, tuple)):
                 kwargs["help"] += f" (default {default})"
             p.add_argument(_flag(key), **kwargs)
@@ -214,12 +204,12 @@ def _config_tokens(path: str, options: list[str]) -> list[str]:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except CircuitFileError as exc:
         raise UsageError(str(exc)) from exc
-    unknown = set(values) - set(_OPTIONS)
+    unknown = set(values) - set(_OPTION_FIELDS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     tokens = []
     for key in (k for k in options if k in values):
-        if _OPTIONS[key].get("action") != "store_true":
+        if not isinstance(_OPTION_FIELDS[key].default, bool):
             tokens.append(f"{_flag(key)}={values[key]}")
         elif values[key].lower() not in _BOOLEANS:
             raise UsageError(f"config key {key!r} expects a boolean, "
@@ -232,7 +222,7 @@ def _config_tokens(path: str, options: list[str]) -> list[str]:
 def parse_config(argv) -> RunConfig:
     """Parse flags plus an optional `key: value` config file. Flags win
     over the file, and the file over the command's defaults. A flag the
-    resolved run would ignore (see _APPLIES_ONLY_WITH) raises
+    resolved run would ignore (see _option) raises
     UsageError, and so does an --out ending in .svg with --plot, whose
     chart would overwrite the CSV."""
     parser, subparsers = _build_parser()
@@ -250,11 +240,11 @@ def parse_config(argv) -> RunConfig:
         except UsageError as exc:
             raise UsageError(f"config file {path}: {exc}") from exc
     cfg = RunConfig(command=command, **{**defaults, **from_file, **given})
-    for key in (k for k in given if k in _APPLIES_ONLY_WITH):
-        other, value = _APPLIES_ONLY_WITH[key]
-        if getattr(cfg, other) != value:
+    for key in given:
+        only_with = _OPTION_FIELDS[key].metadata["only_with"]
+        if only_with and getattr(cfg, only_with[0]) != only_with[1]:
             raise UsageError(f"{_flag(key)} applies only with "
-                             f"{_flag(other)} {value}")
+                             f"{_flag(only_with[0])} {only_with[1]}")
     # the chart goes to the CSV path with suffix .svg (see _maybe_chart)
     if cfg.plot and cfg.out and Path(cfg.out).suffix == ".svg":
         raise UsageError(f"--out {cfg.out} is where --plot writes the chart; "

@@ -78,6 +78,9 @@ def assemble_generator(circuit: Circuit, delta: float,
     if not 0.0 <= delta < np.inf:
         raise GraphConstructionError(
             f"dephasing strength must be finite and >= 0, got {delta}")
+    if 2.0 * delta == np.inf:
+        raise GraphConstructionError(
+            f"dephasing strength {delta} overflows its rate 2 delta")
     h = laplacian_hamiltonian(circuit.graph).astype(complex)
     if form == EXPLICIT_BATH:
         n = circuit.graph.n

@@ -115,14 +115,13 @@ def relative_entropy_coherence(rho: np.ndarray) -> float | np.ndarray:
     p = np.where(occupied, diag, 1.0)[..., None]
     t = np.maximum(lam, 0.0)[:, None, :] / p
     # t is a float, so t - 1 is exact for t in [1/2, 2] (Sterbenz) and
-    # ln t there is as accurate as log1p(t - 1)
-    h = np.maximum(t * np.log(np.where(t > 0, t, 1.0)) - (t - 1.0), 0.0)
-    terms = np.abs(u) ** 2 * p * h
+    # ln t there is as accurate as log1p(t - 1). From delta ~ 1e305 on
+    # t ln t overflows, and inf * 0 is NaN; the second-order sum below
+    # replaces those states
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.maximum(t * np.log(np.where(t > 0, t, 1.0)) - (t - 1.0), 0.0)
+        terms = np.abs(u) ** 2 * p * h * occupied[..., None]
     values = terms.sum(axis=(-2, -1))
-    # summed over the occupied sites' rows alone, in the order of a
-    # single state's sum
-    for i in np.flatnonzero(~occupied.all(axis=-1)):
-        values[i] = terms[i][occupied[i]].sum()
     strong = _second_order_coherence(states, diag)
     values = np.where(np.isnan(strong), values, strong)
     return values if rho.ndim == 3 else float(values[0])

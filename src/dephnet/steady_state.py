@@ -391,24 +391,27 @@ def _solve_dephased(g: Generator) -> SteadyStateResult:
     condition number kappa of the refined y. Both steps and kappa run
     in a's own coordinate order."""
     a, b = real_linear_system(g)
-    try:
-        inverse = _dephased_inverse(a, g.dim)
-    except np.linalg.LinAlgError as exc:
-        raise UnphysicalSolutionError(
-            f"stationary system at delta = {g.delta:g} is exactly singular "
-            f"in floating point") from exc
-    y = -(inverse @ b)
-    y -= inverse @ (a @ y + b)
-    defect = np.abs(a @ y + b)
-    residual, scale = float(defect.max()), float(np.abs(y).max())
-    # a and a^-1 are not needed again: their absolute values are taken
-    # in place, so that no N x N temporary is allocated
-    abs_a, abs_b = np.abs(a, out=a), np.abs(b)
-    eta = residual / (float(abs_a.sum(axis=1).max()) * scale
-                      + float(abs_b.max()))
-    eps = np.finfo(float).eps
-    spread = abs_a @ np.abs(y) + abs_b + defect / eps
-    cond = float((np.abs(inverse, out=inverse) @ spread).max()) / scale
+    # at either end of the float range a^-1 or kappa overflows; the
+    # guard below refuses a kappa that is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            inverse = _dephased_inverse(a, g.dim)
+        except np.linalg.LinAlgError as exc:
+            raise UnphysicalSolutionError(
+                f"stationary system at delta = {g.delta:g} is exactly "
+                f"singular in floating point") from exc
+        y = -(inverse @ b)
+        y -= inverse @ (a @ y + b)
+        defect = np.abs(a @ y + b)
+        residual, scale = float(defect.max()), float(np.abs(y).max())
+        # a and a^-1 are not needed again: their absolute values are taken
+        # in place, so that no N x N temporary is allocated
+        abs_a, abs_b = np.abs(a, out=a), np.abs(b)
+        eta = residual / (float(abs_a.sum(axis=1).max()) * scale
+                          + float(abs_b.max()))
+        eps = np.finfo(float).eps
+        spread = abs_a @ np.abs(y) + abs_b + defect / eps
+        cond = float((np.abs(inverse, out=inverse) @ spread).max()) / scale
     # written so that an infinite or NaN condition number raises too
     if not FORWARD_ERROR_FACTOR * cond * eps < 1.0:
         raise UnphysicalSolutionError(

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,33 @@ def test_help_names_every_flag(command, capsys):
     if "--circuit" in _FLAGS[command]:
         # builtin_names() already lists the wire<N> family
         assert out.count("wire") == 1
+
+
+#: every default that a command's --help prints, by flag
+_HELP_DEFAULTS = {
+    "ness": {"--solver": "direct"},
+    "evolve": {"--samples": "201", "--initial": "empty"},
+    "sweep-branches": {"--m-max": "10", "--branch-length": "1",
+                       "--out": "branch_sweep.csv"},
+    "sweep-dephasing": {"--out": "dephasing_sweep.csv"},
+    "rectify": {"--out": "rectification.csv"},
+    "entropy-trace": {"--delta": "0.0", "--t-end": "25.0", "--samples": "201",
+                      "--out": "entropy_trace.csv"},
+    "calibrate": {"--max-n": "6"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_DEFAULTS))
+def test_help_prints_each_default(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # one segment per option, whatever the terminal width wrapped
+    text = " ".join(capsys.readouterr().out.split())
+    segments = re.split(r" (?=--[a-z])", text)
+    for flag, default in _HELP_DEFAULTS[command].items():
+        segment = next(s for s in segments if s.startswith(flag + " "))
+        assert segment.endswith(f"(default {default})"), segment
+    assert text.count("(default ") == len(_HELP_DEFAULTS[command])
 
 
 # --- exit codes and end-to-end runs -----------------------------------------

@@ -164,7 +164,11 @@ def test_svg_out_with_plot_writes_nothing(tmp_path):
     (["ness", "--circuit", "neg.circuit", "--delta", "1"], "error: "),
     (["rectify", "--delta-grid", "lin:0:inf:3"], "usage error: "),
     (["calibrate", "--search", "additivity", "--max-n", "1"], "error: "),
-], ids=["negative-n", "infinite-grid-endpoint", "max-n-below-two"])
+    # kappa overflows: a typed refusal, with no numpy warning before it
+    (["ness", "--circuit", "pentagon", "--delta", "1e-300"], "error: "),
+    (["ness", "--circuit", "wire2", "--delta", "1e308"], "error: "),
+], ids=["negative-n", "infinite-grid-endpoint", "max-n-below-two",
+        "delta-1e-300", "delta-rate-overflows"])
 def test_bad_input_is_one_stderr_line(args, prefix, tmp_path):
     (tmp_path / "neg.circuit").write_text("n: -1\nedges:\nsource: 0\nsink: 0\n")
     proc = _run(tmp_path, *args)

@@ -156,6 +156,25 @@ def test_condition_guard_reproduces_singular_value_rule(c, delta):
         assert abs(Fraction(resistance(res, c)) - exact) <= 1e-13 * exact
 
 
+@pytest.mark.parametrize("c, delta", [
+    (make_pentagon(), 1e-200), (make_pentagon(), 1e-300),
+    (make_pentagon(), 5e-324), (make_wire(2), 8.9e307)],
+    ids=["pentagon@1e-200", "pentagon@1e-300", "pentagon@5e-324",
+         "wire2@8.9e307"])
+def test_float_range_ends_are_refused_not_warned(c, delta):
+    # kappa's matmul (weak end) or the dominance test (strong end)
+    # overflows; under the suite's warnings-as-errors a numpy warning
+    # would escape instead of the typed refusal
+    with pytest.raises(UnphysicalSolutionError, match="no significant digit"):
+        solve_ness_direct(assemble_generator(c, delta))
+
+
+def test_strong_end_of_the_float_range_still_converges():
+    res = solve_ness_direct(assemble_generator(make_wire(2), 1e307))
+    assert res.status == CONVERGED
+    assert resistance(res, make_wire(2)) == 1e307
+
+
 def test_condition_reported_by_direct_solver_only():
     # at delta > 0 the componentwise condition number of the state plus
     # its residual in units of eps, computed here from a dense inverse;

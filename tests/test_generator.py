@@ -19,12 +19,22 @@ def test_assemble_generator_validates():
     g = assemble_generator(c, 1.0)
     assert g.dim == 2 and g.delta == 1.0
     assert assemble_generator(c, 1.0, form=EXPLICIT_BATH).dim == 4
+    # just below the delta whose rate 2 delta overflows
+    assert assemble_generator(c, 8.98e307).delta == 8.98e307
     assert SOURCE_FLUX == 1.0  # the injected flux is the unit of current
 
 
 @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
 def test_assemble_generator_rejects_bad_delta(delta):
     with pytest.raises(GraphConstructionError, match="finite and >= 0"):
+        assemble_generator(make_wire(2), delta)
+
+
+@pytest.mark.parametrize("delta", [8.99e307, 1e308, np.finfo(float).max])
+def test_assemble_generator_rejects_delta_whose_rate_overflows(delta):
+    # the rate 2 delta is infinite, and inf * 0 would put NaN into the
+    # real system
+    with pytest.raises(GraphConstructionError, match="overflows its rate"):
         assemble_generator(make_wire(2), delta)
 
 

@@ -10,8 +10,7 @@ from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
                      UnphysicalSolutionError, UnsupportedFormError,
                      UsageError, apply_generator,
                      assemble_generator, detect_divergence, empty_state,
-                     evolve,
-                     laplacian_hamiltonian, make_parallel_circuit,
+                     evolve, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
                      resistance, reverse_circuit, solve_ness_by_evolution,
                      solve_ness_direct)
@@ -22,6 +21,7 @@ from dephnet.steady_state import (BACKWARD_ERROR_TOL, MIN_EIGENVALUE_TOL,
                                   _accept, _check_physical, _slope)
 from conftest import (SUITE_DELTAS, build_suite, random_connected_circuit,
                       random_density_matrix)
+from exact_oracle import _solve_exact
 
 
 def test_wire1_analytic_filling_curve():
@@ -98,36 +98,50 @@ def test_direct_insulators_diverge():
         assert not res.converged
 
 
-def _effective_resistance(c) -> float:
-    """Two-point resistance of the graph with unit edges, from the
-    Laplacian pseudo-inverse."""
-    lp = np.linalg.pinv(laplacian_hamiltonian(c.graph))
+def _ohmic_constants(c) -> tuple[Fraction, Fraction]:
+    """(R_eff, c0) of R = delta R_eff + c0 + O(1/delta), in exact
+    arithmetic. With unit edges and the sink grounded, L v = e_s - e_k
+    gives the site potentials v (v_k = 0): R_eff = v_s, and c0 = 1/2
+    sum over the sink's neighbours j of (v_j - v_k)^2."""
     s, k = c.source, c.sink
-    return float(lp[s, s] + lp[k, k] - 2.0 * lp[s, k])
+    neighbours = {i: set() for i in range(c.graph.n)}
+    for i, j in c.graph.edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    index = {i: x for x, i in enumerate(i for i in neighbours if i != k)}
+    rows = [{index[i]: len(neighbours[i]),
+             **{index[j]: -1 for j in neighbours[i] if j != k}}
+            for i in index]
+    v = _solve_exact(rows, [int(i == s) for i in index])
+    return v[index[s]], sum(v[index[j]] ** 2 for j in neighbours[k]) / 2
 
 
 def test_direct_strong_dephasing_reaches_kirchhoff_limit(suite_circuits):
-    # R -> delta * R_eff + O(1) as delta -> infinity; the O(1) excess is
-    # 1/2 for wires and between 0 and 1 on every graph tried
+    # R = delta R_eff + c0 + O(1/delta) as delta -> infinity; the unit
+    # current into the sink splits into the neighbours' v_j - v_k >= 0,
+    # so c0 lies in [1/(2 deg k), 1/2]
     rng = np.random.default_rng(2008)
     cases = [(c, 1e4) for c in suite_circuits]
     cases += [(random_connected_circuit(rng), 10.0 ** rng.uniform(2.0, 4.0))
               for _ in range(100)]
     for c, delta in cases:
+        r_eff, c0 = _ohmic_constants(c)
+        degree = sum(c.sink in edge for edge in c.graph.edges)
+        assert Fraction(1, 2 * degree) <= c0 <= Fraction(1, 2)
         res = solve_ness_direct(assemble_generator(c, delta))
         assert res.status == CONVERGED
-        excess = resistance(res, c) - delta * _effective_resistance(c)
-        assert 0.0 <= excess <= 1.0, (c, delta, excess)
-    # further out, R = delta R_eff + c0 + O(1/delta), with the constants
-    # of the exact rational functions; past 1e8 a few ulp of R exceed
-    # the 5/delta bound
+        deviation = Fraction(resistance(res, c)) - Fraction(delta) * r_eff - c0
+        assert abs(deviation) <= 10 / Fraction(delta), (c, delta, deviation)
+    # the constants of the exact rational functions R(delta), and further
+    # out the same expansion to 5/delta; past 1e8 a few ulp of R exceed
+    # that bound
     funnel = make_triangle_funnel("forward")
     tails = [(make_wire(3), Fraction(2), Fraction(1, 2)),
              (make_pentagon(), Fraction(6, 5), Fraction(13, 50)),
              (funnel, Fraction(37, 95), Fraction(447, 3610)),
              (reverse_circuit(funnel), Fraction(37, 95), Fraction(2493, 18050))]
     for c, r_eff, c0 in tails:
-        assert _effective_resistance(c) == pytest.approx(float(r_eff))
+        assert _ohmic_constants(c) == (r_eff, c0)
         for delta in (1e6, 1e8):
             r = resistance(solve_ness_direct(assemble_generator(c, delta)), c)
             deviation = Fraction(r) - Fraction(delta) * r_eff - c0
