@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, require_count
 from .experiments import (_ratio_flips, _resistance_at, funnel_ratio,
                           series_crossings)
 from .graphs import Circuit, Graph, build_graph, make_pentagon, make_wire
@@ -109,11 +109,9 @@ def _connected_atlas(min_n: int, max_n: int, max_edges: int):
     max_edges edges (atlas order)."""
     import networkx as nx
 
+    require_count(max_n, "max_n of the atlas enumeration", min_n, CalibrationError)
     if max_n > 7:
         raise CalibrationError("atlas enumeration covers up to 7 sites")
-    if max_n < min_n:
-        raise CalibrationError(
-            f"atlas enumeration needs max_n >= {min_n}, got {max_n}")
     for g in nx.graph_atlas_g():
         n = g.number_of_nodes()
         if n < min_n or n > max_n:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules every
+count, time and tolerance a caller passes in is checked by."""
+from math import inf
+
+import numpy as np
 
 
 class DephnetError(Exception):
@@ -68,3 +72,20 @@ class TrajectoryTooShortError(DephnetError, ValueError):
 
 class UsageError(DephnetError, ValueError):
     """Bad command line or config-file input."""
+
+
+def require_count(value, name: str, minimum: int, error=UsageError) -> int:
+    """`value` as an int if it is a Python or numpy integer, not a bool,
+    of at least `minimum`; otherwise raise `error`, naming `name`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise error(f"{name} must be an integer of at least {minimum}, "
+                    f"got {value!r}")
+    return int(value)
+
+
+def require_positive(value, name: str) -> None:
+    """Raise UsageError, naming `name`, unless 0 < value < inf (so NaN
+    is refused too)."""
+    if not 0 < value < inf:
+        raise UsageError(f"{name} must be positive and finite, got {value}")

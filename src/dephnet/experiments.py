@@ -26,10 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError, UsageError
+from .errors import NoSignChangeError, UsageError, require_count, require_positive
 from .generator import assemble_generator, empty_state
-from .graphs import (Circuit, _is_integer, make_parallel_circuit,
-                     reverse_circuit)
+from .graphs import Circuit, make_parallel_circuit, reverse_circuit
 from .observables import conductance, relative_entropy_coherence, resistance
 from .registry import make_triangle_funnel
 from .steady_state import CONVERGED, evolve, solve_ness_direct
@@ -120,10 +119,7 @@ def sweep_branch_count(m_max: int, deltas: Sequence[float] = BRANCH_DELTAS,
                        branch_length: int = 1) -> list[SweepRecord]:
     """Conductance of the parallel family: one record per (m, delta).
     m_max must be an integer of at least 2, or UsageError is raised."""
-    if not _is_integer(m_max):
-        raise UsageError(f"branch sweep needs an integer m_max, got {m_max!r}")
-    if m_max < 2:
-        raise UsageError("branch sweep needs m_max >= 2")
+    require_count(m_max, "m_max of the branch sweep", 2)
     points = [(make_parallel_circuit(m, branch_length), d, "forward", m)
               for d in deltas for m in range(1, m_max + 1)]
     return _run_points(points)
@@ -205,9 +201,7 @@ def find_ratio_crossing(bracket: tuple[float, float] = (0.01, 1.0),
     """
     fn = ratio_fn if ratio_fn is not None else funnel_ratio
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < tol < math.inf:
-        raise UsageError(
-            f"bisection tolerance must be positive and finite, got {tol}")
+    require_positive(tol, "bisection tolerance")
     if not lo < hi:
         raise UsageError(f"bracket must satisfy lo < hi, got {lo:g}, {hi:g}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GraphConstructionError
+from .errors import GraphConstructionError, require_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +32,7 @@ class Graph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphConstructionError("site count must be positive")
+        require_count(self.n, "site count", 1, GraphConstructionError)
         a = np.asarray(self.adjacency, dtype=float)
         if a.shape != (self.n, self.n):
             raise GraphConstructionError(
@@ -76,12 +75,6 @@ def _connected(adjacency: np.ndarray) -> bool:
     return len(seen) == n
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer. bool is an int subclass, but
-    True is no site label or count."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
 @dataclass(frozen=True)
 class Circuit:
     """A graph with designated source and sink sites, given as Python
@@ -94,11 +87,9 @@ class Circuit:
 
     def __post_init__(self):
         n = self.graph.n
-        for site in (self.source, self.sink):
-            if not _is_integer(site):
-                raise GraphConstructionError(
-                    f"source and sink must be integers, got {site!r}")
-        if not (0 <= self.source < n and 0 <= self.sink < n):
+        require_count(self.source, "source", 0, GraphConstructionError)
+        require_count(self.sink, "sink", 0, GraphConstructionError)
+        if not (self.source < n and self.sink < n):
             raise GraphConstructionError("source and sink must be in [0, n)")
         if self.source == self.sink and n > 1:
             raise GraphConstructionError(
@@ -108,19 +99,18 @@ class Circuit:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated graph from an edge list.
 
-    Raises GraphConstructionError on a site count that is not an
-    integer or is below 1 (before any allocation), out-of-range
-    endpoints, duplicate edges, self-loops, or a disconnected result.
+    Raises GraphConstructionError on a site count or an endpoint that
+    is not an integer (bools included), a site count below 1 (before
+    any allocation), endpoints out of range, duplicate edges,
+    self-loops, or a disconnected result.
     """
-    if not _is_integer(n):
-        raise GraphConstructionError(f"site count must be an integer, got {n!r}")
-    if n < 1:
-        raise GraphConstructionError("site count must be positive")
+    require_count(n, "site count", 1, GraphConstructionError)
     adjacency = np.zeros((n, n))
     seen = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
+    for edge in edges:
+        i, j = (require_count(v, "edge endpoint", 0, GraphConstructionError)
+                for v in edge)
+        if not (i < n and j < n):
             raise GraphConstructionError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
             raise GraphConstructionError(f"self-loop at site {i}")
@@ -148,11 +138,7 @@ def make_wire(length: int) -> Circuit:
     length=1 gives the degenerate single site with source = sink,
     allowed only as a solver smoke test (drho/dt = 1 - 2*rho).
     """
-    if not _is_integer(length):
-        raise GraphConstructionError(
-            f"wire length must be an integer, got {length!r}")
-    if length < 1:
-        raise GraphConstructionError("wire length must be >= 1")
+    require_count(length, "wire length", 1, GraphConstructionError)
     edges = [(i, i + 1) for i in range(length - 1)]
     return Circuit(build_graph(length, edges), 0, length - 1,
                    label=f"wire{length}")
@@ -166,14 +152,8 @@ def make_parallel_circuit(branches: int, branch_length: int = 1) -> Circuit:
     to 1, the value at which two branches quadruple the conductance of
     the single branch.
     """
-    for count in (branches, branch_length):
-        if not _is_integer(count):
-            raise GraphConstructionError(
-                f"branch count and length must be integers, got {count!r}")
-    if branches < 1:
-        raise GraphConstructionError("need at least one branch")
-    if branch_length < 1:
-        raise GraphConstructionError("branch length must be >= 1")
+    require_count(branches, "branch count", 1, GraphConstructionError)
+    require_count(branch_length, "branch length", 1, GraphConstructionError)
     n = 2 + branches * branch_length
     source, sink = 0, n - 1
     edges = []

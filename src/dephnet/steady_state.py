@@ -41,7 +41,8 @@ from .errors import (
     TrajectoryTooShortError,
     UnphysicalSolutionError,
     UnsupportedFormError,
-    UsageError,
+    require_count,
+    require_positive,
 )
 from .generator import (
     GAMMA_BATH,
@@ -305,11 +306,8 @@ def evolve(g: Generator, rho0: np.ndarray, t_end: float,
     _check_physical).
     """
     y0 = _initial_coords(g, rho0)
-    if not 0 < t_end < np.inf:
-        raise UsageError(f"t_end must be positive and finite, got {t_end}")
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise UsageError(f"samples must be an integer of at least 2, "
-                         f"got {samples!r}")
+    require_positive(t_end, "t_end")
+    require_count(samples, "samples", 2)
     system = real_linear_system(g) if g.form == REDUCED else _explicit_linear_system(g)
     return next(_windows(g, system, y0, t_end, samples))
 
@@ -647,11 +645,8 @@ def solve_ness_by_evolution(g: Generator, tol: float = 1e-9,
     state the window unpacked, so it is taken without apply_generator's
     checks of shape and type.
     """
-    if not 0 < tol < np.inf:
-        raise UsageError(
-            f"stationarity tolerance must be positive and finite, got {tol}")
-    if not 0 < t_max < np.inf:
-        raise UsageError(f"t_max must be positive and finite, got {t_max}")
+    require_positive(tol, "stationarity tolerance")
+    require_positive(t_max, "t_max")
     y = _initial_coords(g, empty_state(g) if rho0 is None else rho0)
     previous = None
     for window in _windows(g, real_linear_system(g), y, WINDOW,

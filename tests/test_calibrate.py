@@ -72,7 +72,8 @@ def test_additivity_search_empty_below_needed_size():
 
 
 def test_additivity_search_refuses_fewer_than_two_sites():
-    with pytest.raises(CalibrationError, match="needs max_n >= 2, got 1"):
+    with pytest.raises(CalibrationError, match="max_n of the atlas enumeration "
+                       "must be an integer of at least 2, got 1"):
         additivity_pair_search(max_n=1)
 
 

@@ -788,4 +788,5 @@ def test_calibrate_additivity_past_the_atlas_exits_one(capsys):
     for max_n in ("1", "-3"):
         assert main(["calibrate", "--search", "additivity", "--max-n", max_n]) == 1
         assert capsys.readouterr() == (
-            "", f"error: atlas enumeration needs max_n >= 2, got {max_n}\n")
+            "", "error: max_n of the atlas enumeration must be an integer "
+            f"of at least 2, got {max_n}\n")

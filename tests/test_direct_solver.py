@@ -20,6 +20,7 @@ from dephnet.generator import (GAMMA_BATH, REDUCED, SOURCE_FLUX, Generator,
 from dephnet import steady_state
 from dephnet.steady_state import _dephased_inverse, _krylov_rank
 from exact_oracle import exact_resistance
+from test_exact_oracle import WEAK_LIMITS
 
 
 def _k_operator(c) -> np.ndarray:
@@ -88,6 +89,48 @@ def test_coherent_verdict_and_resistance_on_the_atlas():
         assert resistance(res, c) == pytest.approx(reference, rel=1e-9), c
     assert count == 3866
     assert 0 < insulators < count
+
+
+def _weak_limit(c) -> float:
+    """A = lim delta R as delta -> 0 of an insulator, from the dark block.
+    With D the dark states and Sec keeping the blocks between dark states
+    of one energy, sigma = D x D^T (x kept to Sec) solves
+    2 (sigma - Sec[P_D diag(sigma) P_D]) = Sec[P_D |s><s| P_D], and
+    A = <s|sigma|s>. rho ~ sigma / delta, on which the drain does not act
+    at this order, as dark states have no sink amplitude."""
+    dark = _dark_subspace(c)
+    energy = np.diag(dark.T @ laplacian_hamiltonian(c.graph) @ dark)
+    sec = np.abs(np.subtract.outer(energy, energy)) < 1e-9
+    # one unit matrix x per secular entry, and its image under the map
+    basis = np.zeros((sec.sum(),) + sec.shape)
+    basis[(np.arange(sec.sum()),) + np.nonzero(sec)] = 1.0
+    sigma_diag = np.diagonal(dark @ basis @ dark.T, axis1=1, axis2=2)
+    image = 2.0 * (basis - sec * (dark.T @ (sigma_diag[:, :, None] * dark)))
+    feed = dark[c.source]
+    x = np.zeros(sec.shape)
+    x[sec] = np.linalg.solve(image[:, sec].T, np.outer(feed, feed)[sec])
+    return float(feed @ x @ feed)
+
+
+@pytest.mark.parametrize("c, limit", [(c, limit) for c, limit, _ in WEAK_LIMITS],
+                         ids=["pentagon", "funnel-forward", "funnel-reverse"])
+def test_dark_block_formula_gives_the_pinned_weak_limits(c, limit):
+    assert abs(_weak_limit(c) - limit) <= 1e-12
+
+
+def test_weak_dephasing_limit_of_atlas_insulators():
+    # delta R at delta = 1e-8 against the dark-block limit A, on a seeded
+    # sample of the insulators of at most six sites (all 2,139 agree to
+    # 6.1e-6 relative)
+    insulators = [c for c in _atlas_circuits(6)
+                  if np.linalg.norm(_dark_subspace(c)[c.source]) > 1e-9]
+    assert len(insulators) == 2139
+    rng = np.random.default_rng(11)
+    for i in rng.choice(len(insulators), 300, replace=False):
+        c = insulators[i]
+        limit = _weak_limit(c)
+        r = resistance(solve_ness_direct(assemble_generator(c, 1e-8)), c)
+        assert abs(1e-8 * r - limit) <= 1e-5 * limit, c
 
 
 @pytest.mark.parametrize("m", range(1, 41))

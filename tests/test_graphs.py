@@ -64,7 +64,8 @@ def test_circuit_endpoints_validated():
                                           (0, np.float64(1.0)), (0, "1")])
 def test_circuit_refuses_a_site_that_is_not_an_integer(source, sink):
     # a float would fail later in voltage, and True would mean site 1
-    with pytest.raises(GraphConstructionError, match="integers"):
+    with pytest.raises(GraphConstructionError,
+                       match="(source|sink) must be an integer of at least 0"):
         Circuit(build_graph(2, [(0, 1)]), source, sink)
 
 

@@ -154,15 +154,18 @@ def test_entropy_matches_exact_reference(c):
 
 
 def _bregman(rho: np.ndarray) -> float:
-    """The Bregman sum of one state, written out on its own: the value
-    relative_entropy_coherence gave before it took stacks."""
+    """The Bregman sum of one state, written out on its own in the
+    kernel's documented order: every term |U_ia|^2 p_i h(lam_a / p_i) of
+    every row i, an unoccupied row (p_i <= 0, taken as 1 in t) multiplied
+    by 0, summed over all n^2 terms at once."""
+    rho = np.asarray(rho, dtype=complex)
     diag = np.diag(rho).real
     lam, u = np.linalg.eigh(rho)
     occupied = diag > 0
-    p = diag[occupied, None]
+    p = np.where(occupied, diag, 1.0)[:, None]
     t = np.maximum(lam, 0.0) / p
     h = np.maximum(t * np.log(np.where(t > 0, t, 1.0)) - (t - 1.0), 0.0)
-    return float(np.sum(np.abs(u[occupied]) ** 2 * p * h))
+    return float(np.sum(np.abs(u) ** 2 * p * h * occupied[:, None]))
 
 
 def test_stack_equals_each_state_on_the_suite_entropy_traces():
@@ -189,6 +192,19 @@ def test_stack_skips_unoccupied_sites_as_a_single_state_does():
     assert values.tolist() == [relative_entropy_coherence(r) for r in stack]
     assert values.tolist() == [_bregman(r) for r in stack]
     assert values[1] == 0.0 and values[0] > 0.0
+    # 300 random states of each size from 2 to 12, each with 1 to n - 1
+    # empty sites: summing only the occupied rows differs from the
+    # kernel's order by up to 2 eps on about one in four of them
+    rng = np.random.default_rng(7)
+    for n in range(2, 13):
+        stack = []
+        for _ in range(300):
+            rho = random_density_matrix(rng, n, trace=rng.uniform(0.5, n))
+            empty = rng.choice(n, rng.integers(1, n), replace=False)
+            rho[empty, :] = rho[:, empty] = 0.0
+            stack.append(rho)
+        values = relative_entropy_coherence(np.stack(stack))
+        assert values.tolist() == [_bregman(r) for r in stack], n
 
 
 def test_stack_names_the_state_it_refuses():

@@ -36,7 +36,8 @@ def test_parse_basic():
     (lambda t: t.replace("sink: 2", "sink: 9"), "source and sink"),
     (lambda t: t.replace("label: demo", "label demo"), "expected 'key"),
     # refused before the graph's n x n adjacency is allocated
-    (lambda t: t.replace("n: 3", "n: -1"), "site count must be positive"),
+    (lambda t: t.replace("n: 3", "n: -1"),
+     "site count must be an integer of at least 1, got -1"),
 ])
 def test_parse_rejects(mutation, message):
     with pytest.raises(CircuitFileError, match=message):
