@@ -23,7 +23,7 @@ import numpy as np
 from .calibrate import (additivity_pair_search, calibrate_topology,
                         funnel_family, funnel_shortlist, insulating_at_zero,
                         pentagon_family, rectifies_as_published)
-from .errors import CircuitFileError, DephnetError, UsageError
+from .errors import DephnetError, UsageError
 from .experiments import (BRANCH_DELTAS, DEFAULT_M_MAX, ENTROPY_T_END,
                           LOG_GRID, _ratio_flips,
                           dephasing_sweep, entropy_trace, rectification_sweep,
@@ -34,7 +34,7 @@ from .observables import (conductance, current_out, relative_entropy_coherence,
                           resistance, voltage)
 from .output import (AxesSpec, _finite_points, render_chart, write_records,
                      write_table)
-from .registry import builtin_names, read_fields, resolve_circuit
+from .registry import builtin_names, resolve_circuit
 from .steady_state import (CONVERGED, DIVERGED, WINDOW, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
 
@@ -91,17 +91,15 @@ def _option(default, only_with=None, **argparse_settings):
     (the field name with dashes). Its metadata holds the option's
     argparse keywords and `only_with`, the (option, value) pair for an
     option that takes effect only where that option has that value:
-    given as a flag elsewhere it is a usage error, and a config-file
-    value is left unused, as for other commands."""
+    given elsewhere it is a usage error."""
     return field(default=default, metadata={"argparse": argparse_settings,
                                             "only_with": only_with})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: command-line flags over config-file
-    values over the command's defaults. Every field but `command` is an
-    option (see _option)."""
+    """Fully resolved invocation: command-line flags over the command's
+    defaults. Every field but `command` is an option (see _option)."""
 
     command: str
     circuit: str | None = _option(None, metavar="NAME_OR_FILE", help=(
@@ -152,9 +150,6 @@ class RunConfig:
 #: the options, keyed by their RunConfig field
 _OPTION_FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
 
 class _Parser(argparse.ArgumentParser):
     # usage mistakes exit 1 (argparse's own default is 2, which this
@@ -167,79 +162,37 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _build_parser() -> tuple[_Parser, dict]:
-    # every parser leaves an option it was not given out of the
-    # namespace, so parse_config can layer flags over the config file
+def _build_parser() -> _Parser:
     parser = _Parser(
-        prog="dephnet", argument_default=argparse.SUPPRESS,
+        prog="dephnet",
         description="Steady-state transport through dephasing site "
                     "networks driven between a source and a drain.")
-    parser.add_argument("--config", metavar="FILE",
-                        help="file of `key: value` defaults; command-line "
-                             "flags override it")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (_, options, defaults, text) in _COMMANDS.items():
-        # add_parser inherits _Parser, so usage mistakes raise UsageError
+        # add_parser inherits _Parser, so usage mistakes raise UsageError;
+        # an option not given is left out of the namespace, so
+        # parse_config sees only the flags given
         p = sub.add_parser(name, help=text, description=text,
                            argument_default=argparse.SUPPRESS)
-        # accepted after the command too; when absent it is left out of
-        # the namespace, so a --config before the command still counts
-        p.add_argument("--config", metavar="FILE", help=argparse.SUPPRESS)
         for key in options.split():
             kwargs = dict(_OPTION_FIELDS[key].metadata["argparse"])
             default = defaults.get(key, _OPTION_FIELDS[key].default)
             if default is not None and not isinstance(default, (bool, tuple)):
                 kwargs["help"] += f" (default {default})"
             p.add_argument(_flag(key), **kwargs)
-    return parser, sub.choices
-
-
-def _config_tokens(path: str, options: list[str]) -> list[str]:
-    """The `key: value` entries of a config file, read by the circuit
-    file reader, that name one of `options`, as `--flag=value` tokens;
-    a boolean key is its flag or nothing."""
-    try:
-        values = read_fields(Path(path).read_text(encoding="utf-8"), path)[0]
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except CircuitFileError as exc:
-        raise UsageError(str(exc)) from exc
-    unknown = set(values) - set(_OPTION_FIELDS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    tokens = []
-    for key in (k for k in options if k in values):
-        if not isinstance(_OPTION_FIELDS[key].default, bool):
-            tokens.append(f"{_flag(key)}={values[key]}")
-        elif values[key].lower() not in _BOOLEANS:
-            raise UsageError(f"config key {key!r} expects a boolean, "
-                             f"got {values[key]!r}")
-        elif _BOOLEANS[values[key].lower()]:
-            tokens.append(_flag(key))
-    return tokens
+    return parser
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags plus an optional `key: value` config file. Flags win
-    over the file, and the file over the command's defaults. A flag the
-    resolved run would ignore (see _option) raises
-    UsageError, and so does an --out ending in .svg with --plot, whose
-    chart would overwrite the CSV."""
-    parser, subparsers = _build_parser()
-    given = vars(parser.parse_args(argv))
+    """Parse the command line: flags over the command's defaults. A flag
+    the run would ignore (see _option) raises UsageError, and so does an
+    --out ending in .svg with --plot, whose chart would overwrite the
+    CSV."""
+    given = vars(_build_parser().parse_args(argv))
     command = given.pop("command")
     if command is None:
         raise UsageError("a command is required (see --help)")
-    _, options, defaults, _ = _COMMANDS[command]
-    from_file = {}
-    path = given.pop("config", None)
-    if path:
-        tokens = _config_tokens(path, options.split())
-        try:
-            from_file = vars(subparsers[command].parse_args(tokens))
-        except UsageError as exc:
-            raise UsageError(f"config file {path}: {exc}") from exc
-    cfg = RunConfig(command=command, **{**defaults, **from_file, **given})
+    cfg = RunConfig(command=command, **{**_COMMANDS[command][2], **given})
     for key in given:
         only_with = _OPTION_FIELDS[key].metadata["only_with"]
         if only_with and getattr(cfg, only_with[0]) != only_with[1]:

@@ -71,7 +71,7 @@ class TrajectoryTooShortError(DephnetError, ValueError):
 
 
 class UsageError(DephnetError, ValueError):
-    """Bad command line or config-file input."""
+    """Bad command-line input."""
 
 
 def require_count(value, name: str, minimum: int, error=UsageError) -> int:

@@ -1,5 +1,5 @@
 """Builtin circuit registry, the calibrated devices, and the
-``key: value`` text format that circuit and config files share.
+``key: value`` circuit file format.
 
 A circuit file is plain text, one circuit per file, whitespace
 insensitive, with ``#`` starting a comment anywhere on a line:
@@ -11,10 +11,9 @@ insensitive, with ``#`` starting a comment anywhere on a line:
     source: 0
     sink: 2
 
-`read_fields` is the one reader of that format: blank lines are
-skipped, keys are read lowercased with '-' as '_', and a line without a
-colon or a repeated key (so `delta-grid` after `delta_grid`) is an
-error that names the line. The CLI reads its config files with it too.
+`parse_circuit_text` reads that format: blank lines are skipped, keys
+are read lowercased, and a line without a colon or a repeated key is an
+error that names the line.
 
 The calibrated topologies ship as files with their calibration
 provenance embedded as comments. Every file-backed builtin, by name
@@ -43,10 +42,10 @@ _ALIASES = {"funnel": "triangle"}
 _WIRE_RE = re.compile(r"^wire(\d+)$")
 
 
-def read_fields(text: str, origin: str) -> tuple[dict[str, str], list[str]]:
-    """The `key: value` fields of a text, keys lowercased with '-' read
-    as '_', and its comments. CircuitFileError names `origin` and the
-    line of a line without a colon or of a repeated key."""
+def parse_circuit_text(text: str, origin: str = "<string>") -> tuple[Circuit, list[str]]:
+    """Parse a circuit definition, returning the circuit and its comments.
+    CircuitFileError names `origin`, and the line of a line without a
+    colon or of a repeated key."""
     fields: dict[str, str] = {}
     comments: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -61,16 +60,10 @@ def read_fields(text: str, origin: str) -> tuple[dict[str, str], list[str]]:
         if not sep:
             raise CircuitFileError(
                 f"{origin}:{lineno}: expected 'key: value', got {raw!r}")
-        key = key.strip().lower().replace("-", "_")
+        key = key.strip().lower()
         if key in fields:
             raise CircuitFileError(f"{origin}:{lineno}: duplicate field {key!r}")
         fields[key] = value.strip()
-    return fields, comments
-
-
-def parse_circuit_text(text: str, origin: str = "<string>") -> tuple[Circuit, list[str]]:
-    """Parse a circuit definition, returning the circuit and its comments."""
-    fields, comments = read_fields(text, origin)
     for required in ("n", "edges", "source", "sink"):
         if required not in fields:
             raise CircuitFileError(f"{origin}: missing field {required!r}")

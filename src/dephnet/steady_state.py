@@ -5,12 +5,11 @@ refines the state by one step with that inverse; where dephasing damps
 enough Im-coherence coordinates faster than hopping moves them, every
 Im-coherence is eliminated first, so only the Schur complement on the
 Re coordinates is inverted. At delta = 0 it diagonalizes the n x n
-operator K = H - i(g/2)|k><k| (see solve_ness_direct). Both solvers report the
-same three-way verdict: ``converged`` (a physical NESS was found),
-``diverged`` (the
-device is insulating and piles up particles forever), or
-``max-time-exceeded`` (evolution hit its cutoff without either
-verdict).
+operator K = H - i(g/2)|k><k| (see solve_ness_direct). Both solvers
+report the same three-way verdict: ``converged`` (a physical NESS was
+found), ``diverged`` (the device is insulating and piles up particles
+forever), or ``max-time-exceeded`` (evolution hit its cutoff without
+either verdict).
 
 Time evolution has one propagation loop, _windows: it builds the exact
 propagator of an affine system once and yields checked windows of

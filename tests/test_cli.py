@@ -78,88 +78,7 @@ def test_missing_command_is_usage_error():
         parse_config([])
 
 
-# --- config files -----------------------------------------------------------
-
-
-def test_config_file_supplies_defaults(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("# defaults\ncircuit: wire3\ndelta: 2.0\nt-max: 50\n")
-    cfg = parse_config(["ness", "--config", str(cfgfile)])
-    assert cfg.circuit == "wire3"
-    assert cfg.delta == 2.0
-    assert cfg.t_max == 50.0
-
-
-def test_flags_override_config_file(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("circuit: wire3\ndelta: 5.0\n")
-    cfg = parse_config(["ness", "--config", str(cfgfile), "--delta", "1.0"])
-    assert cfg.circuit == "wire3"
-    assert cfg.delta == 1.0
-
-
-def test_config_accepted_after_subcommand(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("delta: 0.25\n")
-    cfg = parse_config(["ness", "--circuit", "wire2",
-                        "--config", str(cfgfile)])
-    assert cfg.delta == 0.25
-
-
-def test_config_rejects_unknown_key(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("volume: 11\n")
-    with pytest.raises(UsageError, match="volume"):
-        parse_config(["ness", "--config", str(cfgfile)])
-
-
-def test_config_rejects_bad_choice(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("solver: quantum\n")
-    with pytest.raises(UsageError, match="solver"):
-        parse_config(["ness", "--config", str(cfgfile)])
-
-
-def test_config_boolean_coercion(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("plot: yes\n")
-    assert parse_config(["rectify", "--config", str(cfgfile)]).plot is True
-    cfgfile.write_text("plot: maybe\n")
-    with pytest.raises(UsageError, match="boolean"):
-        parse_config(["rectify", "--config", str(cfgfile)])
-
-
-def test_config_grid_is_parsed(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("delta-grid: 0.1, 0.5\n")
-    cfg = parse_config(["rectify", "--config", str(cfgfile)])
-    assert cfg.delta_grid == (0.1, 0.5)
-    cfgfile.write_text("delta-grid: log:0:1:5\n")
-    with pytest.raises(UsageError, match="log grid endpoints must be positive"):
-        parse_config(["rectify", "--config", str(cfgfile)])
-
-
-def test_config_before_command(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("circuit: wire3\ndelta: 2.0\n")
-    cfg = parse_config(["--config", str(cfgfile), "ness", "--delta", "1.0"])
-    assert cfg.circuit == "wire3"
-    assert cfg.delta == 1.0
-
-
-def test_config_equals_form(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("circuit: wire3\ndelta: 2.0\n")
-    for argv in (["ness", f"--config={cfgfile}"], [f"--config={cfgfile}", "ness"]):
-        cfg = parse_config(argv)
-        assert (cfg.circuit, cfg.delta) == ("wire3", 2.0)
-
-
-def test_config_ignores_keys_of_other_commands(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("circuit: wire3\nm-max: 3\nplot: yes\nsearch: funnel\n")
-    cfg = parse_config(["ness", "--config", str(cfgfile)])
-    assert cfg == RunConfig(command="ness", circuit="wire3")
+# --- option rules -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -177,27 +96,12 @@ def test_flag_the_run_would_ignore_is_usage_error(argv, flags, capsys):
     assert capsys.readouterr().err == f"usage error: {flags}\n"
 
 
-def test_flags_that_apply_are_accepted(tmp_path):
+def test_flags_that_apply_are_accepted():
     cfg = parse_config(["ness", "--circuit", "wire2", "--delta", "1",
                         "--solver", "evolution", "--tol", "1e-9"])
     assert (cfg.solver, cfg.tol) == ("evolution", 1e-9)
     cfg = parse_config(["calibrate", "--search", "additivity", "--max-n", "5"])
     assert cfg.max_n == 5
-    # the resolved run decides, wherever the governing option comes from
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("solver: evolution\n")
-    cfg = parse_config(["ness", "--config", str(cfgfile), "--circuit",
-                        "wire2", "--delta", "1", "--t-max", "40"])
-    assert (cfg.solver, cfg.t_max) == ("evolution", 40.0)
-
-
-def test_config_value_the_run_would_ignore_stays_unused(tmp_path, capsys):
-    # a config file holds defaults for several runs
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("max-n: 5\nfull: yes\n")
-    assert main(["calibrate", "--config", str(cfgfile),
-                 "--search", "pentagon"]) == 0
-    assert "4 sink placements" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,73 +110,31 @@ def test_config_value_the_run_would_ignore_stays_unused(tmp_path, capsys):
     ["rectify", "--delta-grid", "0.1,1"],
     ["entropy-trace", "--circuit", "wire2", "--t-end", "1"],
 ], ids=["sweep-dephasing", "sweep-branches", "rectify", "entropy-trace"])
-@pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
-def test_svg_out_with_plot_is_refused_before_solving(argv, from_file, tmp_path,
+def test_svg_out_with_plot_is_refused_before_solving(argv, tmp_path,
                                                      monkeypatch, capsys):
     # the chart's path is the CSV's with suffix .svg: it would overwrite it
     monkeypatch.chdir(tmp_path)
-    if from_file:
-        Path("run.conf").write_text("out: r.svg\nplot: true\n")
-        argv = argv + ["--config", "run.conf"]
-    else:
-        argv = argv + ["--out", "r.svg", "--plot"]
-    assert main(argv) == 1
+    assert main(argv + ["--out", "r.svg", "--plot"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("usage error: --out r.svg is where --plot writes "
                             "the chart; give the CSV another suffix\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == (
-        ["run.conf"] if from_file else [])
-
-
-def test_config_false_boolean_leaves_flag_off(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("plot: no\nfind-crossing: off\n")
-    cfg = parse_config(["rectify", "--config", str(cfgfile)])
-    assert cfg.plot is False
-    assert cfg.find_crossing is False
-    assert parse_config(["rectify", "--config", str(cfgfile),
-                         "--plot"]).plot is True
-
-
-def test_config_malformed_value_names_key(tmp_path, capsys):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("circuit: wire2\ndelta: abc\n")
-    with pytest.raises(UsageError, match="delta"):
-        parse_config(["ness", "--config", str(cfgfile)])
-    assert main(["ness", "--config", str(cfgfile)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ")
-    assert "delta" in err
-
-
-def test_config_inline_comment(tmp_path):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text("circuit: wire2  # the two-site wire\n"
-                       "delta: 0.5  # weak\n")
-    cfg = parse_config(["ness", "--config", str(cfgfile)])
-    assert (cfg.circuit, cfg.delta) == ("wire2", 0.5)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text, line, message", [
-    ("circuit: wire2\ndelta: 0.5\nDelta: 2\n", 3, "duplicate field 'delta'"),
-    ("circuit: wire2\n\ndelta 0.5\n", 3, "expected 'key: value'"),
-    # one key in both spellings: neither silently wins
-    ("delta-grid: 0.1,0.5\ndelta_grid: 0.2,0.3\n", 2,
-     "duplicate field 'delta_grid'"),
-], ids=["repeated-key", "no-colon", "dash-and-underscore"])
-def test_config_bad_line_names_file_and_line(tmp_path, capsys, text, line,
-                                             message):
-    cfgfile = tmp_path / "run.conf"
-    cfgfile.write_text(text)
-    assert main(["ness", "--config", str(cfgfile)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage error: {cfgfile}:{line}: {message}")
-
-
-def test_config_missing_file(tmp_path):
-    with pytest.raises(UsageError, match="cannot read"):
-        parse_config(["ness", "--config", str(tmp_path / "absent.conf")])
+    ("n: 2\nedges: 0-1\nsource: 0\nsink: 1\nN: 3\n", 5,
+     "duplicate field 'n'"),
+    ("n: 2\n\nedges 0-1\nsource: 0\nsink: 1\n", 3, "expected 'key: value'"),
+], ids=["repeated-key", "no-colon"])
+def test_circuit_file_bad_line_names_file_and_line(tmp_path, capsys, text,
+                                                   line, message):
+    path = tmp_path / "bad.circuit"
+    path.write_text(text)
+    assert main(["ness", "--circuit", str(path), "--delta", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:{line}: {message}")
 
 
 # --- help -----------------------------------------------------------------
@@ -300,9 +162,18 @@ def test_help_names_every_flag(command, capsys):
     out = capsys.readouterr().out
     for flag in _FLAGS[command]:
         assert flag in out
+    assert "--config" not in out
     if "--circuit" in _FLAGS[command]:
         # builtin_names() already lists the wire<N> family
         assert out.count("wire") == 1
+
+
+def test_top_level_help_lists_no_config(capsys):
+    # options belong to the commands; there is no file of defaults
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--config" not in capsys.readouterr().out
 
 
 #: every default that a command's --help prints, by flag
@@ -674,45 +545,33 @@ def test_rectify_solves_each_point_once(tmp_path, monkeypatch, capsys):
                                    ["--bracket", "0.5,0.1"],
                                    ["--bracket", "x"],
                                    ["--bracket", "0.1,0.5"],
-                                   ["--crossing-tol", "1e-3"],
-                                   ["--config", "bracket: 0.1,0.5\n"],
-                                   ["--config", "crossing-tol: 1e-3\n"]])
+                                   ["--crossing-tol", "1e-3"]])
 def test_rectify_rejects_bisection_settings_before_sweeping(
         tmp_path, monkeypatch, capsys, flags):
-    # the grid is the bracket and the tolerance is fixed: --bracket,
-    # --crossing-tol and their config keys are unknown, whatever their
-    # value, and refused before any solve
+    # the grid is the bracket and the tolerance is fixed: --bracket and
+    # --crossing-tol are unknown, whatever their value, and refused
+    # before any solve
     monkeypatch.chdir(tmp_path)
-    if flags[0] == "--config":
-        (tmp_path / "run.cfg").write_text(flags[1])
-        flags = ["--config", "run.cfg"]
     code = main(["rectify", "--delta-grid", "0.1,0.5", "--find-crossing",
                  *flags])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith(("usage error: unrecognized arguments: --",
-                                    "usage error: unknown config keys: "))
+    assert captured.err.startswith("usage error: unrecognized arguments: --")
     assert "wrote" not in captured.out
     assert not (tmp_path / "rectification.csv").exists()
 
 
-@pytest.mark.parametrize("flags, config", [
-    (["--bracket", "0.1,0.5"], None),
-    (["--crossing-tol", "1e-3"], None),
-    (["--bracket", "0.1,0.5", "--crossing-tol", "0"], None),
-    (["--crossing-tol", "0"], None),
-    ([], "bracket: 0.1,0.5\n"),
-    ([], "crossing-tol: 1e-3\nfind-crossing: no\n"),
-], ids=["bracket", "tol", "bracket-zero-tol", "zero-tol", "config-bracket",
-        "config-tol"])
+@pytest.mark.parametrize("flags", [
+    ["--bracket", "0.1,0.5"],
+    ["--crossing-tol", "1e-3"],
+    ["--bracket", "0.1,0.5", "--crossing-tol", "0"],
+    ["--crossing-tol", "0"],
+], ids=["bracket", "tol", "bracket-zero-tol", "zero-tol"])
 def test_rectify_rejects_bisection_settings_without_find_crossing(
-        tmp_path, monkeypatch, capsys, flags, config):
+        tmp_path, monkeypatch, capsys, flags):
     # the removed bisection settings are refused without --find-crossing
-    # too, from a flag or a config file, before any solve
+    # too, before any solve
     monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        flags = flags + ["--config", "run.cfg"]
     code = main(["rectify", "--delta-grid", "0.1,0.5", *flags])
     captured = capsys.readouterr()
     assert code == 1

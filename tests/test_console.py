@@ -71,12 +71,18 @@ def test_wire2_at_unit_dephasing_runs(tmp_path):
     assert _run(tmp_path, "ness", "--circuit", "wire2", "--delta", "1").returncode == 0
 
 
-def test_config_file_with_inline_comments(tmp_path):
-    (tmp_path / "ness.conf").write_text(
-        "circuit: wire2  # two sites\ndelta: 1e8  # strong dephasing\n")
-    proc = _run(tmp_path, "ness", "--config", "ness.conf")
-    assert proc.returncode == 0
-    assert "resistance   100000000.5" in proc.stdout.splitlines()
+@pytest.mark.parametrize("args", [
+    ["--config", "run.conf", "sweep-dephasing", "--circuit", "wire2"],
+    ["sweep-dephasing", "--circuit", "wire2", "--config", "run.conf"],
+], ids=["before-command", "after-command"])
+def test_config_option_is_a_usage_error(args, tmp_path):
+    # options come from flags alone: a file of defaults is refused
+    (tmp_path / "run.conf").write_text("delta-grid: 1,2\n")
+    proc = _run(tmp_path, *args)
+    assert proc.returncode == 1
+    _one_error_line(proc, "usage error: ")
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
 
 def test_parallel6_circuit_file_to_the_last_printed_digit(tmp_path):
