@@ -96,6 +96,55 @@ def test_flag_the_run_would_ignore_is_usage_error(argv, flags, capsys):
     assert capsys.readouterr().err == f"usage error: {flags}\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--solver", "quantum", "invalid choice: 'quantum' "
+     "(choose from 'direct', 'evolution')"),
+    ("--delta", "abc", "invalid float value: 'abc'"),
+    ("--t-max", "soon", "invalid float value: 'soon'"),
+], ids=["choice", "float", "float-only-with"])
+def test_bad_flag_value_names_the_flag(flag, value, message, capsys):
+    # refused by the parser, before any only_with rule or solve
+    assert main(["ness", "--circuit", "wire2", "--delta", "1",
+                 flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument {flag}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["calibrate", "--search", "nosuch"], "--search",
+     "invalid choice: 'nosuch' (choose from 'pentagon', 'additivity', "
+     "'funnel')"),
+    (["evolve", "--circuit", "wire2", "--delta", "1", "--initial", "bogus"],
+     "--initial",
+     "invalid choice: 'bogus' (choose from 'empty', 'uniform', 'source')"),
+    (["sweep-branches", "--m-max", "x"], "--m-max", "invalid int value: 'x'"),
+    (["entropy-trace", "--circuit", "wire2", "--samples", "2.5"],
+     "--samples", "invalid int value: '2.5'"),
+    (["calibrate", "--search", "additivity", "--max-n", "five"], "--max-n",
+     "invalid int value: 'five'"),
+], ids=["search", "initial", "m-max", "samples", "max-n"])
+def test_bad_flag_value_of_each_kind_names_the_flag(argv, flag, message,
+                                                    capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument {flag}: {message}\n"
+
+
+def test_equals_form_reads_as_the_spaced_form():
+    spaced = parse_config(["ness", "--circuit", "wire3", "--delta", "2.0"])
+    assert parse_config(["ness", "--circuit=wire3", "--delta=2.0"]) == spaced
+    assert (spaced.circuit, spaced.delta) == ("wire3", 2.0)
+
+
+def test_boolean_flags_are_off_unless_given():
+    cfg = parse_config(["rectify"])
+    assert (cfg.plot, cfg.find_crossing) == (False, False)
+    cfg = parse_config(["rectify", "--plot", "--find-crossing"])
+    assert (cfg.plot, cfg.find_crossing) == (True, True)
+
+
 def test_flags_that_apply_are_accepted():
     cfg = parse_config(["ness", "--circuit", "wire2", "--delta", "1",
                         "--solver", "evolution", "--tol", "1e-9"])
@@ -174,6 +223,51 @@ def test_top_level_help_lists_no_config(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "--config" not in capsys.readouterr().out
+
+
+#: a run of each command that parses, to which --config is added
+_MINIMAL = {
+    "ness": ["ness", "--circuit", "wire2", "--delta", "1"],
+    "evolve": ["evolve", "--circuit", "wire2", "--delta", "1"],
+    "sweep-branches": ["sweep-branches", "--m-max", "2"],
+    "sweep-dephasing": ["sweep-dephasing", "--circuit", "wire2"],
+    "rectify": ["rectify"],
+    "entropy-trace": ["entropy-trace", "--circuit", "wire2"],
+    "calibrate": ["calibrate", "--search", "pentagon"],
+}
+
+
+@pytest.mark.parametrize("form", [["--config", "run.conf"],
+                                  ["--config=run.conf"]],
+                         ids=["spaced", "equals"])
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_config_after_the_command_is_unrecognized(command, form, tmp_path,
+                                                  monkeypatch, capsys):
+    # no subparser declares --config: options come from flags alone
+    monkeypatch.chdir(tmp_path)
+    Path("run.conf").write_text("delta: 2\n")
+    assert main(_MINIMAL[command] + form) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: unrecognized arguments: {' '.join(form)}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+@pytest.mark.parametrize("form", [["--config", "run.conf"],
+                                  ["--config=run.conf"]],
+                         ids=["spaced", "equals"])
+def test_config_before_the_command_is_a_usage_error(form, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.conf").write_text("delta: 2\n")
+    assert main(form + _MINIMAL["ness"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "run.conf" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
 
 #: every default that a command's --help prints, by flag

@@ -44,6 +44,21 @@ def test_parse_rejects(mutation, message):
         parse_circuit_text(mutation(GOOD))
 
 
+@pytest.mark.parametrize("text, message", [
+    # keys are read lowercased, so N repeats n
+    (GOOD + "N: 4\n", "demo.circuit:8: duplicate field 'n'"),
+    (GOOD.replace("label: demo", "label demo"),
+     "demo.circuit:3: expected 'key: value', got 'label demo'"),
+    # a colon in a comment does not make the line a field
+    (GOOD.replace("label: demo", "label  # note: demo"),
+     "demo.circuit:3: expected 'key: value', got 'label  # note: demo'"),
+], ids=["repeated-key", "no-colon", "colon-in-comment"])
+def test_parse_names_origin_and_line(text, message):
+    with pytest.raises(CircuitFileError) as exc:
+        parse_circuit_text(text, origin="demo.circuit")
+    assert str(exc.value) == message
+
+
 def test_comments_collected_from_anywhere():
     text = GOOD.replace("source: 0", "source: 0  # trailing note")
     _, comments = parse_circuit_text(text)
