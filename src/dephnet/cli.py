@@ -186,8 +186,13 @@ def _build_parser() -> _Parser:
 def parse_config(argv) -> RunConfig:
     """Parse the command line: flags over the command's defaults. A flag
     the run would ignore (see _option) raises UsageError, and so does an
-    --out ending in .svg with --plot, whose chart would overwrite the
-    CSV."""
+    option placed before the command, and an --out ending in .svg with
+    --plot, whose chart would overwrite the CSV."""
+    # argparse would read the option's value as the command
+    flag = argv[0].split("=")[0] if argv else ""
+    if flag in map(_flag, _OPTION_FIELDS):
+        raise UsageError(f"{flag} is placed before the command; options "
+                         f"follow it: dephnet COMMAND {flag} ...")
     given = vars(_build_parser().parse_args(argv))
     command = given.pop("command")
     if command is None:

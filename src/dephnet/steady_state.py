@@ -4,7 +4,10 @@ The direct solver inverts the real system once at delta > 0 and
 refines the state by one step with that inverse; where dephasing damps
 enough Im-coherence coordinates faster than hopping moves them, every
 Im-coherence is eliminated first, so only the Schur complement on the
-Re coordinates is inverted. At delta = 0 it diagonalizes the n x n
+Re coordinates is inverted. At delta = 0 the verdict comes from one
+rule in integer arithmetic: an insulator iff the source vector lies
+outside the Krylov space of the sink, by a rank modulo a prime
+(_krylov_rank); the state is solved in the eigenbasis of the n x n
 operator K = H - i(g/2)|k><k| (see solve_ness_direct). Both solvers
 report the same three-way verdict: ``converged`` (a physical NESS was
 found), ``diverged`` (the device is insulating and piles up particles
@@ -55,7 +58,7 @@ from .generator import (
     empty_state,
     real_linear_system,
 )
-from .graphs import Circuit
+from .graphs import Circuit, laplacian_hamiltonian
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -80,16 +83,15 @@ BACKWARD_ERROR_TOL = 1e-10
 #: direct solution at delta > 0 (see solve_ness_direct). Against exact
 #: rational solves the true error is at most kappa eps.
 FORWARD_ERROR_FACTOR = 10.0
-#: At delta = 0: a mode of K with |Im lambda| at most this times
-#: max(1, max |lambda|) is undamped, and the source feeds it if its
-#: overlap exceeds this times the largest overlap.
-UNDAMPED_TOL = 1e-9
 #: At delta = 0: largest accepted cond_1(W)^2 eps, the error scale of a
 #: state computed in the eigenbasis W of K.
 EIGENBASIS_ERROR_TOL = 1e-8
-#: At delta = 0: the prime modulus of the Krylov rank that confirms an
-#: insulating verdict (see _krylov_rank), the Mersenne prime 2^61 - 1.
-KRYLOV_PRIME = 2 ** 61 - 1
+#: At delta = 0: the prime modulus of the Krylov rank that decides the
+#: verdict (see _krylov_rank), the largest prime below 2^28.
+KRYLOV_PRIME = 268_435_399
+#: Products of two residues modulo KRYLOV_PRIME summed at once: 128
+#: products of at most (p - 1)^2 stay below 2^63, so no int64 overflows.
+KRYLOV_CHUNK = (2 ** 63 - 1) // (KRYLOV_PRIME - 1) ** 2
 
 #: Time span of one evolution window, and the samples taken in it: the
 #: evolution solver runs whole windows only, checks stationarity at the
@@ -355,12 +357,14 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
 
     delta = 0: the equation reduces to K rho - rho K^+ = -i S |s><s| with
     K = H - i(g/2)|k><k|, solved in the eigenbasis of K (see
-    _solve_coherent). The device is an insulator (``diverged``) iff an
-    undamped mode of K (real eigenvalue) overlaps the source, a verdict
-    that an exact Krylov rank confirms before it is returned; undamped
-    modes the source does not feed, such as the antisymmetric modes of
-    parallel branches, stay empty, which is the state the dynamics reach
-    from the empty device.
+    _solve_coherent). The verdict has one rule, in integer arithmetic:
+    the device is an insulator (``diverged``) iff e_s is not in the
+    Krylov space K(H, e_k), by a rank modulo a prime (_krylov_rank),
+    which also counts the undamped modes of K (real eigenvalue). The
+    floats only pick which modes those are, the ones with the smallest
+    |Im lambda|. They stay empty: in a conductor the source does not
+    feed them (such as the antisymmetric modes of parallel branches),
+    which is the state the dynamics reach from the empty device.
 
     residual is the max-norm stationarity defect of the returned state
     (of the state with the insulating modes left empty, for a
@@ -479,28 +483,17 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
     """solve_ness_direct at delta = 0, in the eigenbasis of K.
 
     With K = W diag(lambda) W^-1 and v = W^-1 e_s, rho = W X W^+ where
-    X_ab = -i S v_a conj(v_b) / (lambda_a - conj(lambda_b)). A mode with
-    |Im lambda_a| <= UNDAMPED_TOL max(1, max |lambda|) is undamped; it
-    makes the device an insulator if |v_a| > UNDAMPED_TOL max |v|, and is
-    left empty otherwise. The state's error grows like cond(W)^2 eps, so
-    an eigenbasis with cond_1(W)^2 eps > EIGENBASIS_ERROR_TOL (close to an
-    exceptional point of K) raises UnphysicalSolutionError; a W that
-    numpy cannot invert counts as cond = inf and raises the same way.
-
-    That float test can only err towards "insulating": with cond_1(W)^2
-    eps <= EIGENBASIS_ERROR_TOL a computed |Im lambda| moves by about
-    cond(W) eps |K| (Bauer-Fike), far below the threshold, so a mode it
-    calls damped is damped. But on larger graphs a mode the source feeds
-    can be damped more weakly than UNDAMPED_TOL. So an "insulating"
-    verdict, and only that one, is confirmed by _krylov_rank: the device
-    insulates iff e_s is not in K(H, e_k), whose dimension r leaves
-    exactly n - r modes undamped. Where the rank finds that the device
-    conducts, the n - r modes with the smallest |Im lambda| are left
-    empty and the state is solved as above. A converged verdict still
-    rests on floats: a truly undamped fed mode whose overlap is below
-    UNDAMPED_TOL relative would be left empty, which the backward-error
-    check catches only where it leaves a larger defect; no such case is
-    known.
+    X_ab = -i S v_a conj(v_b) / (lambda_a - conj(lambda_b)). The verdict
+    has one rule, _krylov_rank, run once per solve: the device insulates
+    iff e_s is not in K(H, e_k), and exactly n - r of its modes are
+    undamped, r = dim K(H, e_k). The floats only order the modes: the
+    n - r with the smallest |Im lambda| are left empty. Where e_s lies
+    in K(H, e_k), leaving them empty drops nothing: every undamped mode
+    lies in its orthogonal complement and has zero source amplitude. The
+    state's error grows like cond(W)^2 eps, so an eigenbasis with
+    cond_1(W)^2 eps > EIGENBASIS_ERROR_TOL (close to an exceptional point
+    of K) raises UnphysicalSolutionError; a W that numpy cannot invert
+    counts as cond = inf and raises the same way.
     """
     sink = g.circuit.sink
     k_op = g.H.copy()
@@ -517,18 +510,10 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
             f"eigenbasis of the delta = 0 system is ill-conditioned "
             f"(condition number {cond:.3e}); K is close to an exceptional "
             f"point")
-    v = w_inv[:, g.circuit.source]
-    undamped = np.abs(lam.imag) <= UNDAMPED_TOL * max(1.0, float(np.abs(lam).max()))
-    insulating = bool((np.abs(v[undamped]) > UNDAMPED_TOL * np.abs(v).max()).any())
-    if insulating:
-        rank, fed = _krylov_rank(g.circuit)
-        if fed:
-            # a fed mode is damped more weakly than UNDAMPED_TOL: exactly
-            # n - rank modes are undamped, those with the smallest |Im lambda|
-            undamped = np.zeros(len(lam), dtype=bool)
-            undamped[np.argsort(np.abs(lam.imag), kind="stable")[:len(lam) - rank]] = True
-            insulating = False
-    v = np.where(undamped, 0.0, v)
+    rank, fed = _krylov_rank(g.circuit)
+    undamped = np.zeros(len(lam), dtype=bool)
+    undamped[np.argsort(np.abs(lam.imag), kind="stable")[:len(lam) - rank]] = True
+    v = np.where(undamped, 0.0, w_inv[:, g.circuit.source])
     denom = lam[:, None] - lam.conj()[None, :]
     denom[undamped[:, None] & undamped[None, :]] = 1.0  # numerator is 0
     x = -1j * SOURCE_FLUX * np.outer(v, v.conj()) / denom
@@ -538,7 +523,7 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
     scale = float(np.abs(rho).max())
     eta = residual / (2.0 * float(np.linalg.norm(k_op, np.inf)) * scale
                       + SOURCE_FLUX)
-    if insulating:
+    if not fed:
         return SteadyStateResult(DIVERGED, None, residual, "direct",
                                  backward_error=eta, condition=cond)
     return _accept(g, rho, residual, eta, cond, scale)
@@ -554,42 +539,52 @@ def _krylov_rank(c: Circuit) -> tuple[int, bool]:
     undamped modes of K at delta = 0. The device insulates at delta = 0
     iff e_s is not in K(H, e_k).
 
-    Computed in pure Python integers modulo the prime p = KRYLOV_PRIME:
-    H is applied from adjacency lists, each new Krylov vector is reduced
-    against an echelon basis, the sequence stops at the first that
-    reduces to zero, and then e_s is reduced against that basis.
+    Computed in numpy int64 modulo the prime p = KRYLOV_PRIME < 2^28,
+    against a fully reduced echelon basis (each row is 1 at its own
+    pivot and 0 at every other): a Krylov vector v is reduced by
+    v - v[pivots] @ basis, a new row clears its pivot from the others by
+    one rank-1 update, and H is applied to it for the next Krylov
+    vector, until one reduces to zero. Then e_s is reduced the same way.
+    Every residue is below p, so an entry of H v is below 2 n p, a
+    product of two residues below 2^56, and _modular_product sums
+    KRYLOV_CHUNK of those at a time below 2^63.
     Guarantee: the answer is exact over GF(p), and it equals the
     rational one unless p divides every nonzero maximal minor of the
     integer Krylov matrix [e_k, H e_k, ..., H^(n-1) e_k], or of that
     matrix with e_s appended. One prime is strong evidence, not a proof;
-    no circuit where the two differ is known, and on every circuit of
-    the atlas with n <= 6 the result equals exact rational elimination.
+    no circuit where the two differ is known, the result equals exact
+    rational elimination on every circuit of the atlas with n <= 6, and
+    the prime 2^61 - 1 gives the same on 20 to 100 sites.
     """
-    p, n, sink = KRYLOV_PRIME, c.graph.n, c.sink
-    neighbours = [np.flatnonzero(row).tolist() for row in c.graph.adjacency]
-    # (pivot, vector): vector[pivot] = 1 and vector is 0 at every
-    # earlier pivot
-    basis: list[tuple[int, list[int]]] = []
+    p, n = KRYLOV_PRIME, c.graph.n
+    h = laplacian_hamiltonian(c.graph).astype(np.int64)
+    basis = np.zeros((n, n), dtype=np.int64)
+    pivots: list[int] = []
 
-    def reduce(v: list[int]) -> list[int]:
-        for q, b in basis:
-            if v[q]:
-                x = v[q]
-                v = [(vi - x * bi) % p for vi, bi in zip(v, b)]
-        return v
+    def reduce(v: np.ndarray) -> np.ndarray:
+        return (v - _modular_product(v[pivots], basis[:len(pivots)])) % p
 
-    v = [int(i == sink) for i in range(n)]
-    while True:
-        v = reduce(v)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            break
-        inverse = pow(v[pivot], p - 2, p)
-        v = [x * inverse % p for x in v]
-        basis.append((pivot, v))
-        v = [(len(nb) * v[i] - sum(v[j] for j in nb)) % p
-             for i, nb in enumerate(neighbours)]
-    return len(basis), not any(reduce([int(i == c.source) for i in range(n)]))
+    unit = np.eye(n, dtype=np.int64)
+    v = unit[c.sink]
+    while (nonzero := np.flatnonzero(v)).size:
+        q, r = int(nonzero[0]), len(pivots)
+        v = v * pow(int(v[q]), p - 2, p) % p
+        basis[:r] = (basis[:r] - np.outer(basis[:r, q], v)) % p
+        basis[r] = v
+        pivots.append(q)
+        v = reduce(h @ v % p)
+    return len(pivots), not reduce(unit[c.source]).any()
+
+
+def _modular_product(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m modulo KRYLOV_PRIME, for int64 residues in [0, p): the
+    products are summed KRYLOV_CHUNK rows at a time, so no partial sum
+    overflows."""
+    p, k = KRYLOV_PRIME, KRYLOV_CHUNK
+    total = x[:k] @ m[:k] % p
+    for i in range(k, len(x), k):
+        total += x[i:i + k] @ m[i:i + k] % p
+    return total % p
 
 
 def _accept(g: Generator, rho: np.ndarray, residual: float, eta: float,

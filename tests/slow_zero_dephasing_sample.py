@@ -3,11 +3,15 @@
     PYTHONPATH=src python -m pytest -q tests/slow_zero_dephasing_sample.py
 
 The delta = 0 verdicts on 24 seeded random connected graphs of 20 to
-100 sites, plus wire100 and parallel m = 98. The float test alone calls
-11 of the random graphs insulating; six of them conduct, and the Krylov
-rank turns them `converged`. Takes a few seconds: only the 20-site
-conductor is also solved at delta = 1e-13, since the dense path at that
-delta takes about 50 s and 3 GB at 100 sites.
+100 sites, plus wire100 and parallel m = 98. A float threshold of 1e-9
+on |Im lambda| calls 11 of the random graphs insulating; six of them
+conduct through a fed mode damped more weakly than that, and the exact
+Krylov rank says `converged`. On all 26 graphs the package's rank
+modulo 268,435,399 agrees with the pure-Python one modulo 2^61 - 1
+(tests/python_krylov.py), a second, independent prime. Takes a few
+seconds: only the 20-site conductor is also solved at delta = 1e-13,
+since the dense path at that delta takes about 50 s and 3 GB at 100
+sites.
 """
 import numpy as np
 import pytest
@@ -15,9 +19,11 @@ import pytest
 from dephnet import (CONVERGED, DIVERGED, Circuit, assemble_generator,
                      build_graph, make_parallel_circuit, make_wire, resistance,
                      solve_ness_direct)
+from dephnet.steady_state import _krylov_rank
+from python_krylov import python_krylov_rank
 
 #: (n, edges) of the six conductors whose fed mode is damped more
-#: weakly than UNDAMPED_TOL, with R(0) from the rank-confirmed solve
+#: weakly than 1e-9 |K|, with R(0) from the exact verdict
 WEAKLY_DAMPED = {(20, 39): 81836.4, (70, 70): 1365.99, (70, 86): 428.956,
                  (100, 99): 5.09595e7, (100, 100): 260.340,
                  (100, 149): 92669.1}
@@ -62,3 +68,14 @@ def test_large_shipped_families_conduct_at_zero_dephasing(c):
     res = solve_ness_direct(assemble_generator(c, 0.0))
     assert res.status == CONVERGED
     assert 0 < resistance(res, c) < float("inf")
+
+
+@pytest.mark.parametrize("c", [*_sample(), make_wire(100),
+                               make_parallel_circuit(98)],
+                         ids=lambda c: f"n{c.graph.n}-{len(c.graph.edges)}")
+def test_two_primes_agree(c):
+    rank = _krylov_rank(c)
+    assert python_krylov_rank(c) == rank
+    # the verdict is the rank's membership of e_s
+    status = solve_ness_direct(assemble_generator(c, 0.0)).status
+    assert status == (CONVERGED if rank[1] else DIVERGED)

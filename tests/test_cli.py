@@ -78,6 +78,21 @@ def test_missing_command_is_usage_error():
         parse_config([])
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--delta", "1", "ness", "--circuit", "wire2"], "--delta"),
+    (["--delta=1", "ness", "--circuit", "wire2"], "--delta"),
+    (["--plot", "sweep-dephasing", "--circuit", "wire2"], "--plot"),
+], ids=["spaced", "equals", "switch"])
+def test_option_before_the_command_is_named(argv, flag, capsys):
+    # argparse alone would report the option's value as an invalid command
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: {flag} is placed before the "
+                            f"command; options follow it: dephnet COMMAND "
+                            f"{flag} ...\n")
+
+
 # --- option rules -----------------------------------------------------------
 
 

@@ -85,6 +85,20 @@ def test_config_option_is_a_usage_error(args, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
 
+def test_option_before_the_command_is_named(tmp_path):
+    proc = _run(tmp_path, "--delta", "1", "ness", "--circuit", "wire2")
+    assert proc.returncode == 1
+    _one_error_line(proc, "usage error: --delta is placed before the command")
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_top_level_help_exits_zero(tmp_path):
+    proc = _run(tmp_path, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dephnet")
+
+
 def test_parallel6_circuit_file_to_the_last_printed_digit(tmp_path):
     # exact R = 1.40949820788530...
     (tmp_path / "parallel6.circuit").write_text(PARALLEL6)

@@ -9,6 +9,7 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from dephnet import (CONVERGED, DIVERGED, Circuit, UnphysicalSolutionError,
                      assemble_generator, build_graph, laplacian_hamiltonian,
@@ -18,8 +19,11 @@ from dephnet import (CONVERGED, DIVERGED, Circuit, UnphysicalSolutionError,
 from dephnet.generator import (GAMMA_BATH, REDUCED, SOURCE_FLUX, Generator,
                                _hermitian_coords, real_linear_system)
 from dephnet import steady_state
-from dephnet.steady_state import _dephased_inverse, _krylov_rank
+from dephnet.steady_state import (KRYLOV_CHUNK, KRYLOV_PRIME,
+                                  _dephased_inverse, _krylov_rank,
+                                  _modular_product)
 from exact_oracle import exact_resistance
+from python_krylov import python_krylov_rank
 from test_exact_oracle import WEAK_LIMITS
 
 
@@ -479,7 +483,8 @@ def test_krylov_rank_matches_exact_rational_rank_on_the_atlas():
 
 
 #: Item 1 of the roadmap: a 20-site conductor whose fed mode is damped
-#: more weakly (|Im lambda| ~ 1e-11) than UNDAMPED_TOL.
+#: weakly (|Im lambda| ~ 1e-11), which a float threshold of 1e-9 on
+#: |Im lambda| took for an undamped one.
 WEAKLY_DAMPED_20 = (20, [
     (0, 1), (0, 2), (0, 6), (0, 7), (0, 8), (0, 15), (0, 19), (1, 4), (1, 5),
     (1, 6), (2, 3), (2, 10), (2, 13), (3, 6), (3, 7), (3, 9), (3, 12), (3, 16),
@@ -493,18 +498,72 @@ def test_weakly_damped_conductor_converges_at_zero_dephasing():
     c = Circuit(build_graph(n, edges), source, sink)
     res = solve_ness_direct(assemble_generator(c, 0.0))
     assert res.status == CONVERGED
-    # R(1e-13) = 81,810.8; exact R(2^-40) = 81,604.3
-    assert resistance(res, c) == pytest.approx(81836, rel=1e-3)
+    # exact R(0) = 81,836.36203025...; the solve is within 6e-12 of it
+    exact = float(exact_resistance(c, 0.0))
+    assert exact == pytest.approx(81836.36203025, rel=1e-12)
+    assert resistance(res, c) == pytest.approx(exact, rel=1e-10)
     assert _krylov_rank(c) == (20, True)
 
 
-def test_converged_zero_dephasing_solve_never_runs_the_rank(monkeypatch):
+def test_every_zero_dephasing_solve_runs_the_rank_once(monkeypatch):
     calls = []
     monkeypatch.setattr(steady_state, "_krylov_rank",
                         lambda c: calls.append(c) or _krylov_rank(c))
-    for c in (make_parallel_circuit(3), make_wire(4), *make_additivity_pair()):
-        assert solve_ness_direct(assemble_generator(c, 0.0)).status == CONVERGED
-    assert calls == []
-    # an insulator runs it once, and keeps its verdict
-    assert solve_ness_direct(assemble_generator(make_pentagon(), 0.0)).status == DIVERGED
-    assert len(calls) == 1
+    circuits = (make_parallel_circuit(3), make_wire(4), *make_additivity_pair(),
+                make_pentagon())
+    for c in circuits:
+        before = len(calls)
+        status = solve_ness_direct(assemble_generator(c, 0.0)).status
+        assert calls[before:] == [c]
+        assert status == (DIVERGED if c.label == "pentagon" else CONVERGED)
+    for c in circuits:
+        solve_ness_direct(assemble_generator(c, 0.5))
+    assert len(calls) == len(circuits)
+
+
+@st.composite
+def _connected_circuits(draw, max_n: int = 10):
+    """A random tree on n <= max_n sites, extra edges, and a source and
+    sink apart."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    tree = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    source = draw(st.integers(0, n - 1))
+    sink = draw(st.integers(0, n - 1).filter(lambda k: k != source))
+    return Circuit(build_graph(n, sorted(tree | set(extra))), source, sink)
+
+
+@given(_connected_circuits())
+@settings(max_examples=60, deadline=None)
+def test_zero_dephasing_verdict_is_krylov_membership(c):
+    # the device conducts at delta = 0 iff e_s lies in K(H, e_k), by
+    # exact rational elimination
+    r, members = _fraction_krylov(c.graph, c.sink)
+    res = solve_ness_direct(assemble_generator(c, 0.0))
+    assert res.status == (CONVERGED if members[c.source] else DIVERGED)
+    assert _krylov_rank(c) == (r, members[c.source])
+
+
+def test_modular_product_at_the_overflow_bound():
+    # every residue p - 1, so each chunk of KRYLOV_CHUNK products is as
+    # large as it can be; the int64 sum equals Python's unbounded one
+    p, k = KRYLOV_PRIME, KRYLOV_CHUNK
+    assert k * (p - 1) ** 2 < 2 ** 63 <= (k + 1) * (p - 1) ** 2
+    for rows in (k, k + 1, 3 * k + 5):
+        x = np.full(rows, p - 1, dtype=np.int64)
+        m = np.full((rows, 4), p - 1, dtype=np.int64)
+        m[:, 1] = np.arange(rows) % p
+        exact = [sum(int(a) * int(b) for a, b in zip(x, m[:, j])) % p
+                 for j in range(4)]
+        assert _modular_product(x, m).tolist() == exact
+
+
+@pytest.mark.parametrize("c", [make_wire(130), _random_circuit(3, 140),
+                               _random_circuit(4, 140)],
+                         ids=["wire130", "random140-fed", "random140-unfed"])
+def test_int64_rank_equals_python_rank_past_one_chunk(c):
+    # a rank above KRYLOV_CHUNK sums more than one chunk of products
+    rank = _krylov_rank(c)
+    assert rank[0] > KRYLOV_CHUNK
+    assert python_krylov_rank(c, KRYLOV_PRIME) == rank
