@@ -32,8 +32,7 @@ from .generator import assemble_generator, empty_state
 from .graphs import Circuit
 from .observables import (conductance, current_out, relative_entropy_coherence,
                           resistance, voltage)
-from .output import (AxesSpec, _finite_points, render_chart, write_records,
-                     write_table)
+from .output import AxesSpec, render_chart, write_records, write_table
 from .registry import builtin_names, resolve_circuit
 from .steady_state import (CONVERGED, DIVERGED, WINDOW, evolve,
                            solve_ness_by_evolution, solve_ness_direct)
@@ -189,10 +188,17 @@ def parse_config(argv) -> RunConfig:
     option placed before the command, and an --out ending in .svg with
     --plot, whose chart would overwrite the CSV."""
     # argparse would read the option's value as the command
-    flag = argv[0].split("=")[0] if argv else ""
+    token = argv[0] if argv else ""
+    flag = token.split("=")[0]
     if flag in map(_flag, _OPTION_FIELDS):
         raise UsageError(f"{flag} is placed before the command; options "
                          f"follow it: dephnet COMMAND {flag} ...")
+    # an option no command declares, named as argparse names it after the
+    # command; "-", "--" and -h/--help (abbreviated too) pass to argparse
+    if token.startswith("-") and flag != "-h" and not "--help".startswith(flag):
+        value = [v for v in argv[1:2] if "=" not in token
+                 and v not in _COMMANDS and not v.startswith("-")]
+        raise UsageError(f"unrecognized arguments: {' '.join([token, *value])}")
     given = vars(_build_parser().parse_args(argv))
     command = given.pop("command")
     if command is None:
@@ -217,13 +223,17 @@ def _require(cfg: RunConfig, name: str):
     return value
 
 
-def _maybe_chart(cfg: RunConfig, rows, axes: AxesSpec, csv_path: Path) -> None:
+def _maybe_chart(cfg: RunConfig, series: dict, axes: AxesSpec,
+                 csv_path: Path) -> None:
+    """With --plot, chart series (see render_chart) next to the CSV, or
+    name the reason the chart is omitted."""
     if not cfg.plot:
         return
     chart = csv_path.with_suffix(".svg")
-    if render_chart(rows, axes, chart):
+    if render_chart(series, axes, chart):
         print(f"chart  {chart}")
-    elif any(_finite_points(rows, axes)):
+    elif any(math.isfinite(x) and math.isfinite(y)
+             for points in series.values() for x, y in points):
         print("chart  omitted: no finite point is positive on its log axes")
     else:
         print("chart  omitted: no point is finite on both axes")
@@ -305,8 +315,10 @@ def _cmd_sweep_branches(cfg: RunConfig) -> int:
     path = Path(cfg.out)
     write_records(records, path)
     print(f"wrote  {path} ({len(records)} rows)")
-    _maybe_chart(cfg, records, AxesSpec(
-        x_field="branches", y_field="G", series_field="delta",
+    by_delta: dict = {}
+    for r in records:
+        by_delta.setdefault(r.delta, []).append((r.branches, r.G))
+    _maybe_chart(cfg, by_delta, AxesSpec(
         x_label="branch count m", y_label="conductance G",
         title="Conductance vs parallel branches"), path)
     return 0
@@ -319,10 +331,9 @@ def _cmd_sweep_dephasing(cfg: RunConfig) -> int:
     write_records(records, path)
     converged = sum(r.status == CONVERGED for r in records)
     print(f"wrote  {path} ({len(records)} rows, {converged} converged)")
-    _maybe_chart(cfg, records, AxesSpec(
-        x_field="delta", y_field="R", x_label="dephasing rate",
-        y_label="resistance R", title=f"Resistance vs dephasing: "
-                                      f"{c.label or cfg.circuit}",
+    _maybe_chart(cfg, {None: [(r.delta, r.R) for r in records]}, AxesSpec(
+        x_label="dephasing rate", y_label="resistance R",
+        title=f"Resistance vs dephasing: {c.label or cfg.circuit}",
         log_x=True, log_y=True), path)
     return 0
 
@@ -333,11 +344,9 @@ def _cmd_rectify(cfg: RunConfig) -> int:
     path = Path(cfg.out)
     write_records(records, path)
     print(f"wrote  {path} ({len(records)} rows)")
-    rows = [{"delta": d, "ratio": r} for d, r in series]
-    _maybe_chart(cfg, rows, AxesSpec(
-        x_field="delta", y_field="ratio", x_label="dephasing rate",
-        y_label="forward R / reverse R", title="Rectification ratio",
-        log_x=True, guideline_y=1.0), path)
+    _maybe_chart(cfg, {None: series}, AxesSpec(
+        x_label="dephasing rate", y_label="forward R / reverse R",
+        title="Rectification ratio", log_x=True, guideline_y=1.0), path)
 
     for lo, hi in _ratio_flips(series):
         print(f"ratio crosses 1 between delta {lo:.6g} and {hi:.6g}")
@@ -354,10 +363,8 @@ def _cmd_entropy_trace(cfg: RunConfig) -> int:
     path = Path(cfg.out)
     write_table(zip(times, values), ("t", "coherence"), path)
     print(f"wrote  {path} ({len(times)} samples)")
-    rows = [{"t": t, "coherence": v} for t, v in zip(times, values)]
-    _maybe_chart(cfg, rows, AxesSpec(
-        x_field="t", y_field="coherence", x_label="time",
-        y_label="coherence content",
+    _maybe_chart(cfg, {None: list(zip(times, values))}, AxesSpec(
+        x_label="time", y_label="coherence content",
         title=f"Coherence vs time: {c.label or cfg.circuit}"), path)
     print(f"peak coherence  {max(values):.12g}")
     return 0

@@ -118,8 +118,12 @@ def _run_points(points: Sequence[tuple]) -> list[SweepRecord]:
 def sweep_branch_count(m_max: int, deltas: Sequence[float] = BRANCH_DELTAS,
                        branch_length: int = 1) -> list[SweepRecord]:
     """Conductance of the parallel family: one record per (m, delta).
-    m_max must be an integer of at least 2, or UsageError is raised."""
+    m_max must be an integer of at least 2 and the grid not empty, or
+    UsageError is raised."""
     require_count(m_max, "m_max of the branch sweep", 2)
+    deltas = tuple(deltas)  # read once, so an iterator is not used up
+    if not deltas:
+        raise UsageError("branch sweep needs at least one delta")
     points = [(make_parallel_circuit(m, branch_length), d, "forward", m)
               for d in deltas for m in range(1, m_max + 1)]
     return _run_points(points)

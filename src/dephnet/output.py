@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,12 +46,9 @@ def write_table(rows, columns: Sequence[str], path) -> None:
 
 @dataclass(frozen=True)
 class AxesSpec:
-    """What to plot: field names on each axis, optional series grouping,
-    axis scales, and an optional horizontal guideline."""
+    """How to draw a chart: title, axis labels, axis scales, and an
+    optional horizontal guideline."""
 
-    x_field: str
-    y_field: str
-    series_field: str | None = None
     x_label: str = ""
     y_label: str = ""
     title: str = ""
@@ -66,27 +63,10 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
 
 
-def _get(row, field):
-    if isinstance(row, dict):
-        return row[field]
-    return getattr(row, field)
-
-
-def _finite_points(records: Sequence, axes: AxesSpec):
-    """Yield (series key, x, y) of every row whose x and y are finite; a
-    y of None, as a missing coherence, is not."""
-    for row in records:
-        key = _get(row, axes.series_field) if axes.series_field else ""
-        x = float(_get(row, axes.x_field))
-        y_raw = _get(row, axes.y_field)
-        y = math.nan if y_raw is None else float(y_raw)
-        if math.isfinite(x) and math.isfinite(y):
-            yield key, x, y
-
-
-def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
-    """Write a line chart; one series per value of axes.series_field,
-    in ascending order of that value.
+def render_chart(series: Mapping, axes: AxesSpec, path) -> bool:
+    """Write a line chart of series, a mapping from legend label to that
+    series' (x, y) points; series are drawn in ascending label order,
+    and a lone series labelled None draws no legend.
 
     Non-finite points (diverged rows) are dropped, and so are points at
     or below 0 on a log axis; if nothing plottable remains, no file is
@@ -95,12 +75,14 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
     written.
     """
     groups: dict = {}
-    # in order of the raw (x, y): log10 may round two x values together
-    points = sorted(_finite_points(records, axes), key=lambda p: p[1:])
-    for key, x, y in points:
-        x, y = _scaled(x, axes.log_x), _scaled(y, axes.log_y)
-        if x is not None and y is not None:
-            groups.setdefault(key, []).append((x, y))
+    for label, points in series.items():
+        # filter before sorting: NaN has no place in a sort order; sort
+        # the raw (x, y), since log10 may round two x values together
+        for x, y in sorted((float(x), float(y)) for x, y in points
+                           if math.isfinite(x) and math.isfinite(y)):
+            x, y = _scaled(x, axes.log_x), _scaled(y, axes.log_y)
+            if x is not None and y is not None:
+                groups.setdefault(label, []).append((x, y))
     if not groups:
         return False
     guide = _scaled(axes.guideline_y, axes.log_y)
@@ -154,7 +136,7 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
                      f'stroke="#888888" stroke-dasharray="5,4" '
                      f'class="guideline"/>')
 
-    for idx, (key, pts) in enumerate(sorted(groups.items())):
+    for idx, (label, pts) in enumerate(sorted(groups.items())):
         color = _PALETTE[idx % len(_PALETTE)]
         if len(pts) >= 2:
             coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
@@ -164,13 +146,13 @@ def render_chart(records: Sequence, axes: AxesSpec, path) -> bool:
             x, y = pts[0]
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3.5" '
                          f'fill="{color}"/>')
-        if axes.series_field:
+        if label is not None:
             ly = _MARGIN_T + 16 * idx + 10
             parts.append(f'<rect x="{_WIDTH - _MARGIN_R - 110}" y="{ly - 8}" '
                          f'width="10" height="10" fill="{color}"/>')
             parts.append(f'<text x="{_WIDTH - _MARGIN_R - 95}" y="{ly + 1}" '
                          f'font-size="11" font-family="sans-serif">'
-                         f'{_escape(str(key))}</text>')
+                         f'{_escape(str(label))}</text>')
     parts.append("</svg>")
     Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
     return True

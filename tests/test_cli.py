@@ -269,20 +269,31 @@ def test_config_after_the_command_is_unrecognized(command, form, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
 
-@pytest.mark.parametrize("form", [["--config", "run.conf"],
-                                  ["--config=run.conf"]],
-                         ids=["spaced", "equals"])
-def test_config_before_the_command_is_a_usage_error(form, tmp_path,
+@pytest.mark.parametrize("form, named", [
+    (["--config", "run.conf"], "--config run.conf"),
+    (["--config=run.conf"], "--config=run.conf"),
+    (["--verbose"], "--verbose"),
+    # the next token is named only when it is neither an option nor a command
+    (["--verbose", "--config", "run.conf"], "--verbose"),
+], ids=["spaced", "equals", "switch", "option-follows"])
+def test_config_before_the_command_is_a_usage_error(form, named, tmp_path,
                                                     monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("run.conf").write_text("delta: 2\n")
     assert main(form + _MINIMAL["ness"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error: ")
-    assert "run.conf" in captured.err
-    assert len(captured.err.splitlines()) == 1
+    # as argparse reports an option that no command declares after it
+    assert captured.err == f"usage error: unrecognized arguments: {named}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_before_the_command_still_prints_help(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "ness"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dephnet")
 
 
 #: every default that a command's --help prints, by flag

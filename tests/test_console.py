@@ -3,8 +3,11 @@ per check, through __main__ and its exit code. These are the checks the
 CI workflow's console step made, each with its exact assertion: the
 stdout line, the exit code, the one stderr line, no Traceback, and no
 file written. Every process runs in its own temporary directory, with
-this test run's dephnet first on its path.
+this test run's dephnet first on its path. One check runs its command
+through the benchmark's bench/cli_child.py instead, so that a tracer
+hook on the output functions that no longer matches them fails here.
 """
+import json
 import math
 import os
 import re
@@ -26,9 +29,14 @@ PARALLEL6 = ("n: 8\nedges: 0-1 0-2 0-3 0-4 0-5 0-6 1-7 2-7 3-7 4-7 5-7 6-7\n"
              "source: 0\nsink: 7\n")
 
 
-def _run(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+#: the benchmark's scripts, run here only to check its tracer's hooks
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _run(cwd: Path, *args: str, program=("-m", "dephnet")
+         ) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=_PATH)
-    return subprocess.run([sys.executable, "-m", "dephnet", *args], cwd=cwd,
+    return subprocess.run([sys.executable, *program, *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -80,7 +88,7 @@ def test_config_option_is_a_usage_error(args, tmp_path):
     (tmp_path / "run.conf").write_text("delta-grid: 1,2\n")
     proc = _run(tmp_path, *args)
     assert proc.returncode == 1
-    _one_error_line(proc, "usage error: ")
+    assert proc.stderr == "usage error: unrecognized arguments: --config run.conf\n"
     assert proc.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
@@ -148,6 +156,21 @@ def test_evolution_pentagon_diverges_with_exit_two(tmp_path):
                 "--solver", "evolution")
     assert proc.returncode == 2
     assert "status    diverged" in proc.stdout.splitlines()
+
+
+def test_benchmark_tracer_counts_the_bytes_output_writes(tmp_path):
+    # the benchmark's output.bytes_written reads write_records' path
+    # (second argument), render_chart's path (third) and its boolean
+    # result; a hook that no longer matches them reads 0 bytes
+    proc = _run(tmp_path, "spans.json", "sweep-dephasing", "--circuit",
+                "pentagon", "--plot", program=(str(_BENCH / "cli_child.py"),))
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    written = {name: attrs["bytes"] for _, _, name, _, _, attrs in spans
+               if name in ("output.write_records", "output.render_chart")}
+    assert written == {
+        "output.write_records": (tmp_path / "dephasing_sweep.csv").stat().st_size,
+        "output.render_chart": (tmp_path / "dephasing_sweep.svg").stat().st_size}
 
 
 def test_chart_omitted_with_its_cause_on_stdout(tmp_path):

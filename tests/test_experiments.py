@@ -87,10 +87,13 @@ def test_sweeps_refuse_an_empty_grid_and_read_an_iterator_once():
         rectification_sweep(())
     with pytest.raises(UsageError, match="at least one delta"):
         dephasing_sweep(make_wire(2), iter(()))
+    with pytest.raises(UsageError, match="at least one delta"):
+        sweep_branch_count(3, deltas=())
     # the emptiness test must not use up a grid given as an iterator
     records, series = rectification_sweep(iter((0.1, 0.5)))
     assert len(records) == 4 and [d for d, _ in series] == [0.1, 0.5]
     assert len(dephasing_sweep(make_wire(2), iter((1.0, 2.0)))) == 2
+    assert len(sweep_branch_count(3, deltas=iter((0.0, 1.0)))) == 6
 
 
 def test_rectification_series_alignment():

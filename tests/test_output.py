@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import warnings
 
@@ -10,13 +11,13 @@ from dephnet.experiments import dephasing_sweep, sweep_branch_count
 from dephnet.output import CSV_HEADER
 
 
-def _converged(label="wire2", delta=0.0, branches=None, r=0.5):
-    return SweepRecord(label, delta, "forward", branches, R=r, G=1.0 / r,
+def _converged(r=0.5):
+    return SweepRecord("wire2", 0.0, "forward", None, R=r, G=1.0 / r,
                        coherence=0.25, status="converged")
 
 
-def _diverged(label="pentagon", delta=0.0):
-    return SweepRecord(label, delta, "forward", None, R=math.inf, G=0.0,
+def _diverged():
+    return SweepRecord("pentagon", 0.0, "forward", None, R=math.inf, G=0.0,
                        coherence=None, status="diverged")
 
 
@@ -92,110 +93,114 @@ def test_csv_byte_identical_across_runs(tmp_path):
 
 
 def test_chart_polyline_per_series(tmp_path):
-    records = [_converged(delta=0.0, branches=m, r=1.0 / m)
-               for m in range(1, 5)]
-    records += [_converged(delta=1.0, branches=m, r=2.0 / m)
-                for m in range(1, 5)]
+    series = {0.0: [(m, m / 1.0) for m in range(1, 5)],
+              1.0: [(m, m / 2.0) for m in range(1, 5)]}
     path = tmp_path / "chart.svg"
-    assert render_chart(records, AxesSpec(x_field="branches", y_field="G",
-                                          series_field="delta"), path)
+    assert render_chart(series, AxesSpec(), path)
     svg = path.read_text()
     assert svg.count("<polyline") == 2
     assert "<svg" in svg and svg.rstrip().endswith("</svg>")
 
 
+def _legend(svg: str) -> list[str]:
+    # legend entries, unlike tick labels, sit at integer coordinates
+    return re.findall(r'<text x="\d+" y="\d+" font-size="11" '
+                      r'font-family="sans-serif">([^<]*)</text>', svg)
+
+
 def test_chart_legend_follows_series_values(tmp_path):
     # ordered as numbers, 5.0 comes before 20.0; as strings it would not
-    deltas = (20.0, 0.0, 5.0, 0.5)
-    records = [_converged(delta=d, branches=m, r=(1.0 + d) / m)
-               for d in deltas for m in (1, 2)]
+    series = {d: [(m, m / (1.0 + d)) for m in (1, 2)]
+              for d in (20.0, 0.0, 5.0, 0.5)}
     path = tmp_path / "legend.svg"
-    assert render_chart(records, AxesSpec(x_field="branches", y_field="G",
-                                          series_field="delta"), path)
-    # legend entries, unlike tick labels, sit at integer coordinates
-    legend = re.findall(r'<text x="\d+" y="\d+" font-size="11" '
-                        r'font-family="sans-serif">([^<]*)</text>',
-                        path.read_text())
-    assert legend == ["0.0", "0.5", "5.0", "20.0"]
+    assert render_chart(series, AxesSpec(), path)
+    assert _legend(path.read_text()) == ["0.0", "0.5", "5.0", "20.0"]
 
 
 def test_chart_single_point_gets_marker(tmp_path):
     path = tmp_path / "single.svg"
-    assert render_chart([_converged()],
-                        AxesSpec(x_field="delta", y_field="G"), path)
+    assert render_chart({None: [(0.0, 2.0)]}, AxesSpec(), path)
     svg = path.read_text()
     assert "<circle" in svg
     assert "<polyline" not in svg
+    # a lone series labelled None draws no legend
+    assert _legend(svg) == []
 
 
 def test_chart_all_diverged_omits(tmp_path):
     # no warning either: the caller names the cause
     path = tmp_path / "nothing.svg"
-    written = render_chart([_diverged(), _diverged(delta=1.0)],
-                           AxesSpec(x_field="delta", y_field="R"), path)
+    written = render_chart({None: [(0.0, math.inf), (1.0, math.inf)]},
+                           AxesSpec(), path)
     assert written is False
     assert not path.exists()
 
 
 def test_chart_filters_diverged_points_but_keeps_series(tmp_path):
-    records = [_diverged(delta=0.0)] + [
-        _converged(label="pentagon", delta=d, r=d) for d in (0.1, 1.0, 10.0)]
+    points = [(0.0, math.inf)] + [(d, d) for d in (0.1, 1.0, 10.0)]
     path = tmp_path / "mixed.svg"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert render_chart(records, AxesSpec(x_field="delta", y_field="R",
-                                              log_x=True, log_y=True), path)
+        assert render_chart({None: points},
+                            AxesSpec(log_x=True, log_y=True), path)
     assert path.read_text().count("<polyline") == 1
 
 
+def test_chart_bytes_do_not_depend_on_point_order(tmp_path):
+    # diverged points are dropped before the sort: a list holding NaN
+    # has no defined sorted order
+    points = [(d, 1.0 + d) for d in (0.1, 0.3, 1.0, 3.0, 10.0)]
+    noise = [(math.nan, 1.0), (2.0, math.nan), (5.0, math.inf),
+             (-math.inf, 2.0)]
+    mixed = points + noise
+    random.Random(7).shuffle(mixed)
+    axes = AxesSpec(log_x=True, guideline_y=2.0)
+    ordered, shuffled = tmp_path / "ordered.svg", tmp_path / "shuffled.svg"
+    assert render_chart({"a": points, "b": points[::-1]}, axes, ordered)
+    assert render_chart({"b": mixed[::-1], "a": mixed}, axes, shuffled)
+    assert ordered.read_bytes() == shuffled.read_bytes()
+
+
 def test_chart_guideline_rendered(tmp_path):
-    rows = [{"delta": d, "ratio": r}
-            for d, r in ((0.1, 1.4), (0.3, 0.9), (1.0, 0.97))]
     path = tmp_path / "guide.svg"
-    assert render_chart(rows, AxesSpec(x_field="delta", y_field="ratio",
-                                       guideline_y=1.0, log_x=True), path)
+    assert render_chart({None: [(0.1, 1.4), (0.3, 0.9), (1.0, 0.97)]},
+                        AxesSpec(guideline_y=1.0, log_x=True), path)
     assert 'class="guideline"' in path.read_text()
 
 
 def test_chart_deterministic(tmp_path):
-    records = [_converged(delta=d, r=1 + d) for d in (0.0, 0.5, 2.0)]
-    axes = AxesSpec(x_field="delta", y_field="R", title="t", x_label="x",
-                    y_label="y")
+    series = {None: [(d, 1 + d) for d in (0.0, 0.5, 2.0)]}
+    axes = AxesSpec(title="t", x_label="x", y_label="y")
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_chart(records, axes, a)
-    render_chart(records, axes, b)
+    render_chart(series, axes, a)
+    render_chart(series, axes, b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_chart_escapes_labels(tmp_path):
     path = tmp_path / "esc.svg"
-    render_chart([_converged(delta=d, r=1 + d) for d in (0.0, 1.0)],
-                 AxesSpec(x_field="delta", y_field="R",
-                          title="R < 1 & more"), path)
+    render_chart({"m < 2 & more": [(0.0, 1.0), (1.0, 2.0)]},
+                 AxesSpec(title="R < 1 & more"), path)
     text = path.read_text()
     assert "R &lt; 1 &amp; more" in text
+    assert _legend(text) == ["m &lt; 2 &amp; more"]
 
 
 @pytest.mark.parametrize("guideline", [0.0, -1.0])
 def test_chart_leaves_out_guideline_a_log_axis_cannot_show(tmp_path, guideline):
-    records = [_converged(label="pentagon", delta=d, r=d)
-               for d in (0.1, 1.0, 10.0)]
+    series = {None: [(d, d) for d in (0.1, 1.0, 10.0)]}
     drawn, plain = tmp_path / "guide.svg", tmp_path / "plain.svg"
-    assert render_chart(records, AxesSpec(x_field="delta", y_field="R",
-                                          log_y=True, guideline_y=guideline),
+    assert render_chart(series, AxesSpec(log_y=True, guideline_y=guideline),
                         drawn)
-    assert render_chart(records, AxesSpec(x_field="delta", y_field="R",
-                                          log_y=True), plain)
+    assert render_chart(series, AxesSpec(log_y=True), plain)
     assert 'class="guideline"' not in drawn.read_text()
     assert drawn.read_bytes() == plain.read_bytes()
 
 
 def test_chart_ticks_and_guideline_share_the_points_map(tmp_path):
-    rows = [{"delta": d, "ratio": r}
-            for d, r in ((0.1, 1.4), (1.0, 1.0), (10.0, 0.8))]
     path = tmp_path / "map.svg"
-    assert render_chart(rows, AxesSpec(x_field="delta", y_field="ratio",
-                                       log_x=True, guideline_y=1.0), path)
+    assert render_chart({None: [(0.1, 1.4), (1.0, 1.0), (10.0, 0.8)]},
+                        AxesSpec(log_x=True, guideline_y=1.0), path)
     svg = path.read_text()
     points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
     px, py = points[1].split(",")  # the point at delta = 1, ratio = 1
