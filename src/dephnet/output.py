@@ -58,7 +58,8 @@ class AxesSpec:
 
 
 _WIDTH, _HEIGHT = 640, 440
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 36, 52
+# the plot area's edges in pixels
+_LEFT, _RIGHT, _TOP, _BOTTOM = 70, _WIDTH - 24, 36, _HEIGHT - 52
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
 
@@ -86,55 +87,34 @@ def render_chart(series: Mapping, axes: AxesSpec, path) -> bool:
     if not groups:
         return False
     guide = _scaled(axes.guideline_y, axes.log_y)
-    x_lo, x_hi = _pad_range([x for pts in groups.values() for x, _ in pts])
-    y_lo, y_hi = _pad_range([y for pts in groups.values() for _, y in pts]
-                            + ([] if guide is None else [guide]))
-    sx = _pixel_map(x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R)
-    sy = _pixel_map(y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-    ]
+    xs, ys = zip(*[point for pts in groups.values() for point in pts])
+    sx, x_ticks = _axis(xs, axes.log_x, _LEFT, _RIGHT)
+    sy, y_ticks = _axis(ys + (() if guide is None else (guide,)),
+                        axes.log_y, _BOTTOM, _TOP)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     if axes.title:
-        parts.append(f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-                     f'font-size="15" font-family="sans-serif">'
-                     f'{_escape(axes.title)}</text>')
-    parts += [
-        f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
-        f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" '
-        f'x2="{_MARGIN_L}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
-    ]
-    for px, label in _ticks(x_lo, x_hi, axes.log_x, sx):
-        parts.append(f'<line x1="{px:.2f}" y1="{_HEIGHT - _MARGIN_B}" '
-                     f'x2="{px:.2f}" y2="{_HEIGHT - _MARGIN_B + 5}" '
-                     f'stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" '
-                     f'text-anchor="middle" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
-    for py, label in _ticks(y_lo, y_hi, axes.log_y, sy):
-        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" '
-                     f'x2="{_MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" '
-                     f'text-anchor="end" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
+        parts.append(_text(_WIDTH / 2, 22, axes.title, 15))
+    parts += [_line(_LEFT, _BOTTOM, _RIGHT, _BOTTOM),
+              _line(_LEFT, _TOP, _LEFT, _BOTTOM)]
+    for px, label in x_ticks:
+        parts += [_line(px, _BOTTOM, px, _BOTTOM + 5),
+                  _text(px, _BOTTOM + 18, label, 11)]
+    for py, label in y_ticks:
+        parts += [_line(_LEFT - 5, py, _LEFT, py),
+                  _text(_LEFT - 8, py + 4, label, 11, "end")]
     if axes.x_label:
-        parts.append(f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.2f}" '
-                     f'y="{_HEIGHT - 14}" text-anchor="middle" font-size="13" '
-                     f'font-family="sans-serif">{_escape(axes.x_label)}</text>')
+        parts.append(_text((_LEFT + _RIGHT) / 2, _HEIGHT - 14, axes.x_label,
+                           13))
     if axes.y_label:
-        cy = (_MARGIN_T + _HEIGHT - _MARGIN_B) / 2
-        parts.append(f'<text x="18" y="{cy:.2f}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif" '
-                     f'transform="rotate(-90 18 {cy:.2f})">'
-                     f'{_escape(axes.y_label)}</text>')
+        cy = (_TOP + _BOTTOM) / 2
+        parts.append(_text(18, cy, axes.y_label, 13,
+                           extra=f' transform="rotate(-90 18 {cy:.2f})"'))
     if guide is not None:
-        gy = sy(guide)
-        parts.append(f'<line x1="{_MARGIN_L}" y1="{gy:.2f}" '
-                     f'x2="{_WIDTH - _MARGIN_R}" y2="{gy:.2f}" '
-                     f'stroke="#888888" stroke-dasharray="5,4" '
-                     f'class="guideline"/>')
+        parts.append(_line(_LEFT, sy(guide), _RIGHT, sy(guide),
+                           'stroke="#888888" stroke-dasharray="5,4" '
+                           'class="guideline"'))
 
     for idx, (label, pts) in enumerate(sorted(groups.items())):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -147,12 +127,10 @@ def render_chart(series: Mapping, axes: AxesSpec, path) -> bool:
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3.5" '
                          f'fill="{color}"/>')
         if label is not None:
-            ly = _MARGIN_T + 16 * idx + 10
-            parts.append(f'<rect x="{_WIDTH - _MARGIN_R - 110}" y="{ly - 8}" '
+            ly = _TOP + 16 * idx + 10
+            parts.append(f'<rect x="{_RIGHT - 110}" y="{ly - 8}" '
                          f'width="10" height="10" fill="{color}"/>')
-            parts.append(f'<text x="{_WIDTH - _MARGIN_R - 95}" y="{ly + 1}" '
-                         f'font-size="11" font-family="sans-serif">'
-                         f'{_escape(str(label))}</text>')
+            parts.append(_text(_RIGHT - 95, ly + 1, label, 11, anchor=None))
     parts.append("</svg>")
     Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
     return True
@@ -166,30 +144,42 @@ def _scaled(value: float | None, log_scale: bool) -> float | None:
     return math.log10(value) if log_scale else value
 
 
-def _pad_range(values: list[float]) -> tuple[float, float]:
+def _axis(values: Sequence, log_scale: bool, start: float, end: float):
+    """(to_pixel, ticks) of an axis over values on its scale: the range
+    of values, padded by 5% of its span (of max(|value|, 1) if it has
+    none), maps linearly onto the pixels [start, end]; ticks holds
+    (pixel, label) of every decade on a log axis that spans two, else of
+    five evenly spaced values."""
     lo, hi = min(values), max(values)
     pad = (max(abs(lo), 1.0) if hi <= lo else hi - lo) * 0.05
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+
+    def to_pixel(v: float) -> float:
+        return start + (v - lo) / (hi - lo) * (end - start)
+
+    ticks = (range(math.ceil(lo), math.floor(hi) + 1)
+             if log_scale and math.floor(hi) - math.ceil(lo) >= 1
+             else np.linspace(lo, hi, 5))
+    return to_pixel, [(to_pixel(v), f"{10.0 ** v if log_scale else v:.3g}")
+                      for v in ticks]
 
 
-def _pixel_map(lo: float, hi: float, start: float, end: float):
-    """The linear map of the axis range [lo, hi] onto pixels [start, end]."""
-    return lambda v: start + (v - lo) / (hi - lo) * (end - start)
+def _at(value) -> str:
+    """A coordinate: whole pixels as they are, computed ones to 0.01."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
-def _ticks(lo: float, hi: float, log_scale: bool, to_pixel) -> list:
-    """(pixel, label) of each tick: every decade on a log axis that spans
-    two, else five evenly spaced values."""
-    values = (range(math.ceil(lo), math.floor(hi) + 1)
-              if log_scale and math.floor(hi) - math.ceil(lo) >= 1
-              else np.linspace(lo, hi, 5))
-    return [(to_pixel(v), _sig(10.0 ** v if log_scale else v)) for v in values]
+def _line(x1, y1, x2, y2, style: str = 'stroke="black"') -> str:
+    """One SVG <line> from (x1, y1) to (x2, y2), drawn in style."""
+    return (f'<line x1="{_at(x1)}" y1="{_at(y1)}" x2="{_at(x2)}" '
+            f'y2="{_at(y2)}" {style}/>')
 
 
-def _sig(x: float) -> str:
-    return f"{x:.3g}"
-
-
-def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
+def _text(x, y, text, size: int, anchor: str | None = "middle",
+          extra: str = "") -> str:
+    """One SVG <text> of str(text), escaped, in the sans-serif font."""
+    escaped = (str(text).replace("&", "&amp;").replace("<", "&lt;")
+               .replace(">", "&gt;"))
+    where = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (f'<text x="{_at(x)}" y="{_at(y)}"{where} font-size="{size}" '
+            f'font-family="sans-serif"{extra}>{escaped}</text>')

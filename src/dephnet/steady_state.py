@@ -52,6 +52,7 @@ from .generator import (
     SOURCE_FLUX,
     Generator,
     _apply_reduced,
+    _coordinate_pairs,
     _explicit_linear_system,
     _hermitian_coords,
     apply_generator,
@@ -151,9 +152,15 @@ class SteadyStateResult:
         return self.status == CONVERGED
 
 
-def _check_physical(states: np.ndarray, where) -> None:
+def _check_physical(states: np.ndarray, where, error: float = 0.0) -> None:
     """Raise PhysicalityError for the first state of the (k, dim, dim)
     stack that is not a density matrix; where(i) places state i.
+
+    error is the max-norm error, relative to the largest entry, that the
+    states are certified to carry (0 if none is): a population passes
+    from min(POPULATION_TOL, -error) up, an eigenvalue from
+    min(MIN_EIGENVALUE_TOL, -dim error) up, since an entrywise error of
+    e moves an eigenvalue by at most dim e.
 
     Every state is exactly Hermitian by construction: unpacked from
     Hermitian coordinates, or 0.5 (rho + rho^+) at delta = 0. So only
@@ -162,7 +169,7 @@ def _check_physical(states: np.ndarray, where) -> None:
     or infinite entry is refused first, after the states before it are
     checked: every comparison with NaN is false, so no later test would
     catch it. The eigenvalue test first tries a Cholesky factorization
-    of every state, shifted by tau = -MIN_EIGENVALUE_TOL / 2 (see
+    of every state, shifted by half the eigenvalue tolerance (see
     _positive_by_cholesky). Only when one fails, or the entries are too
     large for that test to decide, are the eigenvalues computed, as
     without the shortcut, so each verdict and message is the same.
@@ -171,33 +178,36 @@ def _check_physical(states: np.ndarray, where) -> None:
     if not largest < np.inf:  # also for NaN
         i = int(np.argmin(np.isfinite(states).all(axis=(-2, -1))))
         if i:
-            _check_physical(states[:i], where)
+            _check_physical(states[:i], where, error)
         raise PhysicalityError(f"NaN or infinite entry {where(i)}")
+    pop_tol = min(POPULATION_TOL, -error)
+    eig_tol = min(MIN_EIGENVALUE_TOL, -states.shape[-1] * error)
     pops = np.diagonal(states, axis1=-2, axis2=-1).real.min(axis=-1)
-    bad = pops < POPULATION_TOL
-    if not _positive_by_cholesky(states, largest):
+    bad = pops < pop_tol
+    if not _positive_by_cholesky(states, largest, eig_tol):
         eigs = np.linalg.eigvalsh(states).min(axis=-1)
-        bad |= eigs < MIN_EIGENVALUE_TOL
+        bad |= eigs < eig_tol
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    if pops[i] < POPULATION_TOL:
+    if pops[i] < pop_tol:
         raise PhysicalityError(f"negative population {pops[i]:.3e} {where(i)}")
     raise PhysicalityError(f"negative eigenvalue {eigs[i]:.3e} {where(i)}")
 
 
-def _positive_by_cholesky(states: np.ndarray, largest: float) -> bool:
+def _positive_by_cholesky(states: np.ndarray, largest: float,
+                          eig_tol: float) -> bool:
     """True if every Hermitian matrix of the stack provably has all its
-    eigenvalues above MIN_EIGENVALUE_TOL; False means unknown. largest
-    bounds every |entry| of states.
+    eigenvalues above eig_tol < 0; False means unknown. largest bounds
+    every |entry| of states.
 
     Cholesky succeeds on rho + tau I only if rho + tau I + E is positive
     definite for a backward error of norm |E| <= dim^2 eps max|rho|
     (Higham, 2002, thm 10.5). While dim^2 eps largest stays below
     tau / 4, success puts every eigenvalue of rho above -5 tau / 4, which
-    is above MIN_EIGENVALUE_TOL = -2 tau.
+    is above eig_tol = -2 tau.
     """
-    tau = -MIN_EIGENVALUE_TOL / 2
+    tau = -eig_tol / 2
     dim = states.shape[-1]
     if not dim * dim * np.finfo(float).eps * largest < tau / 4:
         return False
@@ -425,8 +435,9 @@ def _solve_dephased(g: Generator) -> SteadyStateResult:
 def _dephased_inverse(a: np.ndarray, n: int) -> np.ndarray:
     """a^-1 for the real system a of an n-site device.
 
-    In the coordinates of real_linear_system the n(n-1)/2 Im-coherence
-    coordinates Y come last, after the split = n(n+1)/2 Re coordinates.
+    In the coordinates of real_linear_system the Im-coherence
+    coordinates Y come last, after the `split` Re coordinates that
+    _coordinate_pairs counts.
     Their block of a is exactly diagonal, -(2 delta + sink damping), and
     they couple to the Re coordinates only through [H, .]. A Y column
     is dominated where |a_jj| >= sum_{i != j} |a_ij|, as where dephasing
@@ -458,7 +469,7 @@ def _dephased_inverse(a: np.ndarray, n: int) -> np.ndarray:
     np.linalg.inv(a), and every result is the same to the last bit as
     without the elimination.
     """
-    split = n * (n + 1) // 2
+    split = _coordinate_pairs(n)[2]
     diagonal = np.diagonal(a)[split:]
     dominated = 2.0 * np.abs(diagonal) >= np.abs(a[:, split:]).sum(axis=0)
     m = len(a) - int(np.count_nonzero(dominated))
@@ -486,10 +497,11 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
     X_ab = -i S v_a conj(v_b) / (lambda_a - conj(lambda_b)). The verdict
     has one rule, _krylov_rank, run once per solve: the device insulates
     iff e_s is not in K(H, e_k), and exactly n - r of its modes are
-    undamped, r = dim K(H, e_k). The floats only order the modes: the
-    n - r with the smallest |Im lambda| are left empty. Where e_s lies
-    in K(H, e_k), leaving them empty drops nothing: every undamped mode
-    lies in its orthogonal complement and has zero source amplitude. The
+    undamped, r = dim K(H, e_k). The floats only order the modes: rho is
+    built from the r with the largest |Im lambda| alone, their lambda,
+    their columns of W and their source amplitudes v. Where e_s lies in
+    K(H, e_k), the undamped modes it leaves out carry nothing: each lies
+    in the orthogonal complement and has zero source amplitude. The
     state's error grows like cond(W)^2 eps, so an eigenbasis with
     cond_1(W)^2 eps > EIGENBASIS_ERROR_TOL (close to an exceptional point
     of K) raises UnphysicalSolutionError; a W that numpy cannot invert
@@ -511,12 +523,9 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
             f"(condition number {cond:.3e}); K is close to an exceptional "
             f"point")
     rank, fed = _krylov_rank(g.circuit)
-    undamped = np.zeros(len(lam), dtype=bool)
-    undamped[np.argsort(np.abs(lam.imag), kind="stable")[:len(lam) - rank]] = True
-    v = np.where(undamped, 0.0, w_inv[:, g.circuit.source])
-    denom = lam[:, None] - lam.conj()[None, :]
-    denom[undamped[:, None] & undamped[None, :]] = 1.0  # numerator is 0
-    x = -1j * SOURCE_FLUX * np.outer(v, v.conj()) / denom
+    damped = np.sort(np.argsort(np.abs(lam.imag), kind="stable")[-rank:])
+    lam, w, v = lam[damped], w[:, damped], w_inv[damped, g.circuit.source]
+    x = -1j * SOURCE_FLUX * np.outer(v, v.conj()) / (lam[:, None] - lam.conj())
     rho = w @ x @ w.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.abs(apply_generator(g, rho)).max())
@@ -590,16 +599,21 @@ def _modular_product(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _accept(g: Generator, rho: np.ndarray, residual: float, eta: float,
             cond: float, scale: float) -> SteadyStateResult:
     """Converged result for a direct solution rho whose largest entry is
-    `scale`, once its backward error, physicality and flux balance hold."""
+    `scale`, once its backward error, physicality and flux balance hold.
+    Physicality is judged relative to max(1, scale), allowing at
+    delta > 0 the relative error FORWARD_ERROR_FACTOR kappa eps that the
+    state is certified to carry (see _check_physical); at delta = 0 only
+    the fixed tolerances."""
     if eta > BACKWARD_ERROR_TOL:
         raise UnphysicalSolutionError(
             f"direct solution is not stationary: backward error {eta:.3e}")
     sink_pop = rho[g.circuit.sink, g.circuit.sink].real
     expected = SOURCE_FLUX / GAMMA_BATH
     norm = max(1.0, scale)
+    error = FORWARD_ERROR_FACTOR * cond * np.finfo(float).eps if g.delta else 0
     try:
         _check_physical(rho[None] / norm, lambda _i: f"in direct NESS, "
-                        f"relative to its scale {norm:.3e}")
+                        f"relative to its scale {norm:.3e}", error)
     except PhysicalityError as exc:
         raise UnphysicalSolutionError(
             f"stationary system solvable (residual {residual:.3e}) but the "

@@ -8,10 +8,11 @@ on |Im lambda| calls 11 of the random graphs insulating; six of them
 conduct through a fed mode damped more weakly than that, and the exact
 Krylov rank says `converged`. On all 26 graphs the package's rank
 modulo 268,435,399 agrees with the pure-Python one modulo 2^61 - 1
-(tests/python_krylov.py), a second, independent prime. Takes a few
-seconds: only the 20-site conductor is also solved at delta = 1e-13,
-since the dense path at that delta takes about 50 s and 3 GB at 100
-sites.
+(tests/python_krylov.py), a second, independent prime. Two graphs are
+also solved at delta = 1e-13, where the dense path takes about 50 s and
+3 GB at 100 sites: the 20-site conductor, and the 70-site insulator,
+whose state there carries a certified error of about 1e-6 (about 6 s
+and 0.8 GB). The whole file takes about 9 s on 2 cores.
 """
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ WEAKLY_DAMPED = {(20, 39): 81836.4, (70, 70): 1365.99, (70, 86): 428.956,
                  (100, 149): 92669.1}
 #: (n, edges) of the five true insulators
 INSULATORS = {(20, 19), (20, 20), (40, 42), (40, 49), (70, 72)}
+#: delta R of the (70, 72) insulator at delta = 1e-10, R = 1.38889e9
+WEAK_INSULATOR_DELTA_R = 0.138889
 
 
 def _sample():
@@ -60,6 +63,17 @@ def test_zero_dephasing_verdicts_on_the_sample():
                     solve_ness_direct(assemble_generator(c, 1e-13)), c)
                 assert r0 == pytest.approx(r_weak, rel=1.2e-3)
     assert seen == set(WEAKLY_DAMPED)
+
+
+def test_weak_dephasing_of_the_70_site_insulator():
+    # at delta = 1e-13 its state is right within its certified error,
+    # 10 kappa eps ~ 1e-6, and is judged by that error
+    c = next(c for c in _sample()
+             if (c.graph.n, len(c.graph.edges)) == (70, 72))
+    res = solve_ness_direct(assemble_generator(c, 1e-13))
+    assert res.status == CONVERGED
+    assert 1e-13 * resistance(res, c) == pytest.approx(
+        WEAK_INSULATOR_DELTA_R, rel=1e-3)
 
 
 @pytest.mark.parametrize("c", [make_wire(100), make_parallel_circuit(98)],

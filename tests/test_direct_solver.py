@@ -222,6 +222,22 @@ def test_strong_end_of_the_float_range_still_converges():
     assert resistance(res, make_wire(2)) == 1e307
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-13])
+def test_weak_dephasing_state_is_judged_within_its_certified_error(delta):
+    # an insulator at delta = 0 whose weak-dephasing state carries a
+    # relative error up to 10 kappa eps (about 3e-8 and 4e-7 here): a
+    # population of -2e-10 or -5e-9 of its scale is that error, not an
+    # unphysical state, and R is right to the same bound
+    c = Circuit(build_graph(12, [(0, 1), (0, 2), (1, 5), (1, 6), (1, 8),
+                                 (1, 9), (2, 3), (2, 4), (2, 7), (4, 7),
+                                 (6, 9), (8, 10), (8, 11)]), 4, 1)
+    res = solve_ness_direct(assemble_generator(c, delta))
+    assert res.status == CONVERGED
+    bound = steady_state.FORWARD_ERROR_FACTOR * res.condition * np.finfo(float).eps
+    exact = exact_resistance(c, delta)
+    assert abs(Fraction(resistance(res, c)) - exact) <= bound * exact
+
+
 def test_condition_reported_by_direct_solver_only():
     # at delta > 0 the componentwise condition number of the state plus
     # its residual in units of eps, computed here from a dense inverse;

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -211,3 +212,45 @@ def test_chart_ticks_and_guideline_share_the_points_map(tmp_path):
                         r'[^>]*class="guideline"/>', svg).group(1)
     assert tick_x == px
     assert guide_y == py
+
+
+#: The three charts that `dephnet` draws with --plot, each from fixed
+#: series: the branch sweep's legend of deltas, the log-log resistance
+#: curve (a delta = 0 point and a diverged one dropped) and the log-x
+#: ratio with its guideline at 1.
+_CLI_CHARTS = {
+    "sweep-branches": (
+        {d: [(m, m / (1.0 + d * m * m)) for m in range(1, 11)]
+         for d in (0.0, 0.1, 1.0)},
+        AxesSpec(x_label="branch count m", y_label="conductance G",
+                 title="Conductance vs parallel branches")),
+    "sweep-dephasing": (
+        {None: [(0.0, math.inf), (1e-3, math.inf)]
+         + [(10.0 ** (k / 4), 2.0 + 10.0 ** (k / 4) + 1.0 / 10.0 ** (k / 4))
+            for k in range(-8, 9)]},
+        AxesSpec(x_label="dephasing rate", y_label="resistance R",
+                 title="Resistance vs dephasing: pentagon",
+                 log_x=True, log_y=True)),
+    "rectify": (
+        {None: [(10.0 ** (k / 4), 1.0 + 0.3 * math.tanh(k / 3))
+                for k in range(-4, 9)]},
+        AxesSpec(x_label="dephasing rate", y_label="forward R / reverse R",
+                 title="Rectification ratio", log_x=True, guideline_y=1.0)),
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("sweep-branches",
+     "b1138d64d45e489f28035c00951f8b95668cfb99be379edd80d09b957e1e73b1"),
+    ("sweep-dephasing",
+     "1972953f7b6895aec7fc7b790b964790711d51e55fda7440ceac6db425412275"),
+    ("rectify",
+     "fd36449eef1d3cee6d93bec7e2cfac4d6c59ca95ddabc4a84a8be7d9fcf4c4d8"),
+])
+def test_cli_chart_bytes_are_pinned(tmp_path, name, digest):
+    # a change to any chart's bytes shows here, in one place: change a
+    # digest only with a change to the charts that is meant
+    series, axes = _CLI_CHARTS[name]
+    path = tmp_path / f"{name}.svg"
+    assert render_chart(series, axes, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

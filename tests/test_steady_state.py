@@ -547,9 +547,9 @@ def test_checked_states_are_exactly_hermitian(monkeypatch):
     # Hermitian states, which this pins
     checked = []
 
-    def spy(states, where):
+    def spy(states, where, *error):
         checked.append(np.array_equal(states, states.conj().swapaxes(-1, -2)))
-        check(states, where)
+        check(states, where, *error)
 
     check = steady_state._check_physical
     monkeypatch.setattr(steady_state, "_check_physical", spy)
