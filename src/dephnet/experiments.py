@@ -111,7 +111,11 @@ def _measure(c: Circuit, delta: float, direction: str = "forward",
                        coherence=coherence, status=res.status)
 
 
-def _run_points(points: Sequence[tuple]) -> list[SweepRecord]:
+def _run_points(points: Sequence[tuple], sweep: str) -> list[SweepRecord]:
+    """Records of the points, sorted; UsageError names the sweep if its
+    grid gave it no point."""
+    if not points:
+        raise UsageError(f"{sweep} needs at least one delta")
     return sorted((_measure(*p) for p in points), key=_sort_key)
 
 
@@ -121,12 +125,9 @@ def sweep_branch_count(m_max: int, deltas: Sequence[float] = BRANCH_DELTAS,
     m_max must be an integer of at least 2 and the grid not empty, or
     UsageError is raised."""
     require_count(m_max, "m_max of the branch sweep", 2)
-    deltas = tuple(deltas)  # read once, so an iterator is not used up
-    if not deltas:
-        raise UsageError("branch sweep needs at least one delta")
     points = [(make_parallel_circuit(m, branch_length), d, "forward", m)
               for d in deltas for m in range(1, m_max + 1)]
-    return _run_points(points)
+    return _run_points(points, "branch sweep")
 
 
 def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
@@ -150,10 +151,8 @@ def find_conductance_peak(delta: float, m_max: int = DEFAULT_M_MAX,
 def dephasing_sweep(c: Circuit, deltas: Sequence[float] = (0.0,) + LOG_GRID,
                     ) -> list[SweepRecord]:
     """R and G of one circuit across a dephasing grid."""
-    deltas = tuple(deltas)  # read once, so an iterator is not used up
-    if not deltas:
-        raise UsageError("dephasing sweep needs at least one delta")
-    return _run_points([(c, float(d), "forward", None) for d in deltas])
+    return _run_points([(c, float(d), "forward", None) for d in deltas],
+                       "dephasing sweep")
 
 
 def rectification_sweep(deltas: Sequence[float] = LOG_GRID,
@@ -162,18 +161,15 @@ def rectification_sweep(deltas: Sequence[float] = LOG_GRID,
     """Forward and reverse records for the funnel, plus the ratio series
     R_forward / R_reverse per delta (nan where either direction has no
     steady state). An empty grid raises UsageError."""
-    deltas = tuple(deltas)  # read once, so an iterator is not used up
-    if not deltas:
-        raise UsageError("rectification sweep needs at least one delta")
     forward = circuit if circuit is not None else make_triangle_funnel("forward")
     backward = reverse_circuit(forward)
     points = [(c, d, direction, None)
               for d in deltas
               for c, direction in ((forward, "forward"), (backward, "reverse"))]
-    records = _run_points(points)
+    records = _run_points(points, "rectification sweep")
     r_at = {(r.delta, r.direction): r.R for r in records}
     ratio_series = [(d, _ratio(r_at[(d, "forward")], r_at[(d, "reverse")]))
-                    for d in sorted(set(float(x) for x in deltas))]
+                    for d in sorted({r.delta for r in records})]
     return records, ratio_series
 
 

@@ -110,7 +110,14 @@ def format_circuit(c: Circuit, comments: list[str] | None = None) -> str:
 
 
 def write_circuit_file(c: Circuit, path, comments: list[str] | None = None) -> None:
-    Path(path).write_text(format_circuit(c, comments), encoding="utf-8")
+    """Write format_circuit's text to path, once it reads back as the same
+    circuit and comments. A label with '#' or padding, or a comment with
+    padding or a line break, would not: CircuitFileError, and no file."""
+    comments = list(comments or [])
+    text = format_circuit(c, comments)
+    if parse_circuit_text(text, f"{path} as written") != (c, comments):
+        raise CircuitFileError(f"{path}: would not read back as written")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def builtin_names() -> list[str]:

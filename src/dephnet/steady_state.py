@@ -85,7 +85,8 @@ BACKWARD_ERROR_TOL = 1e-10
 #: rational solves the true error is at most kappa eps.
 FORWARD_ERROR_FACTOR = 10.0
 #: At delta = 0: largest accepted cond_1(W)^2 eps, the error scale of a
-#: state computed in the eigenbasis W of K.
+#: state computed in the eigenbasis W of K, taken over the damped modes
+#: that build the state.
 EIGENBASIS_ERROR_TOL = 1e-8
 #: At delta = 0: the prime modulus of the Krylov rank that decides the
 #: verdict (see _krylov_rank), the largest prime below 2^28.
@@ -136,7 +137,9 @@ class SteadyStateResult:
     the size of the generator and the state, and condition the direct
     solver's condition number (see solve_ness_direct): at delta > 0 the
     componentwise kappa of its state, whose relative max-norm error is
-    at most about kappa eps; evolution leaves both None.
+    at most about kappa eps; at delta = 0 cond_1 of the eigenvectors of
+    K that build the state (its damped modes); evolution leaves both
+    None.
     """
 
     status: str
@@ -367,7 +370,9 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
 
     delta = 0: the equation reduces to K rho - rho K^+ = -i S |s><s| with
     K = H - i(g/2)|k><k|, solved in the eigenbasis of K (see
-    _solve_coherent). The verdict has one rule, in integer arithmetic:
+    _solve_coherent), with no matrix inverse: K is complex symmetric, so
+    each damped mode's left eigenvector is its right one transposed. The
+    verdict has one rule, in integer arithmetic:
     the device is an insulator (``diverged``) iff e_s is not in the
     Krylov space K(H, e_k), by a rank modulo a prime (_krylov_rank),
     which also counts the undamped modes of K (real eigenvalue). The
@@ -382,11 +387,13 @@ def solve_ness_direct(g: Generator) -> SteadyStateResult:
     backward error (Rigal & Gaches, 1967), that defect relative to
     |L| |rho| + S in the infinity norm, with |L| = |a| at delta > 0 and
     the bound 2 |K| at delta = 0; condition is kappa at delta > 0 and
-    cond_1 of the eigenvector matrix of K at delta = 0. A converged
-    state must have a backward error of at most BACKWARD_ERROR_TOL and
-    pass _check_physical and flux balance, or UnphysicalSolutionError
-    is raised. Both paths solve the reduced form; a generator of the
-    explicit-bath form raises UnsupportedFormError at every delta.
+    cond_1 = |W|_1 |W^-1|_1 over the damped block of the eigenvector
+    matrix W of K at delta = 0 (its r columns and r rows of W^-1). A
+    converged state must have a backward error of at most
+    BACKWARD_ERROR_TOL and pass _check_physical and flux balance, or
+    UnphysicalSolutionError is raised. Both paths solve the reduced
+    form; a generator of the explicit-bath form raises
+    UnsupportedFormError at every delta.
     """
     if g.form != REDUCED:
         raise UnsupportedFormError("direct solves take the reduced form only")
@@ -501,30 +508,37 @@ def _solve_coherent(g: Generator) -> SteadyStateResult:
     built from the r with the largest |Im lambda| alone, their lambda,
     their columns of W and their source amplitudes v. Where e_s lies in
     K(H, e_k), the undamped modes it leaves out carry nothing: each lies
-    in the orthogonal complement and has zero source amplitude. The
-    state's error grows like cond(W)^2 eps, so an eigenbasis with
-    cond_1(W)^2 eps > EIGENBASIS_ERROR_TOL (close to an exceptional point
-    of K) raises UnphysicalSolutionError; a W that numpy cannot invert
-    counts as cond = inf and raises the same way.
+    in the orthogonal complement and has zero source amplitude.
+
+    No inverse of W is formed. K^T = K (H is real symmetric, the sink
+    term diagonal), so the left eigenvector of a damped lambda_a, which
+    is simple and not real, is w_a^T: row a of W^-1 is
+    w_a^T / (w_a^T w_a), which fails only at an exceptional point of K,
+    where w_a^T w_a -> 0. The state's error grows like cond(W)^2 eps,
+    with cond_1(W) = |W|_1 |W^-1|_1 taken over the damped block, the
+    r columns of W and r rows of W^-1 that build it: the undamped
+    eigenspace, whose basis LAPACK picks arbitrarily, enters no state.
+    Where cond_1^2 eps > EIGENBASIS_ERROR_TOL (close to an exceptional
+    point), UnphysicalSolutionError is raised; a pairing of exactly 0
+    reads as an infinite or NaN condition and raises the same way.
     """
+    rank, fed = _krylov_rank(g.circuit)
     sink = g.circuit.sink
     k_op = g.H.copy()
     k_op[sink, sink] -= 0.5j * GAMMA_BATH
     lam, w = np.linalg.eig(k_op)
-    try:
-        w_inv = np.linalg.inv(w)
-        cond = float(np.linalg.norm(w, 1) * np.linalg.norm(w_inv, 1))
-    except np.linalg.LinAlgError:
-        cond = math.inf  # linearly dependent eigenvectors
+    damped = np.sort(np.argsort(np.abs(lam.imag), kind="stable")[-rank:])
+    lam, w = lam[damped], w[:, damped]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w_left = w.T / (w * w).sum(axis=0)[:, None]
+        cond = float(np.linalg.norm(w, 1) * np.linalg.norm(w_left, 1))
     # written so that an infinite or NaN condition number raises too
     if not cond * cond * np.finfo(float).eps <= EIGENBASIS_ERROR_TOL:
         raise UnphysicalSolutionError(
             f"eigenbasis of the delta = 0 system is ill-conditioned "
             f"(condition number {cond:.3e}); K is close to an exceptional "
             f"point")
-    rank, fed = _krylov_rank(g.circuit)
-    damped = np.sort(np.argsort(np.abs(lam.imag), kind="stable")[-rank:])
-    lam, w, v = lam[damped], w[:, damped], w_inv[damped, g.circuit.source]
+    v = w_left[:, g.circuit.source]
     x = -1j * SOURCE_FLUX * np.outer(v, v.conj()) / (lam[:, None] - lam.conj())
     rho = w @ x @ w.conj().T
     rho = 0.5 * (rho + rho.conj().T)

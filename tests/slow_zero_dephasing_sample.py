@@ -3,16 +3,19 @@
     PYTHONPATH=src python -m pytest -q tests/slow_zero_dephasing_sample.py
 
 The delta = 0 verdicts on 24 seeded random connected graphs of 20 to
-100 sites, plus wire100 and parallel m = 98. A float threshold of 1e-9
-on |Im lambda| calls 11 of the random graphs insulating; six of them
+100 sites, plus wire100, parallel m = 98 and m = 300 (302 sites, each
+parallel R(0) against its closed form (m^2 - 3m + 4) / (2m^2)), and
+the 300-site insulator K_{10,290}. A float threshold of 1e-9 on
+|Im lambda| calls 11 of the random graphs insulating; six of them
 conduct through a fed mode damped more weakly than that, and the exact
-Krylov rank says `converged`. On all 26 graphs the package's rank
+Krylov rank says `converged`. On all 28 graphs the package's rank
 modulo 268,435,399 agrees with the pure-Python one modulo 2^61 - 1
 (tests/python_krylov.py), a second, independent prime. Two graphs are
 also solved at delta = 1e-13, where the dense path takes about 50 s and
 3 GB at 100 sites: the 20-site conductor, and the 70-site insulator,
 whose state there carries a certified error of about 1e-6 (about 6 s
-and 0.8 GB). The whole file takes about 9 s on 2 cores.
+and 0.8 GB). The two graphs past 128 sites take about 60 ms per
+delta = 0 solve, and the whole file about 9 s on 2 cores.
 """
 import numpy as np
 import pytest
@@ -76,16 +79,33 @@ def test_weak_dephasing_of_the_70_site_insulator():
         WEAK_INSULATOR_DELTA_R, rel=1e-3)
 
 
-@pytest.mark.parametrize("c", [make_wire(100), make_parallel_circuit(98)],
-                         ids=["wire100", "parallel98"])
-def test_large_shipped_families_conduct_at_zero_dephasing(c):
+def _parallel_r0(m: int) -> float:
+    """Exact R(0) of m parallel one-site branches."""
+    return (m * m - 3 * m + 4) / (2 * m * m)
+
+
+#: K_{10,290}, sites 0..9 on one side, source 0 and sink 1: an insulator
+#: whose undamped eigenspace has dimension 297
+BIPARTITE_300 = Circuit(build_graph(300, [(i, j) for i in range(10)
+                                          for j in range(10, 300)]), 0, 1)
+
+
+@pytest.mark.parametrize("c, r0", [(make_wire(100), None),
+                                   (make_parallel_circuit(98), _parallel_r0(98)),
+                                   (make_parallel_circuit(300), _parallel_r0(300))],
+                         ids=["wire100", "parallel98", "parallel300"])
+def test_large_shipped_families_conduct_at_zero_dephasing(c, r0):
     res = solve_ness_direct(assemble_generator(c, 0.0))
     assert res.status == CONVERGED
-    assert 0 < resistance(res, c) < float("inf")
+    r = resistance(res, c)
+    assert 0 < r < float("inf")
+    if r0 is not None:
+        assert r == pytest.approx(r0, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [*_sample(), make_wire(100),
-                               make_parallel_circuit(98)],
+                               make_parallel_circuit(98),
+                               make_parallel_circuit(300), BIPARTITE_300],
                          ids=lambda c: f"n{c.graph.n}-{len(c.graph.edges)}")
 def test_two_primes_agree(c):
     rank = _krylov_rank(c)

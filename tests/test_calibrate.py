@@ -146,6 +146,7 @@ def test_funnel_shortlist_calibration_selects_frozen_device():
 
 def test_single_crossing_rejects_symmetric_and_recrossing_devices():
     assert _single_crossing(make_wire(3)) is None  # ratio pinned at 1
+    assert _single_crossing(make_wire(1)) is None  # R = 0: ratio undefined
     shortlist = {c.label: c for c in funnel_shortlist()}
     assert _single_crossing(shortlist["kite-lead"]) is None  # two crossings
     crossing = _single_crossing(shortlist["triangle"])

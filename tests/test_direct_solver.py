@@ -3,6 +3,7 @@ a dark-state test and Sylvester solves at delta = 0, the singular values
 of the real system and exact rational solves at delta > 0, and the
 memory a solve at delta > 0 takes."""
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import networkx as nx
@@ -214,6 +215,17 @@ def test_float_range_ends_are_refused_not_warned(c, delta):
     # would escape instead of the typed refusal
     with pytest.raises(UnphysicalSolutionError, match="no significant digit"):
         solve_ness_direct(assemble_generator(c, delta))
+
+
+def test_exactly_singular_system_is_refused(monkeypatch):
+    # numpy's LinAlgError from the inverse becomes the typed refusal
+    def singular(_a, _n):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(steady_state, "_dephased_inverse", singular)
+    with pytest.raises(UnphysicalSolutionError,
+                       match="exactly singular in floating point"):
+        solve_ness_direct(assemble_generator(make_wire(2), 1.0))
 
 
 def test_strong_end_of_the_float_range_still_converges():
@@ -437,15 +449,53 @@ def test_exceptional_point_of_k_raises(hopping, ok):
 
 
 def test_singular_eigenbasis_is_refused_as_exceptional_point(monkeypatch):
-    # an eigenvector matrix numpy cannot invert counts as cond = inf, and
-    # the conditioning test refuses it with its own message
-    def singular(_):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # a damped pair whose eigenvectors pair to w^T w = 0 exactly, as at an
+    # exceptional point of K = K^T: the left eigenvectors w^T / (w^T w)
+    # read as an infinite condition, refused without a warning
+    monkeypatch.setattr(np.linalg, "eig", lambda _k: (
+        np.array([-0.5j, -0.5j]), np.array([[1.0, 1.0], [1.0j, 1.0j]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnphysicalSolutionError,
+                           match="condition number inf.*exceptional point"):
+            solve_ness_direct(assemble_generator(make_wire(2), 0.0))
 
-    monkeypatch.setattr(np.linalg, "inv", singular)
-    with pytest.raises(UnphysicalSolutionError,
-                       match="condition number inf.*exceptional point"):
-        solve_ness_direct(assemble_generator(make_wire(2), 0.0))
+
+@pytest.mark.parametrize("c", [make_wire(2), make_wire(3),
+                               make_additivity_pair()[0]],
+                         ids=["wire2", "wire3", "additivity-a"])
+def test_condition_of_a_full_rank_eigenbasis_uses_its_inverse(c):
+    # where every mode is damped (r = n), the condition from the left
+    # eigenvectors w_a^T / (w_a^T w_a) is cond_1 of W with numpy's inverse
+    assert _krylov_rank(c)[0] == c.graph.n
+    w = np.linalg.eig(_k_operator(c))[1]
+    expected = np.linalg.norm(w, 1) * np.linalg.norm(np.linalg.inv(w), 1)
+    res = solve_ness_direct(assemble_generator(c, 0.0))
+    assert res.condition == pytest.approx(expected, rel=1e-10)
+
+
+def _complete_bipartite(a: int, b: int) -> Circuit:
+    """K_{a,b}, sites 0..a-1 on one side, source 0 and sink 1."""
+    edges = [(i, j) for i in range(a) for j in range(a, a + b)]
+    return Circuit(build_graph(a + b, edges), 0, 1)
+
+
+@pytest.mark.parametrize("a, b", [(10, 90), (5, 95), (20, 80)])
+def test_large_complete_bipartite_insulates_at_zero_dephasing(a, b):
+    # its undamped eigenspace is highly degenerate, and the arbitrary
+    # basis LAPACK picks there, which builds no state, judges nothing
+    c = _complete_bipartite(a, b)
+    assert _krylov_rank(c) == (3, False)
+    assert solve_ness_direct(assemble_generator(c, 0.0)).status == DIVERGED
+
+
+@pytest.mark.parametrize("m", [150, 200])
+def test_large_parallel_conducts_at_zero_dephasing(m):
+    c = make_parallel_circuit(m)
+    res = solve_ness_direct(assemble_generator(c, 0.0))
+    assert res.status == CONVERGED
+    exact = (m * m - 3 * m + 4) / (2 * m * m)
+    assert resistance(res, c) == pytest.approx(exact, rel=1e-12)
 
 
 def _fraction_krylov(graph, sink: int) -> tuple[int, list[bool]]:

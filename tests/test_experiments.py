@@ -83,11 +83,14 @@ def test_dephasing_sweep_keeps_diverged_row():
 def test_sweeps_refuse_an_empty_grid_and_read_an_iterator_once():
     # an empty series would later be reported as a ratio undefined at
     # every grid point
-    with pytest.raises(UsageError, match="at least one delta"):
+    with pytest.raises(UsageError,
+                       match="^rectification sweep needs at least one delta$"):
         rectification_sweep(())
-    with pytest.raises(UsageError, match="at least one delta"):
+    with pytest.raises(UsageError,
+                       match="^dephasing sweep needs at least one delta$"):
         dephasing_sweep(make_wire(2), iter(()))
-    with pytest.raises(UsageError, match="at least one delta"):
+    with pytest.raises(UsageError,
+                       match="^branch sweep needs at least one delta$"):
         sweep_branch_count(3, deltas=())
     # the emptiness test must not use up a grid given as an iterator
     records, series = rectification_sweep(iter((0.1, 0.5)))

@@ -35,6 +35,8 @@ def test_build_graph_refuses_site_count_below_one(n):
 
 
 def test_graph_validates_raw_adjacency():
+    with pytest.raises(GraphConstructionError, match=r"shape \(2, 2\).*n=3"):
+        Graph(3, np.zeros((2, 2)))
     with pytest.raises(GraphConstructionError, match="symmetric"):
         Graph(2, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(GraphConstructionError, match="diagonal"):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dephnet import (CalibrationNotRunError, Circuit, CircuitFileError,
-                     UnknownCircuitError, build_graph, load_builtin,
+                     GraphConstructionError, UnknownCircuitError, build_graph,
+                     load_builtin, make_additivity_pair, make_triangle_funnel,
                      make_wire, parse_circuit_file, parse_circuit_text,
                      resolve_circuit, write_circuit_file)
 from dephnet.registry import builtin_names, format_circuit
@@ -74,6 +75,21 @@ def test_round_trip_through_exporter(tmp_path):
     assert comments == ["exported"]
 
 
+@pytest.mark.parametrize("label, comments", [
+    ("a#b", None),  # would read back as label a with a comment b
+    ("  padded  ", None),  # would read back as padded
+    ("", ["x\nsink: 0"]),  # a second sink line: unreadable
+    ("", ["x\nlabel: y"]),  # would set the label y
+], ids=["hash-label", "padded-label", "sink-comment", "label-comment"])
+def test_exporter_refuses_text_that_reads_back_otherwise(tmp_path, label,
+                                                         comments):
+    c = Circuit(make_wire(3).graph, 0, 2, label=label)
+    path = tmp_path / "bad.circuit"
+    with pytest.raises(CircuitFileError):
+        write_circuit_file(c, path, comments=comments)
+    assert not path.exists()
+
+
 @given(st.integers(min_value=2, max_value=7), st.data())
 @settings(max_examples=30, deadline=None)
 def test_round_trip_property(n, data):
@@ -119,6 +135,26 @@ def test_calibration_marker_enforced(tmp_path, monkeypatch):
     # a shipped name, as the CLI resolves it, is refused
     with pytest.raises(CalibrationNotRunError, match="calibration"):
         load_builtin("raw")
+
+
+@pytest.mark.parametrize("b_edges, b_sink, message", [
+    ([(0, 1), (1, 2)], 2, "exactly one edge"),
+    ([(0, 1), (0, 2), (1, 2)], 1, "share source and sink"),
+], ids=["same-edge-count", "other-sink"])
+def test_additivity_pair_refuses_an_inconsistent_pair(monkeypatch, b_edges,
+                                                      b_sink, message):
+    import dephnet.registry as registry
+
+    b = Circuit(build_graph(3, b_edges), 0, b_sink)
+    monkeypatch.setattr(registry, "load_builtin", lambda name: (
+        make_wire(3) if name == "additivity-a" else b))
+    with pytest.raises(GraphConstructionError, match=message):
+        make_additivity_pair()
+
+
+def test_triangle_funnel_refuses_an_unknown_direction():
+    with pytest.raises(GraphConstructionError, match="'sideways'"):
+        make_triangle_funnel("sideways")
 
 
 def test_resolve_circuit_path_and_name(tmp_path):

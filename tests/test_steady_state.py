@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from dephnet import (CONVERGED, DIVERGED, EXPLICIT_BATH, MAX_TIME_EXCEEDED,
-                     PhysicalityError, Trajectory, TrajectoryTooShortError,
-                     UnphysicalSolutionError, UnsupportedFormError,
-                     UsageError, apply_generator,
+                     DimensionMismatchError, PhysicalityError, Trajectory,
+                     TrajectoryTooShortError, UnphysicalSolutionError,
+                     UnsupportedFormError, UsageError, apply_generator,
                      assemble_generator, detect_divergence, empty_state,
                      evolve, make_parallel_circuit,
                      make_pentagon, make_triangle_funnel, make_wire,
@@ -56,6 +56,11 @@ def test_evolve_validates_input():
     assert len(evolve(g, empty_state(g), 1.0, samples=np.int64(3)).times) == 3
     with pytest.raises(PhysicalityError, match="Hermitian"):
         evolve(g, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    # a state of another device's size, in either solver
+    with pytest.raises(DimensionMismatchError, match=r"\(3, 3\).*dim 2"):
+        evolve(g, np.zeros((3, 3)), 1.0)
+    with pytest.raises(DimensionMismatchError, match=r"\(3, 3\).*dim 2"):
+        solve_ness_by_evolution(g, rho0=np.zeros((3, 3)))
 
 
 def test_trajectory_is_exactly_hermitian():
